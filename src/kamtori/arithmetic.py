@@ -22,6 +22,7 @@ from .errors import (
     NonPositiveTermError,
     ShapeMismatchError,
 )
+from .jets import to_jsonable
 
 DEFAULT_ENUM_BUDGET = 40_000_000
 
@@ -129,8 +130,8 @@ class GeometricTail:
         return "moderate"
 
     def to_json_dict(self):
-        return {"kind": "geometric", "c": _num_to_json(self.c),
-                "ratio": _num_to_json(self.ratio)}
+        return to_jsonable({"kind": "geometric", "c": self.c,
+                            "ratio": self.ratio})
 
 
 @dataclass(frozen=True)
@@ -148,8 +149,8 @@ class PowerTail:
         return "moderate"
 
     def to_json_dict(self):
-        return {"kind": "power", "c": _num_to_json(self.c),
-                "power": _num_to_json(self.power)}
+        return to_jsonable({"kind": "power", "c": self.c,
+                            "power": self.power})
 
 
 @dataclass(frozen=True)
@@ -179,12 +180,8 @@ class DoubleExpTail:
         return "moderate" if float(self.base) < 2 else "not-moderate"
 
     def to_json_dict(self):
-        return {"kind": "double-exp", "c": _num_to_json(self.c),
-                "rate": _num_to_json(self.rate), "base": _num_to_json(self.base)}
-
-
-def _num_to_json(x):
-    return str(x) if isinstance(x, Fraction) else x
+        return to_jsonable({"kind": "double-exp", "c": self.c,
+                            "rate": self.rate, "base": self.base})
 
 
 class DecaySequence:
@@ -273,12 +270,12 @@ class DecaySequence:
         return np.array([float(v) for v in self.values], dtype=float)
 
     def to_json_dict(self):
-        return {
-            "values": [_num_to_json(v) for v in self.values],
+        return to_jsonable({
+            "values": self.values,
             "k_max": self.k_max,
             "monotone": self.monotone,
-            "descriptor": self.descriptor.to_json_dict() if self.descriptor else None,
-        }
+            "descriptor": self.descriptor,
+        })
 
     def __repr__(self):
         shown = ", ".join(str(v) for v in self.values[:4])
@@ -407,8 +404,8 @@ class BrunoReport(tuple):
         return self[1]
 
     def to_json_dict(self):
-        return {"partial_sum": self.partial_sum, "verdict": self.verdict,
-                "K": self.K}
+        return to_jsonable({"partial_sum": self.partial_sum,
+                            "verdict": self.verdict, "K": self.K})
 
 
 def bruno_diagnostic(a: DecaySequence, K: int) -> BrunoReport:
@@ -503,16 +500,7 @@ class DensityReport:
     map_name: str = "identity"
 
     def to_json_dict(self):
-        return {
-            "radius": self.radius,
-            "sample_count": self.sample_count,
-            "k_max": self.k_max,
-            "fraction_in_class": self.fraction_in_class,
-            "rng_seed": self.rng_seed,
-            "center_passes": self.center_passes,
-            "active_constraints": self.active_constraints,
-            "map_name": self.map_name,
-        }
+        return to_jsonable(vars(self))
 
 
 def _uniform_ball(rng, center, radius, samples):
@@ -677,7 +665,7 @@ class LatticeBasis:
         return np.array([[float(c) for c in v] for v in self.vectors])
 
     def to_json_dict(self):
-        return {"vectors": [[_num_to_json(c) for c in v] for v in self.vectors]}
+        return to_jsonable(vars(self))
 
 
 def lattice_basis(alpha) -> LatticeBasis:

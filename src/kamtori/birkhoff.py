@@ -22,7 +22,6 @@ in rational mode.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,7 +34,7 @@ from .errors import (
     ShapeMismatchError,
     SmallDivisorError,
 )
-from .jets import EXACT, ComplexRational, Jet, graded_lex_key
+from .jets import EXACT, ComplexRational, Jet, graded_lex_key, to_jsonable
 from .poisson import (
     HamiltonianDerivation,
     SymplecticLayout,
@@ -237,19 +236,15 @@ class BirkhoffResult:
         return transformed - normal
 
     def to_json_dict(self):
-        return {
+        return to_jsonable({
             "achieved_order": self.achieved_order,
             "coordinate_mode": self.coordinate_mode,
-            "alpha": [str(a) if isinstance(a, Fraction) else a
-                      for a in self.alpha.components],
-            "A": self.A.to_json_dict(),
+            "alpha": self.alpha.components,
+            "A": self.A,
             "generator_count": len(self.generators),
             "generator_orders": [g.generator.ord() for g in self.generators],
             "residual_order": self.residual.ord(),
-        }
-
-    def to_json(self, indent=None):
-        return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
+        })
 
 
 def birkhoff_normalize(H, l, divisor_floor=None, strategy="per-degree"):
@@ -405,14 +400,7 @@ class FrequencySpace:
     order: int
 
     def to_json_dict(self):
-        def num(x):
-            return str(x) if isinstance(x, Fraction) else x
-        return {
-            "base": [num(b) for b in self.base],
-            "basis": [[num(x) for x in row] for row in self.basis],
-            "dim": self.dim,
-            "order": self.order,
-        }
+        return to_jsonable(vars(self))
 
 
 def frequency_space(H, l, divisor_floor=None):
@@ -456,10 +444,7 @@ class ActionIdealCertificate:
     message: str = ""
 
     def to_json_dict(self):
-        return {"ok": self.ok,
-                "offending": None if self.offending is None
-                else list(self.offending),
-                "message": self.message}
+        return to_jsonable(vars(self))
 
 
 def action_ideal_certificate(H, layout=None):

@@ -28,7 +28,6 @@ exactly in rational mode, as floats in float mode; {"re": ..., "im":
 
 import argparse
 import csv
-import dataclasses
 import json
 import os
 import sys
@@ -38,7 +37,7 @@ from . import arithmetic
 from .birkhoff import (COMPLEX_MORSE, REAL_ELLIPTIC, EllipticHamiltonian,
                        birkhoff_normalize)
 from .errors import KamtoriError
-from .jets import ComplexRational, Jet
+from .jets import ComplexRational, to_jsonable
 from .kamengine import KamProblem, kam_iterate
 from .poisson import SymplecticLayout
 from .torusverify import torus_scan
@@ -128,22 +127,6 @@ def _jet_from_dict(data, mode, *, what="jet"):
 
 # --------------------------------------------------------------------- output
 
-def _to_jsonable(x):
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, ComplexRational):
-        return {"re": str(x.re), "im": str(x.im)}
-    if isinstance(x, complex):
-        return {"re": x.real, "im": x.imag}
-    if isinstance(x, dict):
-        return {str(k): _to_jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_to_jsonable(v) for v in x]
-    if hasattr(x, "item") and not isinstance(x, (str, bytes)):
-        return x.item()  # numpy scalars
-    return x
-
-
 def _resolve_out(path, args):
     if path is None or os.path.isabs(path):
         return path
@@ -151,13 +134,18 @@ def _resolve_out(path, args):
     return os.path.join(base, path) if base else path
 
 
-def _emit(artifact, args):
-    text = json.dumps(_to_jsonable(artifact), sort_keys=True, indent=2)
+def _write_text(text, args):
+    """Print an artifact's text and copy it to --out when one is given."""
     print(text)
-    out = _resolve_out(getattr(args, "out", None), args)
+    out = _resolve_out(args.out, args)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
+
+
+def _emit(artifact, args):
+    _write_text(json.dumps(to_jsonable(artifact), sort_keys=True, indent=2),
+                args)
 
 
 def _write_csv(path, header, rows, args):
@@ -185,7 +173,7 @@ def _cmd_sigma(args):
     alpha = _parse_vector(args.alpha, args.mode)
     seq = arithmetic.sigma(alpha, args.kmax, norm=args.norm)
     _emit({"config": _config_of(args, ["alpha", "kmax", "norm", "mode"]),
-           "sigma": seq.to_json_dict()}, args)
+           "sigma": seq}, args)
     return 0
 
 
@@ -194,7 +182,7 @@ def _cmd_bruno(args):
     seq = arithmetic.sigma(alpha, args.kmax, norm=args.norm)
     rep = arithmetic.bruno_diagnostic(seq, args.kmax)
     _emit({"config": _config_of(args, ["alpha", "kmax", "norm", "mode"]),
-           "sigma": seq.to_json_dict(), "bruno": rep.to_json_dict()}, args)
+           "sigma": seq, "bruno": rep}, args)
     return 0
 
 
@@ -301,7 +289,7 @@ def _cmd_birkhoff(args):
                              strategy=args.strategy)
     _emit({"config": _config_of(args, ["H", "l", "coordinates", "strategy",
                                        "divisor_floor", "mode"]),
-           "result": res.to_json_dict()}, args)
+           "result": res}, args)
     return 0
 
 
@@ -341,17 +329,11 @@ def _cmd_kam_run(args):
         k_offset=int(data.get("k_offset", 0)),
         divisor_floor=floor)
     final, trace = kam_iterate(problem)
-    lines = [json.dumps(_to_jsonable(st.to_json_dict()), sort_keys=True)
-             for st in trace]
-    lines.append(json.dumps(_to_jsonable(
+    lines = [json.dumps(to_jsonable(st), sort_keys=True) for st in trace]
+    lines.append(json.dumps(to_jsonable(
         {"config": _config_of(args, ["problem", "stages", "mode"]),
-         "final": final.to_json_dict()}), sort_keys=True))
-    text = "\n".join(lines)
-    print(text)
-    out = _resolve_out(args.out, args)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+         "final": final}), sort_keys=True))
+    _write_text("\n".join(lines), args)
     return 0 if final.success else 1
 
 
@@ -365,7 +347,7 @@ def _cmd_torus_scan(args):
     _emit({"config": _config_of(args, ["H", "r", "samples", "seed", "dt",
                                        "steps", "windows", "tol_energy",
                                        "tol_freq", "escape_factor", "jobs"]),
-           "report": rep.to_json_dict()}, args)
+           "report": rep}, args)
     if args.csv:
         header, rows = rep.csv_rows()
         _write_csv(args.csv, header, rows, args)

@@ -20,7 +20,7 @@ from types import MappingProxyType
 
 from .errors import ModeMixError, OrderTooLowError, ShapeMismatchError
 
-__all__ = ["ComplexRational", "Jet", "graded_lex_key"]
+__all__ = ["ComplexRational", "Jet", "graded_lex_key", "to_jsonable"]
 
 
 class ComplexRational:
@@ -735,15 +735,13 @@ class Jet:
         return "\n".join(lines)
 
     def to_json_dict(self):
-        return {
+        return to_jsonable({
             "num_vars": self.num_vars,
             "trunc_degree": self.trunc_degree,
             "mode": self.mode,
-            "blocks": [list(b) for b in self.blocks] if self.blocks else None,
-            "terms": [
-                [list(idx), _coeff_to_json(value)] for idx, value in self.terms()
-            ],
-        }
+            "blocks": self.blocks or None,
+            "terms": list(self.terms()),
+        })
 
     def to_json(self):
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -813,14 +811,29 @@ def _coeff_from_str(raw, mode):
     return complex(raw) if "j" in raw else float(raw)
 
 
-def _coeff_to_json(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, ComplexRational):
-        return {"re": str(value.re), "im": str(value.im)}
-    if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
-    return value
+def to_jsonable(x):
+    """The JSON form of a result; every artifact goes through this one rule.
+
+    Fraction -> "p/q"; ComplexRational -> {"re", "im"} as strings; complex
+    -> {"re", "im"} as floats; numpy scalars -> Python scalars; objects
+    with a ``to_json_dict`` -> that dict; dicts (keys as str), lists and
+    tuples recursively.  Anything else is returned as it is.
+    """
+    if isinstance(x, Fraction):
+        return str(x)
+    if isinstance(x, ComplexRational):
+        return {"re": str(x.re), "im": str(x.im)}
+    if isinstance(x, complex):
+        return {"re": x.real, "im": x.imag}
+    if hasattr(x, "to_json_dict"):  # before tuple: BrunoReport is one
+        return x.to_json_dict()
+    if isinstance(x, dict):
+        return {str(k): to_jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [to_jsonable(v) for v in x]
+    if hasattr(x, "item") and not isinstance(x, (str, bytes)):
+        return x.item()  # numpy scalars
+    return x
 
 
 def _coeff_from_json(raw, mode):

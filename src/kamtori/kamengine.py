@@ -23,17 +23,18 @@ frequency corrections are read on the zero section mu = 0.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .arithmetic import FrequencyVector, bruno_diagnostic, sigma
 from .birkhoff import (COMPLEX_MORSE, REAL_ELLIPTIC, EllipticHamiltonian,
-                       action_ideal_certificate, to_complex_morse)
+                       _monomial_name, action_ideal_certificate,
+                       to_complex_morse)
 from .errors import (BudgetExceededError, CertificateError,
                      ClassMembershipError, ConvergenceError,
                      NotEllipticError, OrderTooLowError, ResonanceError,
                      ShapeMismatchError, SmallDivisorError)
-from .jets import EXACT, ComplexRational, Jet
+from .jets import EXACT, ComplexRational, Jet, to_jsonable
 from .poisson import (HamiltonianDerivation, SymplecticLayout, ad_eigenvalue,
                       lie_exp)
 
@@ -63,35 +64,12 @@ def _abs_mag(value):
         if not value.re:
             return abs(value.im)
         return math.sqrt(float(value.abs2()))
-    if isinstance(value, Fraction):
-        return abs(value)
     return abs(value)
 
 
 def _action_square_test(qe, pe, le, me):
     """Default F-membership: two action factors p_kq_k divide the monomial."""
     return sum(min(a, b) for a, b in zip(qe, pe)) >= 2
-
-
-def _monomial_name(idx, layout):
-    names = Jet(len(idx), 1, blocks=layout.blocks).var_names()
-    parts = []
-    for name, e in zip(names, idx):
-        if e == 1:
-            parts.append(name)
-        elif e:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts) or "1"
-
-
-def _num_json(x):
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, ComplexRational):
-        return {"re": str(x.re), "im": str(x.im)}
-    if isinstance(x, complex):
-        return {"re": x.real, "im": x.imag}
-    return x
 
 
 # --- weighted degree: lambda and mu stand for actions, weight 2 -----------
@@ -431,17 +409,17 @@ class KamState:
 
     def to_json_dict(self):
         gen = self.u_n.generator if self.u_n is not None else None
-        return {
+        return to_jsonable({
             "stage": self.stage,
             "ord_b": self.ord_b,
-            "min_divisor": _num_json(self.min_divisor),
+            "min_divisor": self.min_divisor,
             "solved_monomials": 0 if gen is None else len(gen.coeffs),
             "mu_corrections": 0 if self.u_n is None
             or self.u_n.mu_coeffs is None else
             sum(1 for a in self.u_n.mu_coeffs if a),
-            "norms": {k: _num_json(v) for k, v in self.norm_ledger.items()},
+            "norms": self.norm_ledger,
             "success": self.success,
-        }
+        })
 
 
 def _norm_ledger(s_base, stage, jets):
@@ -778,13 +756,13 @@ class FiberResult:
     layout: SymplecticLayout
 
     def to_json_dict(self):
-        return {
+        return to_jsonable({
             "stages": len(self.trace),
             "ord_trace": [st.ord_b for st in self.trace],
-            "certificate": self.certificate.to_json_dict(),
-            "bruno": None if self.bruno is None else self.bruno.to_json_dict(),
+            "certificate": self.certificate,
+            "bruno": self.bruno,
             "success": self.final.success,
-        }
+        })
 
 
 def fiber_normalize(H, alpha=None, coordinate_mode=COMPLEX_MORSE, N=None, *,
@@ -920,15 +898,13 @@ class ExtendedResult:
     fiber: object = None
 
     def to_json_dict(self):
-        return {
+        return to_jsonable({
             "directions": len(self.basis),
             "reduced_to_fiber": self.reduced_to_fiber,
             "stages": len(self.trace),
-            "corrections": [
-                {str(i): _num_json(c) for i, c in corr.coeffs.items()}
-                for corr in self.corrections],
+            "corrections": [dict(corr.coeffs) for corr in self.corrections],
             "success": True,
-        }
+        })
 
 
 def extended_scenario(H, basis, N=None, *, base_degree=3, divisor_floor=None,
@@ -1087,12 +1063,7 @@ class ResteReport:
         return all(item["ok"] for item in self.items)
 
     def to_json_dict(self):
-        def conv(v):
-            return {k: _num_json(x) if not isinstance(x, (bool, str)) else x
-                    for k, x in v.items()}
-        return {"s": _num_json(self.s), "tau": _num_json(self.tau),
-                "n_hat": _num_json(self.n_hat), "guard": conv(self.guard),
-                "items": [conv(i) for i in self.items]}
+        return to_jsonable(vars(self))
 
 
 def reste_inequalities_check(u, x, s, tau, *, basis_degree=5, grid_size=3,

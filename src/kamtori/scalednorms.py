@@ -23,18 +23,13 @@ with the same three-valued verdict convention as
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .arithmetic import DoubleExpTail, GeometricTail, PowerTail
 from .errors import NonPositiveTermError, ShapeMismatchError
-from .jets import EXACT, Jet, _all_indices
-
-
-def _num_to_json(x):
-    return str(x) if isinstance(x, Fraction) else x
+from .jets import EXACT, Jet, _all_indices, to_jsonable
 
 
 def _as_scale(x):
@@ -68,25 +63,18 @@ class BoundednessFit:
 
     def to_json_dict(self):
         s, sigma, exponent = self.max_point
-        return {
+        return to_jsonable({
             "k": self.k,
-            "tau": _num_to_json(self.tau),
-            "N_hat": _num_to_json(self.N_hat),
+            "tau": self.tau,
+            "N_hat": self.N_hat,
             "grid_spec": {
-                "tau": _num_to_json(self.tau),
+                "tau": self.tau,
                 "grid_size": int(round(math.sqrt(len(self.grid)))),
                 "basis_degree": self.basis_degree,
                 "num_vars": self.num_vars,
             },
-            "max_point": {
-                "s": _num_to_json(s),
-                "sigma": _num_to_json(sigma),
-                "exponent": list(exponent),
-            },
-        }
-
-    def to_json(self, indent=None):
-        return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
+            "max_point": {"s": s, "sigma": sigma, "exponent": exponent},
+        })
 
 
 def dyadic_grid(tau, grid_size):
@@ -160,18 +148,15 @@ class ProductNormReport:
     satisfied: bool
 
     def to_json_dict(self):
-        return {
+        return to_jsonable({
             "n": self.n,
             "k_total": self.k_total,
-            "factor_N_hats": [_num_to_json(f.N_hat) for f in self.factor_fits],
-            "composed_N_hat": _num_to_json(self.composed_fit.N_hat),
-            "bound": _num_to_json(self.bound),
-            "margin": _num_to_json(self.margin),
+            "factor_N_hats": [f.N_hat for f in self.factor_fits],
+            "composed_N_hat": self.composed_fit.N_hat,
+            "bound": self.bound,
+            "margin": self.margin,
             "satisfied": self.satisfied,
-        }
-
-    def to_json(self, indent=None):
-        return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
+        })
 
 
 def product_norm_check(us, k_list, tau, basis_degree, grid_size,
@@ -232,8 +217,8 @@ class DoubleExpGrowth:
         return float(self.c) * 2.0 ** (float(self.rate) * float(self.base) ** n)
 
     def to_json_dict(self):
-        return {"kind": "double-exp-growth", "c": _num_to_json(self.c),
-                "rate": _num_to_json(self.rate), "base": _num_to_json(self.base)}
+        return to_jsonable({"kind": "double-exp-growth", "c": self.c,
+                            "rate": self.rate, "base": self.base})
 
 
 def _growth_verdict(descriptor):
@@ -262,16 +247,12 @@ class ModerateGrowthReport:
         return self.partial_sums[-1] if self.partial_sums else 0.0
 
     def to_json_dict(self):
-        return {
+        return to_jsonable({
             "values": [float(v) for v in self.values],
             "partial_sum": self.partial_sum,
             "verdict": self.verdict,
-            "descriptor": None if self.descriptor is None
-            else self.descriptor.to_json_dict(),
-        }
-
-    def to_json(self, indent=None):
-        return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
+            "descriptor": self.descriptor,
+        })
 
 
 def moderate_growth(values, descriptor=None):

@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .birkhoff import REAL_ELLIPTIC, EllipticHamiltonian
-from .jets import ComplexRational, Jet
+from .jets import ComplexRational, to_jsonable
 
 SCHEME = "triple-jump composition of implicit midpoint (order 4, symplectic)"
 FREQ_CONVENTION = ("signed angular frequency of z_j = q_j + i p_j, "
@@ -221,22 +221,19 @@ class OrbitRecord:
     convention: str = FREQ_CONVENTION
 
     def to_json_dict(self):
-        return {
-            "x0": list(self.x0),
+        return to_jsonable({
+            "x0": self.x0,
             "dt": self.dt,
             "steps": self.steps,
             "scheme": self.scheme,
             "energy_drift": self.energy_drift,
             "escaped": self.escaped,
             "escape_step": self.escape_step,
-            "window_frequencies": [
-                [None if f is None else f for f in w]
-                for w in self.window_frequencies]
-            if self.window_frequencies is not None else None,
+            "window_frequencies": self.window_frequencies,
             "stability": self.stability,
             "classification": self.classification,
             "convention": self.convention,
-        }
+        })
 
 
 def integrate(H, x0, dt, steps, *, escape_radius=None):
@@ -443,7 +440,7 @@ class ScanReport:
         return out
 
     def to_json_dict(self):
-        return {
+        return to_jsonable({
             "radius": self.radius,
             "samples": self.samples,
             "seed": self.seed,
@@ -455,10 +452,10 @@ class ScanReport:
             "tol_energy": self.tol_energy,
             "tol_freq": self.tol_freq,
             "escape_radius": self.escape_radius,
-            "alpha": list(self.alpha),
+            "alpha": self.alpha,
             "scheme": self.scheme,
             "convention": self.convention,
-        }
+        })
 
     def csv_rows(self):
         """Header and one row per orbit (x0, drift, stability, class)."""

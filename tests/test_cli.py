@@ -5,6 +5,7 @@ the library call the subcommand is documented to make, not against
 hand-typed constants.  Invocations run in-process through main(argv).
 """
 
+import hashlib
 import json
 import os
 from fractions import Fraction
@@ -39,6 +40,40 @@ def test_rerun_is_byte_identical(capsys):
     code2, out2, _ = run_cli(capsys, argv)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# SHA-256 of stdout for rational-mode runs, recorded from the code as it
+# was before every artifact shared one serializer.  Unlike the rerun test
+# above, these catch a change in how a scalar becomes JSON.
+RECORDED_STDOUT_SHA256 = {
+    "sigma": (["sigma", "--alpha", "1,987/610", "--kmax", "8"],
+              "5d117827ade3622ffb144320c6c96b7ecaf80e373ced133c7a29866f19bce29e"),
+    "bruno": (["bruno", "--alpha", "1,987/610", "--kmax", "8"],
+              "a2c228c01fa6a56868bf0daf52b7da535c6f423a7bb7462e00730e2024663d0e"),
+    "strips": (["strips", "--alpha", "1,987/610", "--kmax", "5", "--r", "1/10"],
+               "6df737240cb8e72bd520b4b2930b53368f74c142e158e5a83794ed0262afc8c0"),
+    "birkhoff": (["birkhoff", "--H", "H.json", "--l", "4"],
+                 "c428d8abed0080ea3616fff5640d843081ea23bd439c6ad36f4d1817a44c0808"),
+    "kam run": (["kam", "run", "--problem", "problem.json"],
+                "032dddf4c38422072888c17af8f585fd001cd07af40210cea629209a3abccbb8"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(RECORDED_STDOUT_SHA256))
+def test_stdout_matches_recorded_digest(command, capsys, tmp_path,
+                                        monkeypatch):
+    # the config block records the input paths, so run from tmp_path
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "H.json").write_text(json.dumps(
+        {"n": 1, "trunc_degree": 8,
+         "coeffs": {"2,0": "1/2", "0,2": "1/2", "4,0": "1"}}))
+    (tmp_path / "problem.json").write_text(json.dumps(
+        {"n": 2, "trunc_degree": 8, "alpha": ["1", "987/610"],
+         "b": {"2,1,0,0": "1", "0,0,3,0": "1"}}))
+    argv, digest = RECORDED_STDOUT_SHA256[command]
+    code, out, err = run_cli(capsys, argv + ["--mode", "rational"])
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_empty_config_exits_two(capsys):

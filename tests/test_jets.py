@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from kamtori.arithmetic import BrunoReport, GeometricTail
 from kamtori.errors import ModeMixError, OrderTooLowError, ShapeMismatchError
-from kamtori.jets import ComplexRational, Jet
+from kamtori.jets import ComplexRational, Jet, to_jsonable
 
 
 def random_exact_jet(rng, num_vars, trunc_degree, n_terms=6, min_ord=0):
@@ -335,6 +337,36 @@ def test_json_roundtrip_exact_and_float():
     assert g2.mode == "float"
     for idx, val in g.terms():
         assert g2[idx] == pytest.approx(val)
+
+
+@pytest.mark.parametrize("value, expected", [
+    (Fraction(-3, 4), "-3/4"),
+    (Fraction(5), "5"),
+    (ComplexRational(Fraction(1, 2), -3), {"re": "1/2", "im": "-3"}),
+    (complex(0.5, -2.0), {"re": 0.5, "im": -2.0}),
+    (np.float64(0.1), 0.1),
+    (np.int64(7), 7),
+    (np.bool_(True), True),
+    ({1: Fraction(1, 2), "k": (np.int64(2), [Fraction(3), None])},
+     {"1": "1/2", "k": [2, ["3", None]]}),
+    ({"tail": GeometricTail(Fraction(1, 3), Fraction(1, 2))},
+     {"tail": {"kind": "geometric", "c": "1/3", "ratio": "1/2"}}),
+    # a report that is also a tuple serializes as its dict, not a list
+    (BrunoReport(0.25, "moderate", 4),
+     {"partial_sum": 0.25, "verdict": "moderate", "K": 4}),
+    (Jet.from_terms(2, 3, [((1, 0), Fraction(2, 3)),
+                           ((1, 1), ComplexRational(0, 1))],
+                    blocks=(("q", 1), ("p", 1))),
+     {"num_vars": 2, "trunc_degree": 3, "mode": "exact",
+      "blocks": [["q", 1], ["p", 1]],
+      "terms": [[[1, 0], "2/3"], [[1, 1], {"re": "0", "im": "1"}]]}),
+    ("text", "text"),
+])
+def test_to_jsonable_each_input_kind(value, expected):
+    out = to_jsonable(value)
+    assert out == expected
+    assert type(out) is type(expected)
+    assert json.loads(json.dumps(out)) == expected
 
 
 def test_text_roundtrip_graded_lex():
