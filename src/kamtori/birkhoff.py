@@ -319,6 +319,14 @@ def birkhoff_normalize(H, l, divisor_floor=None, strategy="per-degree"):
                     raise CertificateError(
                         f"normalization left non-resonant exponent {idx} "
                         f"at degree <= {d}")
+        else:
+            # the generator cancels every degree-d non-resonant monomial
+            # by construction; what float arithmetic leaves there is
+            # roundoff, so project it out (no magnitude threshold)
+            def keep(idx):
+                qe, pe, _, _ = lay.split(idx)
+                return sum(idx) != d or qe == pe
+            hm = hm.project(keep)
 
     resonant = {}
     for idx, c in hm.terms():

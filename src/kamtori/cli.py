@@ -103,6 +103,30 @@ def _load_json_file(path):
         raise SchemaError(f"{path} is not valid JSON: {exc}") from None
 
 
+def _load_artifact(path):
+    """Read a JSON artifact, or the last document of a JSON-lines one.
+
+    `kam run` writes one line per stage and ends with the line that holds
+    its config and final result, which is what a report digests.
+    """
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise SchemaError(f"cannot read {path}: {exc}") from None
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        error = exc
+    try:
+        docs = [json.loads(line) for line in text.splitlines() if line.strip()]
+    except json.JSONDecodeError:
+        docs = []
+    if not docs:
+        raise SchemaError(f"{path} is not valid JSON: {error}")
+    return docs[-1]
+
+
 def _jet_from_dict(data, mode, *, what="jet"):
     try:
         n = int(data["n"])
@@ -357,7 +381,7 @@ def _cmd_torus_scan(args):
 def _cmd_report(args):
     sections = []
     for path in args.inputs:
-        data = _load_json_file(path)
+        data = _load_artifact(path)
         cfg = data.get("config", {})
         headline = {}
         for key in ("sigma", "bruno", "sweep", "rows", "strip_count",

@@ -195,6 +195,29 @@ def test_normalize_float_mode():
     assert check_symplectic(res.coordinate_images(), lay) <= 1e-10
 
 
+def test_normalize_float_matches_exact_two_dof():
+    # float mode must cancel non-resonant monomials as exact mode does:
+    # the roundoff left at their exponents is projected out per degree
+    lay = SymplecticLayout(2)
+    N = 6
+    pert = (lay.q(0, N) ** 2 * lay.p(1, N)
+            + (lay.q(1, N) ** 3).scale(Fraction(1, 2))
+            + (lay.q(0, N) * lay.p(0, N) * lay.q(1, N) ** 2).scale(
+                Fraction(1, 3)))
+    H = oscillator(2, N, [1, Fraction(987, 610)], pert)
+    exact = birkhoff_normalize(EllipticHamiltonian(H, REAL_ELLIPTIC), 3)
+    fl = birkhoff_normalize(
+        EllipticHamiltonian(H.to_float(), REAL_ELLIPTIC), 3)
+    assert fl.residual.ord() > 6
+    keys = set(exact.A.coeffs) | set(fl.A.coeffs)
+    scale = max(abs(float(c)) for c in exact.A.coeffs.values())
+    for m in keys:
+        a = float(exact.A.coeffs.get(m, 0))
+        b = fl.A.coeffs.get(m, 0.0)
+        assert isinstance(b, float)
+        assert abs(b - a) <= 1e-11 * scale, m
+
+
 def test_normalize_small_divisor_floor():
     lay = SymplecticLayout(2)
     N = 6

@@ -236,6 +236,31 @@ def test_report_digests_prior_artifacts(capsys, tmp_path):
     assert "sigma" in sections[0]["headline"]
 
 
+def test_report_reads_kam_run_jsonlines(capsys, tmp_path):
+    # kam run writes JSON lines; report digests the last one, which holds
+    # the config and the final state
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(
+        {"n": 2, "trunc_degree": 8, "alpha": ["1", "987/610"],
+         "b": {"2,1,0,0": "1", "0,0,3,0": "1"}}))
+    trace = tmp_path / "trace.jsonl"
+    code, out, _ = run_cli(capsys, ["kam", "run", "--problem", str(problem),
+                                    "--out", str(trace)])
+    assert code == 0
+    final = json.loads(out.strip().splitlines()[-1])
+    code, out, err = run_cli(capsys, ["report", "--inputs", str(trace)])
+    assert code == 0 and err == ""
+    section = json.loads(out)["sections"][0]
+    assert section["command"] == "kam run"
+    assert section["headline"] == {"final": final["final"]}
+
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text(trace.read_text() + "{not json\n")
+    code, _, err = run_cli(capsys, ["report", "--inputs", str(broken)])
+    assert code == 2
+    assert json.loads(err)["error"]["type"] == "schema"
+
+
 def test_jet_schema_violations_exit_two(capsys, tmp_path):
     incomplete = tmp_path / "bad.jet"
     incomplete.write_text(json.dumps({"n": 1, "coeffs": {}}))

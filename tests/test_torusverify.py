@@ -1,13 +1,17 @@
 """Symplectic integration, frequency analysis, torus-density scans."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from kamtori.errors import NotEllipticError
 from kamtori.poisson import SymplecticLayout
-from kamtori.torusverify import (FREQ_CONVENTION, SCHEME, OrbitRecord,
+from kamtori.torusverify import (_FIXED_POINT_TOL, _W1, FREQ_CONVENTION,
+                                 SCHEME, OrbitRecord, _integrate_batch,
+                                 _midpoint_substep, _VectorField,
                                  classify_orbit, frequency_analysis,
                                  integrate, torus_scan)
 
@@ -32,13 +36,109 @@ def synthetic_record(z, dt, x0=None):
                        trajectory=traj)
 
 
+def random_jet(rng, n, terms):
+    """A real polynomial jet of degree <= 4 with mixed monomials."""
+    lay = SymplecticLayout(n)
+    H = lay.zero(4, mode="float")
+    for _ in range(terms):
+        while True:
+            e = rng.integers(0, 3, size=2 * n)
+            if 0 < e.sum() <= 4:
+                break
+        H = H + lay.monomial(float(rng.uniform(-1, 1)),
+                             qexp=tuple(int(v) for v in e[:n]),
+                             pexp=tuple(int(v) for v in e[n:]),
+                             trunc_degree=4)
+    return H
+
+
+# ------------------------------------------------------------- vector field
+
+@pytest.mark.parametrize("n,terms", [(1, 0), (1, 5), (2, 8), (3, 10)])
+def test_vector_field_matches_sympy(n, terms):
+    # X_H = (dH/dp, -dH/dq) and its Jacobian against sympy derivatives of
+    # the same polynomial, evaluated exactly at the float sample points
+    rng = np.random.default_rng(100 * n + terms)
+    H = random_jet(rng, n, terms)
+    d = 2 * n
+    xs = sympy.symbols(f"x0:{d}")
+    h = sum((sympy.Rational(Fraction(c)) *
+             sympy.prod([x ** int(k) for x, k in zip(xs, e)])
+             for e, c in H.coeffs.items()), sympy.Integer(0))
+    grad = [sympy.diff(h, x) for x in xs]
+    xh = [grad[n + j] for j in range(n)] + [-grad[j] for j in range(n)]
+    jac = [[sympy.diff(f, x) for x in xs] for f in xh]
+    X = rng.uniform(-1, 1, size=(5, d))
+    field = _VectorField(H)
+    f, df = field(X)
+    for row, x in enumerate(X):
+        at = {s: sympy.Rational(Fraction(float(v))) for s, v in zip(xs, x)}
+        want = np.array([float(g.subs(at)) for g in xh])
+        assert np.abs(f[row] - want).max() <= 1e-13
+        want_jac = np.array([[float(g.subs(at)) for g in r] for r in jac])
+        assert np.abs(df[row] - want_jac).max() <= 1e-13
+        assert abs(field.energy(x[None, :])[0] - float(h.subs(at))) <= 1e-13
+
+
+def test_newton_midpoint_solves_the_midpoint_equation():
+    # every midpoint the solve accepts satisfies m = x + (s/2) X_H(m) to
+    # the solve's own scaled tolerance
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3):
+        field = _VectorField(random_jet(rng, n, 3 * n))
+        x = rng.uniform(-0.8, 0.8, size=(12, 2 * n))
+        for s in (0.002, 0.02, -0.03, 0.1):
+            x_new, ok = _midpoint_substep(field, x, s)
+            assert ok.all()
+            m = 0.5 * (x + x_new)
+            resid = np.abs(m - x - 0.5 * s * field(m)[0]).max(axis=1)
+            scale = 1.0 + np.abs(m).max(axis=1)
+            assert (resid <= _FIXED_POINT_TOL * scale).all()
+
+
+def test_singular_newton_system_spoils_only_its_own_orbit():
+    # H = q p^2 / 2: I - (s/2) DX_H is singular where p = +-1 at s = 2;
+    # that orbit gets non-finite values, the others solve as alone
+    H = LAY1.monomial(0.5, qexp=(1,), pexp=(2,), trunc_degree=4)
+    field = _VectorField(H)
+    x = np.array([[0.3, 0.2], [0.3, 1.0], [-0.1, 0.05]])
+    x_new, ok = _midpoint_substep(field, x, 2.0)
+    assert not ok[1] and np.isnan(x_new[1]).all()
+    for i in (0, 2):
+        alone, ok_alone = _midpoint_substep(field, x[i:i + 1], 2.0)
+        assert ok[i] and ok_alone[0]
+        assert np.allclose(x_new[i], alone[0], rtol=0, atol=1e-14)
+
+
+def test_escape_reasons_from_the_batch_integrator():
+    # H = p (3q - q^3 - 2): at substep size 2 the q-equation of the
+    # midpoint solve is Newton on q^3 - 2q + 2 from q = 0, which cycles
+    # 0 -> 1 -> 0 and never settles
+    cycle = (LAY1.monomial(3.0, qexp=(1,), pexp=(1,), trunc_degree=4)
+             + LAY1.monomial(-1.0, qexp=(3,), pexp=(1,), trunc_degree=4)
+             + LAY1.monomial(-2.0, pexp=(1,), trunc_degree=4))
+    traj, esc, why = _integrate_batch(_VectorField(cycle),
+                                      np.array([[0.0, 0.5]]), 2.0 / _W1, 3,
+                                      np.inf)
+    assert list(why) == ["fixed-point-stall"] and list(esc) == [0]
+    assert (traj[0] == traj[0, 0]).all()
+    # q^3 overflows at q = 1e120: the step is non-finite
+    quartic = (LAY1.monomial(0.5, pexp=(2,), trunc_degree=4)
+               + LAY1.monomial(0.25, qexp=(4,), trunc_degree=4))
+    X0 = np.array([[1e120, 0.0], [0.5, 0.0]])
+    traj, esc, why = _integrate_batch(_VectorField(quartic), X0, 0.01, 5,
+                                      np.inf)
+    assert list(why) == ["non-finite", None] and list(esc) == [0, -1]
+    assert np.isfinite(traj).all()
+
+
 # ------------------------------------------------------------------ integrate
 
 def test_harmonic_oscillator_energy_roundoff():
     # the scheme conserves quadratic energies up to roundoff; the circle
     # H = (q^2+p^2)/2 from (1,0) stays on its energy level.
     rec = integrate(harmonic(), (1.0, 0.0), 1e-3, 10_000)
-    assert not rec.escaped
+    assert not rec.escaped and rec.escape_reason is None
     assert rec.energy_drift <= 1e-10
     assert rec.scheme == SCHEME
     radii = np.sqrt((rec.trajectory ** 2).sum(axis=1))
@@ -80,6 +180,7 @@ def test_escape_is_reported_not_raised():
     H = LAY1.monomial(1.0, qexp=(1,), pexp=(1,), trunc_degree=4)
     rec = integrate(H, (0.5, 0.5), 0.01, 400, escape_radius=3.0)
     assert rec.escaped and rec.escape_step is not None
+    assert rec.escape_reason == "radius"
     assert classify_orbit(rec, windows=2).classification == \
         "chaotic/escaping"
     radii = np.sqrt((rec.trajectory ** 2).sum(axis=1))
@@ -200,4 +301,5 @@ def test_report_serialization():
     assert header[:2] == ["x0_0", "x0_1"]
     assert header[-1] == "classification"
     assert len(rows) == 3 and rows[0][-1] == "torus-like"
+    assert rep.records[0].to_json_dict()["escape_reason"] is None
     json.dumps(rep.records[0].to_json_dict())
