@@ -22,6 +22,7 @@ in rational mode.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -180,14 +181,6 @@ class EllipticHamiltonian:
                 f"alpha={self.alpha!r})")
 
 
-def _abs_below(value, floor, exact):
-    if exact and floor == 0:
-        return not value
-    if isinstance(value, ComplexRational):
-        return value.abs2() <= Fraction(floor) ** 2
-    return abs(complex(value)) <= floor
-
-
 @dataclass(frozen=True)
 class BirkhoffResult:
     """Normal form of an elliptic Hamiltonian to order 2l.
@@ -259,7 +252,9 @@ def birkhoff_normalize(H, l, divisor_floor=None, strategy="per-degree"):
 
     divisor_floor: a non-resonant divisor |(alphat, i-j)| at or below this
     triggers SmallDivisorError; the default is exact-zero testing in
-    rational mode (only a true resonance aborts) and 1e-12 in float mode.
+    rational mode (only a true resonance aborts, with ResonanceError) and
+    1e-12 in float mode.  The KAM engine's quasi-inverse tests its
+    divisors with the same code.
     """
     if not isinstance(H, EllipticHamiltonian):
         raise TypeError("birkhoff_normalize needs an EllipticHamiltonian")
@@ -287,21 +282,13 @@ def birkhoff_normalize(H, l, divisor_floor=None, strategy="per-degree"):
 
     gens = []
     for d in range(3, 2 * l + 1):
-        part = hm.degree_slice(d)
-        chi_terms = {}
-        for idx, c in part.terms():
+        solvable = []
+        for idx, c in hm.degree_slice(d).terms():
             qe, pe, _, _ = lay.split(idx)
-            if qe == pe:
-                continue
-            lam = ad_eigenvalue(alphat, qe, pe)
-            if exact and not lam:
-                raise ResonanceError(
-                    f"(alpha, i-j) = 0 at non-resonant exponent {idx}")
-            if divisor_floor and _abs_below(lam, divisor_floor, exact):
-                raise SmallDivisorError(
-                    f"divisor |(alpha, i-j)| = {abs(complex(lam))} at "
-                    f"exponent {idx} is at or below the floor {divisor_floor}")
-            chi_terms[idx] = c / lam
+            if qe != pe:
+                solvable.append((idx, c))
+        chi_terms, _ = _solve_terms(solvable, lay, alphat, divisor_floor,
+                                    exact)
         if strategy == "per-degree":
             groups = [chi_terms] if chi_terms else []
         else:
@@ -479,6 +466,62 @@ def _monomial_name(idx, lay):
         elif e:
             parts.append(f"{name}^{e}")
     return "*".join(parts) or "1"
+
+
+def _abs_mag(value):
+    """|value| as Fraction when exact, float otherwise (divisor ledger)."""
+    if isinstance(value, ComplexRational):
+        if not value.im:
+            return abs(value.re)
+        if not value.re:
+            return abs(value.im)
+        return math.sqrt(float(value.abs2()))
+    return abs(value)
+
+
+def _check_divisor(lam, idx, layout, floor, exact):
+    """|lam| for the divisor ledger, after the resonance and floor tests.
+
+    Exact mode rejects only a vanishing lam unless a floor is given, and
+    then compares exactly; float mode always compares with the floor.
+    """
+    if exact and not lam:
+        raise ResonanceError(
+            f"monomial {_monomial_name(idx, layout)} is resonant: "
+            "eigenvalue (alpha, i-j) vanishes")
+    mag = _abs_mag(lam)
+    if floor or not exact:
+        if exact and isinstance(lam, ComplexRational) and lam.re and lam.im:
+            below = lam.abs2() <= Fraction(floor) ** 2
+        else:
+            below = mag <= floor
+        if below:
+            raise SmallDivisorError(
+                f"divisor {mag} for monomial {_monomial_name(idx, layout)} "
+                f"is at or below the floor {floor}")
+    return mag
+
+
+def _solve_terms(terms, layout, freqs, floor, exact):
+    """Quotients coeff/eigenvalue for the given (index, coeff) pairs.
+
+    The eigenvalue of q^i p^j is (freqs, i-j); returns the quotients by
+    index and the smallest divisor magnitude (None when terms is empty).
+    """
+    out = {}
+    min_div = None
+    for idx, c in terms:
+        qe, pe, _, _ = layout.split(idx)
+        if qe == pe:
+            raise ResonanceError(
+                f"monomial {_monomial_name(idx, layout)} is resonant and "
+                "not absorbable; it cannot be solved")
+        lam = ad_eigenvalue(freqs, qe, pe)
+        mag = _check_divisor(lam, idx, layout, floor, exact)
+        if min_div is None or mag < min_div:
+            min_div = mag
+        out[idx] = c / lam
+    return out, min_div
 
 
 def prenormal_form(H, k, divisor_floor=None):

@@ -255,6 +255,8 @@ def _cmd_lattice(args):
             raise SchemaError("--t-grid needs start:stop:count") from None
         ts = [start + (stop - start) * i / (count - 1) if count > 1
               else start for i in range(count)]
+    elif args.t is None:
+        raise SchemaError("lattice needs --t or --t-grid")
     else:
         ts = [float(args.t)]
     rows = []

@@ -20,6 +20,14 @@ and degrees beyond the window; stage transforms apply e^{-u_n}, first
 stage first.  In the parametric scenario the lambda/mu variables stand
 for actions and carry weight 2 in all degree bookkeeping, and the
 frequency corrections are read on the zero section mu = 0.
+
+Truncation.  Every derivation the engine builds keeps the truncation
+degree N of the jet it acts on: generators have order >= 3, and the
+mu-shift coefficients are constant-free lambda-polynomials, for which
+HamiltonianDerivation certifies a_i(lambda) d/dmu_i f up to f's own
+degree.  The stage flows e^{-u_n}, the products u_n(a_n) and the
+replay certificate are therefore plain lie_exp and derivation calls,
+exact in every degree <= N.
 """
 
 import math
@@ -28,15 +36,14 @@ from fractions import Fraction
 
 from .arithmetic import FrequencyVector, bruno_diagnostic, sigma
 from .birkhoff import (COMPLEX_MORSE, REAL_ELLIPTIC, EllipticHamiltonian,
-                       _monomial_name, action_ideal_certificate,
+                       _abs_mag, _extract_frequencies, _monomial_name,
+                       _rref, _solve_terms, action_ideal_certificate,
                        to_complex_morse)
 from .errors import (BudgetExceededError, CertificateError,
-                     ClassMembershipError, ConvergenceError,
-                     NotEllipticError, OrderTooLowError, ResonanceError,
-                     ShapeMismatchError, SmallDivisorError)
+                     ClassMembershipError, ConvergenceError, OrderTooLowError,
+                     ResonanceError, ShapeMismatchError)
 from .jets import EXACT, ComplexRational, Jet, to_jsonable
-from .poisson import (HamiltonianDerivation, SymplecticLayout, ad_eigenvalue,
-                      lie_exp)
+from .poisson import HamiltonianDerivation, SymplecticLayout, lie_exp
 
 _I = ComplexRational(0, 1)
 
@@ -54,17 +61,6 @@ def _layout_of(jet):
     spec = dict(jet.blocks)
     return SymplecticLayout(spec.get("q", 0), lambda_dim=spec.get("lam", 0),
                             mu_dim=spec.get("mu", 0))
-
-
-def _abs_mag(value):
-    """|value| as Fraction when exact, float otherwise (divisor ledger)."""
-    if isinstance(value, ComplexRational):
-        if not value.im:
-            return abs(value.re)
-        if not value.re:
-            return abs(value.im)
-        return math.sqrt(float(value.abs2()))
-    return abs(value)
 
 
 def _action_square_test(qe, pe, le, me):
@@ -93,44 +89,6 @@ def _word(jet, layout):
 # ---------------------------------------------------------------------------
 # quasi-inverse by eigenvalue division
 # ---------------------------------------------------------------------------
-
-def _check_divisor(lam, idx, layout, floor, exact):
-    if exact:
-        if not lam:
-            raise ResonanceError(
-                f"monomial {_monomial_name(idx, layout)} is resonant: "
-                "eigenvalue (alpha, i-j) vanishes")
-        mag = _abs_mag(lam)
-        if floor and mag <= floor:
-            raise SmallDivisorError(
-                f"divisor {mag} for monomial {_monomial_name(idx, layout)} "
-                f"is at or below the floor {floor}")
-        return mag
-    mag = _abs_mag(lam)
-    if mag <= floor:
-        raise SmallDivisorError(
-            f"divisor {mag} for monomial {_monomial_name(idx, layout)} "
-            f"is at or below the floor {floor}")
-    return mag
-
-
-def _solve_terms(terms, layout, freqs, floor, exact):
-    """Generator terms -coeff/eigenvalue for the given monomials."""
-    out = {}
-    min_div = None
-    for idx, c in terms:
-        qe, pe, _, _ = layout.split(idx)
-        if qe == pe:
-            raise ResonanceError(
-                f"monomial {_monomial_name(idx, layout)} is resonant and "
-                "not absorbable; it cannot be solved")
-        lam = ad_eigenvalue(freqs, qe, pe)
-        mag = _check_divisor(lam, idx, layout, floor, exact)
-        if min_div is None or mag < min_div:
-            min_div = mag
-        out[idx] = out.get(idx, 0) - c / lam
-    return out, min_div
-
 
 def hadamard_quasi_inverse(alpha, n, target, layout=None, *, alpha_acc=None,
                            eigen_freqs=None, divisor_floor=None, f_test=None):
@@ -225,32 +183,16 @@ class _Parametric:
 
     def solve_direction(self, vec, idx, layout):
         """Exact coordinates of vec in the deformation directions."""
-        rows = [list(self.columns[k]) + [vec[k]] for k in range(self.n)]
-        ncols = self.d
-        pivots = []
-        r = 0
-        for col in range(ncols):
-            piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            head = rows[r][col]
-            rows[r] = [x / head for x in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][col]:
-                    f = rows[i][col]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-            pivots.append(col)
-            r += 1
-        for i in range(r, len(rows)):
-            if rows[i][ncols]:
+        out = [0] * self.d
+        for row in _rref([list(self.columns[k]) + [vec[k]]
+                          for k in range(self.n)]):
+            col = next(i for i, x in enumerate(row) if x)
+            if col == self.d:
                 raise ResonanceError(
                     f"resonant class of {_monomial_name(idx, layout)} lies "
                     "outside the deformation directions; the frequency "
                     "space does not absorb it")
-        out = [0] * ncols
-        for row_i, col in enumerate(pivots):
-            out[col] = rows[row_i][ncols]
+            out[col] = row[self.d]
         return out
 
 
@@ -445,21 +387,17 @@ def _norm_ledger(s_base, stage, jets):
 def _stage_solution(target, layout, freqs, floor, exact, f_test, alpha_acc,
                     window, par):
     """Build the stage derivation: generator terms and mu-shift jets."""
-    min_div = None
-
     if par is None:
-        solvable = []
-        for idx, c in target.terms():
-            qe, pe, le, me = layout.split(idx)
-            if f_test(qe, pe, le, me):
-                continue
-            solvable.append((idx, c))
-        terms, min_div = _solve_terms(solvable, layout, freqs, floor, exact)
-        mu_jets = None
+        solvable = [(idx, c) for idx, c in target.terms()
+                    if not f_test(*layout.split(idx))]
     else:
         nonres, gamma, _, _ = _parametric_split(target, layout, par)
-        terms, min_div = _solve_terms(list(nonres.terms()), layout, freqs,
-                                      floor, exact)
+        solvable = nonres.terms()
+    quotients, min_div = _solve_terms(solvable, layout, freqs, floor, exact)
+    # the generator holds -coeff/eigenvalue (0 - v: no float -0.0)
+    terms = {idx: 0 - v for idx, v in quotients.items()}
+    mu_jets = None
+    if par is not None:
         mu_jets = _gamma_to_mu_coeffs(gamma, layout, par, target)
 
     if alpha_acc is not None and alpha_acc and terms:
@@ -476,7 +414,7 @@ def _stage_solution(target, layout, freqs, floor, exact, f_test, alpha_acc,
             corr_src.append((idx, c))
         corr, corr_div = _solve_terms(corr_src, layout, freqs, floor, exact)
         for idx, c in corr.items():
-            w = terms.get(idx, 0) - c        # solve the negated error
+            w = terms.get(idx, 0) + c        # solve the negated error
             if w:
                 terms[idx] = w
             elif idx in terms:
@@ -505,58 +443,6 @@ def _clean_float(jet, tol):
         return jet
     return Jet(jet.num_vars, jet.trunc_degree, coeffs, blocks=jet.blocks,
                mode=jet.mode)
-
-
-def _relift(jet, N):
-    """Restore the truncation grade after a degree-non-decreasing operator.
-
-    Every derivation the engine applies raises plain degree: generators
-    have order >= 3 (the bracket adds their degree minus 2) and the
-    mu-shift coefficients are constant-free lambda-polynomials (each
-    d/dmu application trades a mu for at least one lambda).  Content
-    beyond the truncation therefore stays beyond it, so coefficients up
-    to N remain exact and the generic grade bookkeeping (derivative
-    costs one degree) is over-conservative here.
-    """
-    return jet if jet.trunc_degree >= N else jet.with_trunc(N)
-
-
-def _mu_pad(u, f, layout):
-    """Grade padding needed to act on f by u without boundary loss.
-
-    Each d/dmu in a Lie-series term removes one mu factor, so chains
-    deeper than the maximal mu-degree of f vanish identically; that
-    depth bounds how many grades the generic bookkeeping can charge.
-    """
-    if not u.mu_coeffs or not any(u.mu_coeffs):
-        return 0
-    return max((sum(layout.split(i)[3]) for i in f.coeffs), default=0)
-
-
-def _flow(u, f, N, layout):
-    """e^{-u} f at ambient truncation N, exact in every degree <= N.
-
-    The derivations here never lower plain degree, but the generic grade
-    bookkeeping charges one grade per d/dmu application, and the flow
-    would silently drop content sitting at the truncation boundary
-    before the grade could be restored.  Padding the grade by the
-    mu-chain depth keeps all content of plain degree <= N through the
-    series; the result is then cut back to N.
-    """
-    pad = _mu_pad(u, f, layout)
-    out = lie_exp(-u, f.with_trunc(N + pad) if pad else f)
-    if out.trunc_degree > N:
-        out = out.truncate(N)
-    return _relift(out, N)
-
-
-def _apply(u, f, N, layout):
-    """u(f) at ambient truncation N (same grade protection as _flow)."""
-    pad = _mu_pad(u, f, layout)
-    out = u(f.with_trunc(N + pad) if pad else f)
-    if out.trunc_degree > N:
-        out = out.truncate(N)
-    return _relift(out, N)
 
 
 def kam_iterate(problem: KamProblem):
@@ -638,7 +524,7 @@ def kam_iterate(problem: KamProblem):
                     f"stage {n} generator has order {gord} < "
                     f"{n - problem.k_offset}; it left the allowed filtration")
 
-        rhs = b_n - _apply(u_n, a_cur, N, lay) if u_n is not None else b_n
+        rhs = b_n - u_n(a_cur) if u_n is not None else b_n
         rhs = _clean_float(rhs, tol())
         alpha_n, c_n = _split_absorbable(rhs, lay, f_test, par)
         if problem.g_test is not None:
@@ -671,10 +557,10 @@ def kam_iterate(problem: KamProblem):
                 u_mu = HamiltonianDerivation(
                     Jet.zero(b_n.num_vars, N, blocks=lay.blocks,
                              mode=b_n.mode), lay, mu_jets)
-                T = _flow(u_mu, _flow(u_gen, T, N, lay), N, lay)
+                T = lie_exp(-u_mu, lie_exp(-u_gen, T))
                 gens.extend([u_gen, u_mu])
             else:
-                T = _flow(u_n, T, N, lay)
+                T = lie_exp(-u_n, T)
                 gens.append(u_n)
             T = _clean_float(T, tol())
             if gen and ord_b is not None:
@@ -713,7 +599,7 @@ def _check_postconditions(problem, final, T, gens, lay, f_test, par, exact):
         images = []
         for z in coords:
             for u in gens:
-                z = _flow(u, z, N, lay)
+                z = lie_exp(-u, z)
             images.append(z)
         replay = (problem.a + problem.b).compose(images)
         if replay.truncate(T.trunc_degree) != T:
@@ -725,21 +611,6 @@ def _check_postconditions(problem, final, T, gens, lay, f_test, par, exact):
 # ---------------------------------------------------------------------------
 # fiber normalization
 # ---------------------------------------------------------------------------
-
-def _morse_frequencies(H, n, layout):
-    """Coefficients of p_kq_k in the quadratic part, validating the shape."""
-    alpha = [None] * n
-    for idx, c in H.degree_slice(2).terms():
-        qe, pe, le, me = layout.split(idx)
-        if any(le) or any(me) or not (sum(qe) == 1 and qe == pe):
-            raise NotEllipticError(
-                f"non-action quadratic term at exponent {idx}")
-        alpha[qe.index(1)] = c
-    for k, c in enumerate(alpha):
-        if c is None or not c:
-            raise NotEllipticError(f"missing action monomial p_{k}q_{k}")
-    return alpha
-
 
 @dataclass(frozen=True, eq=False)
 class FiberResult:
@@ -793,7 +664,7 @@ def fiber_normalize(H, alpha=None, coordinate_mode=COMPLEX_MORSE, N=None, *,
         H = H.truncate(N)
     if H.truncate(1):
         raise OrderTooLowError("H must vanish to second order at 0")
-    alphat = _morse_frequencies(H, n, lay)
+    alphat = _extract_frequencies(H, n, COMPLEX_MORSE)
     exact = H.mode == EXACT
     if coordinate_mode == REAL_ELLIPTIC:
         if alpha is None:
@@ -955,8 +826,7 @@ def extended_scenario(H, basis, N=None, *, base_degree=3, divisor_floor=None,
 
     lay = SymplecticLayout(n, lambda_dim=d, mu_dim=d)
     hm_ext = _extend_jet(hm, lay)
-    plain = SymplecticLayout(n)
-    alphat = _morse_frequencies(hm, n, plain)
+    alphat = _extract_frequencies(hm, n, COMPLEX_MORSE)
 
     if H.coordinate_mode == REAL_ELLIPTIC:
         if exact:

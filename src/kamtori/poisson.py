@@ -222,6 +222,10 @@ class HamiltonianDerivation:
     The mu-coefficients must depend on lambda only; that keeps exponentials
     of mixed derivations terminating (each d/d_mu application strictly drops
     the mu-degree, each bracket application strictly raises total degree).
+
+    The generator and the a_i are exact polynomials, so u(f) keeps f's
+    truncation degree when the generator has order >= 2 and every a_i is
+    constant-free; an a_i with a constant term costs one degree.
     """
 
     __slots__ = ("generator", "layout", "mu_coeffs")
@@ -280,7 +284,9 @@ class HamiltonianDerivation:
                 df = f.derivative(self.layout.mu_index(i))
                 if not df:
                     continue
-                term = a.with_trunc(df.trunc_degree) * df
+                # a is exact, so a * df is known up to deg(df) + ord(a)
+                t = min(f.trunc_degree, df.trunc_degree + a.ord())
+                term = a.with_trunc(t) * df.with_trunc(t)
                 out = term if out is None else out + term
         if out is None:
             return Jet.zero(f.num_vars, f.trunc_degree, blocks=f.blocks,

@@ -306,6 +306,16 @@ def _orbit_records(field, X0, dt, steps, escape_radius):
         escape_reason=reason[i]) for i in range(len(X0))]
 
 
+def _check_step(field, X0, dt):
+    """Reject dt |X_H(x0)| > 1 at any start: a step that coarse does not
+    resolve the flow, yet the midpoint solve may still converge on it."""
+    speed = float(np.abs(field(X0)[0]).max())
+    if dt * speed > 1.0:
+        raise ValueError(
+            f"step size fails the sanity check: dt*|X_H(x0)| = "
+            f"{dt * speed:.3g} > 1")
+
+
 def integrate(H, x0, dt, steps, *, escape_radius=None):
     """Flow x0 under the Hamiltonian vector field of H for `steps` steps.
 
@@ -322,11 +332,7 @@ def integrate(H, x0, dt, steps, *, escape_radius=None):
         raise ValueError(f"x0 must have {field.d} components")
     if dt <= 0 or steps < 1:
         raise ValueError("need dt > 0 and steps >= 1")
-    speed = float(np.abs(field(x0[None, :])[0]).max())
-    if dt * speed > 1.0:
-        raise ValueError(
-            f"step size fails the sanity check: dt*|X_H(x0)| = "
-            f"{dt * speed:.3g} > 1")
+    _check_step(field, x0[None, :], dt)
     if escape_radius is None:
         escape_radius = 10.0 * (1.0 + float(np.sqrt((x0 ** 2).sum())))
     return _orbit_records(field, x0[None, :], dt, steps, escape_radius)[0]
@@ -557,9 +563,10 @@ def torus_scan(H, r, samples, seed=0, *, dt=0.02, steps=8192, windows=4,
     H must be elliptic at the origin (positive diagonal quadratic part
     a_k (q_k^2 + p_k^2), no constant or linear terms).  Sampling is
     uniform in the ball with a counter-based generator, so a (seed, r,
-    samples) triple reproduces the same report bit for bit.  Orbits are
-    independent; `jobs` integrates the batch in that many parallel
-    chunks (the aggregation is a plain associative count).
+    samples) triple reproduces the same report bit for bit.  The step
+    size must pass integrate's sanity check at every sampled start.
+    Orbits are independent; `jobs` integrates the batch in that many
+    parallel chunks (the aggregation is a plain associative count).
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -569,6 +576,7 @@ def torus_scan(H, r, samples, seed=0, *, dt=0.02, steps=8192, windows=4,
     field = _VectorField(H)
     rng = np.random.Generator(np.random.Philox(seed))
     X0 = _sample_ball(rng, samples, field.d, r)
+    _check_step(field, X0, dt)
     escape_radius = escape_factor * r
 
     def run_chunk(chunk):

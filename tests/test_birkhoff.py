@@ -242,6 +242,20 @@ def test_normalize_resonance_error():
         birkhoff_normalize(ell, 2)
 
 
+
+def test_normalize_float_zero_floor_resonance_is_small_divisor():
+    # float mode has no exact zero test: with the floor at 0 the vanishing
+    # divisor must still raise SmallDivisorError, not divide by zero
+    lay = SymplecticLayout(2)
+    N = 6
+    Y = lay.q(0, N) * lay.p(0, N) + lay.q(1, N) * lay.p(1, N)
+    pert = lay.q(0, N) ** 2 * lay.p(0, N) * lay.p(1, N)
+    ell = EllipticHamiltonian((Y + pert).to_float(), COMPLEX_MORSE)
+    for strategy in ("per-degree", "per-monomial"):
+        with pytest.raises(SmallDivisorError, match="q0\\^2\\*p0\\*p1"):
+            birkhoff_normalize(ell, 2, divisor_floor=0, strategy=strategy)
+
+
 def test_normalize_requires_truncation_headroom():
     H = oscillator(1, 4, [1])
     ell = EllipticHamiltonian(H, REAL_ELLIPTIC)

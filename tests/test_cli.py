@@ -146,6 +146,13 @@ def test_lattice_grid_matches_library(capsys):
         assert tuple(row["shortest"]) == tuple(short)
 
 
+def test_lattice_without_t_exits_two(capsys):
+    code, out, err = run_cli(capsys, ["lattice", "--alpha", "1,987/610"])
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "schema" and "--t" in error["message"]
+
+
 def test_strips_summary_and_csv(capsys, tmp_path):
     csv_path = tmp_path / "strips.csv"
     code, out, _ = run_cli(

@@ -93,6 +93,20 @@ def test_quasi_inverse_small_divisor_floor():
                                divisor_floor=1)
 
 
+def test_quasi_inverse_complex_divisor_floor_is_exact():
+    # |3/25 + 4/25 i| = 1/5 exactly sits on the floor 1/5; the float
+    # square root of 1/25 rounds to 0.2 > 1/5 and would let it through.
+    target = mono(LAY1, F1, qexp=(1,))
+    lam = ComplexRational(Fraction(3, 25), Fraction(4, 25))
+    with pytest.raises(SmallDivisorError, match="monomial q is"):
+        hadamard_quasi_inverse(None, 0, target, LAY1, eigen_freqs=(lam,),
+                               divisor_floor=Fraction(1, 5))
+    below = Fraction(1, 5) - Fraction(1, 10 ** 9)
+    u = hadamard_quasi_inverse(None, 0, target, LAY1, eigen_freqs=(lam,),
+                               divisor_floor=below)
+    assert dict(u.generator.coeffs) == {(1, 0): -1 / lam}
+
+
 # ---------------------------------------------------------------- kam_iterate
 
 def flagship_problem(N=8, b_extra=None):
@@ -439,6 +453,46 @@ def test_extended_insoluble_direction_raises():
     # basis can absorb it.
     with pytest.raises(ResonanceError, match="outside the deformation"):
         extended_scenario(two_mode_action_square(), [(F1, F1)])
+
+
+def mu_chain_problem(N, mode="exact"):
+    # the stage that solves 1/7 q0^2 q1 p1 also shifts mu (for the class
+    # of (q0 p0)^2); the bracket then keeps mu alive through the later
+    # Lie series, so every d/dmu must keep the degree-N content
+    H = (LAY2.monomial(F1, qexp=(1, 0), pexp=(1, 0), trunc_degree=N) +
+         LAY2.monomial(Fraction(7, 3), qexp=(0, 1), pexp=(0, 1),
+                       trunc_degree=N) +
+         LAY2.monomial(Fraction(1, 2), qexp=(2, 0), pexp=(2, 0),
+                       trunc_degree=N) +
+         LAY2.monomial(Fraction(1, 7), qexp=(2, 1), pexp=(0, 1),
+                       trunc_degree=N))
+    return EllipticHamiltonian(H if mode == "exact" else H.to_float(),
+                               coordinate_mode=COMPLEX_MORSE)
+
+
+def exact_as_float(jet):
+    return {idx: float(c) for idx, c in jet.coeffs.items()}
+
+
+@pytest.mark.parametrize("N", [6, 8])
+@pytest.mark.parametrize("basis", [[(1, 0)], [(1, 0), (0, 1)]])
+def test_extended_mu_chain_keeps_degree_n_content(N, basis):
+    res = extended_scenario(mu_chain_problem(N), basis)   # replay passes
+    d = len(basis)
+    lay = res.layout
+    idx = (3, 1, 1, 1) + (0,) * (2 * d)       # q0^3 q1 p0 p1
+    assert lay.num_vars == len(idx)
+    assert res.transform[1].generator.coeffs[idx] == Fraction(1, 14)
+    fl = extended_scenario(mu_chain_problem(N, "float"), basis)
+    assert len(fl.transform) == len(res.transform)
+    for ue, uf in zip(res.transform, fl.transform):
+        assert dict(uf.generator.coeffs) == exact_as_float(ue.generator)
+        assert (ue.mu_coeffs is None) == (uf.mu_coeffs is None)
+        for ae, af in zip(ue.mu_coeffs or (), uf.mu_coeffs or ()):
+            assert dict(af.coeffs) == exact_as_float(ae)
+    assert dict(fl.normalized.coeffs) == exact_as_float(res.normalized)
+    for ce, cf in zip(res.corrections, fl.corrections):
+        assert dict(cf.coeffs) == exact_as_float(ce)
 
 
 def test_extended_requires_elliptic_hamiltonian():

@@ -227,6 +227,25 @@ def test_mu_coeffs_must_be_lambda_only():
         HamiltonianDerivation(lay.zero(4), lay, mu_coeffs=[])
 
 
+def test_mixed_derivation_truncation_grade():
+    # a * d/dmu f is known to min(f's degree, deg(d/dmu f) + ord(a)): a
+    # constant-free a keeps the degree-N content of f, a constant a
+    # loses one degree.
+    lay = SymplecticLayout(1, lambda_dim=1, mu_dim=1)
+    N = 5
+    q, p, lam, mu = lay.q(0, N), lay.p(0, N), lay.lam(0, N), lay.mu(0, N)
+    f = q * q * p * p * mu + mu
+    u = HamiltonianDerivation(lay.zero(N), lay, mu_coeffs=[lam])
+    out = u(f)
+    assert out.trunc_degree == f.trunc_degree == N
+    assert out == q * q * p * p * lam + lam
+    const = HamiltonianDerivation(lay.zero(N), lay,
+                                  mu_coeffs=[lay.constant(2, N)])
+    out = const(f)
+    assert out.trunc_degree == N - 1
+    assert out == (q * q * p * p).scale(2) + 2
+
+
 # --- check_symplectic -----------------------------------------------------------
 
 def test_check_symplectic_identity_and_scaling():

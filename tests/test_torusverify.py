@@ -174,6 +174,14 @@ def test_step_size_sanity_check():
         integrate(harmonic(), (1.0, 0.0), 3.0, 10)
 
 
+def test_scan_step_size_sanity_check():
+    # the Newton midpoint solve converges on steps far too coarse for the
+    # flow, so the scan must refuse them up front, as integrate does
+    quartic = harmonic() + LAY1.monomial(1.0, qexp=(4,), trunc_degree=4)
+    with pytest.raises(ValueError, match="sanity"):
+        torus_scan(quartic, 0.5, 4, seed=1, dt=5.0, steps=16)
+
+
 def test_escape_is_reported_not_raised():
     # hyperbolic H = qp grows exponentially: the orbit leaves the escape
     # ball and is frozen there, classified chaotic/escaping.
