@@ -287,40 +287,37 @@ class DecaySequence:
 # sigma and class membership
 # ---------------------------------------------------------------------------
 
-def _enumerate_indices(n, radius, norm, budget):
-    """All nonzero integer vectors with ||i|| <= radius, as an (M, n) array.
+def _half_ball(n, radius, norm, budget):
+    """One index per +-i pair of nonzero integer vectors with ||i|| <= radius.
 
-    Euclidean norm keeps the ball ||i||_2 <= radius out of the surrounding
-    box; sup norm keeps the whole box.
+    Every quantity built on the indices (|<alpha,i>|, ||i||, e(i)) is even
+    in i, so only the half box i_1 >= 0 is built, and of each pair the
+    index whose first nonzero component is positive is kept.  Returns the
+    (M, n) indices in lexicographic order and their rank: the squared
+    Euclidean norm, or the squared sup norm, so ||i|| <= 2^k iff
+    rank <= 4^k.  The budget counts the whole (2 radius + 1)^n box.
     """
     if n < 1:
         raise ShapeMismatchError("dimension must be >= 1")
-    side = 2 * radius + 1
-    estimated = side ** n
+    estimated = (2 * radius + 1) ** n
     if estimated > budget:
         raise BudgetExceededError(
             f"enumeration of {estimated} integer vectors exceeds budget "
             f"{budget}; lower k_max or raise the budget"
         )
-    axis = np.arange(-radius, radius + 1, dtype=np.int64)
-    grids = np.meshgrid(*([axis] * n), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    normsq = (pts.astype(np.int64) ** 2).sum(axis=1)
-    if norm == "euclidean":
-        keep = (normsq > 0) & (normsq <= radius * radius)
-    elif norm == "sup":
-        keep = normsq > 0
-    else:
+    if norm not in ("euclidean", "sup"):
         raise ValueError(f"unknown norm {norm!r}")
-    return pts[keep], normsq[keep]
-
-
-def _norm_rank(pts, normsq, norm):
-    """Per-index quantity whose comparison against 2^k decides membership
-    of the ball of radius 2^k: squared Euclidean norm, or squared sup norm."""
+    axis = np.arange(-radius, radius + 1, dtype=np.int64)
+    grids = np.meshgrid(axis[radius:], *([axis] * (n - 1)), indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+    lead = np.argmax(pts != 0, axis=1)
+    keep = pts[np.arange(len(pts)), lead] > 0
     if norm == "euclidean":
-        return normsq
-    return np.max(np.abs(pts), axis=1).astype(np.int64) ** 2
+        rank = (pts ** 2).sum(axis=1)
+        keep &= rank <= radius * radius
+    else:
+        rank = np.abs(pts).max(axis=1) ** 2
+    return pts[keep], rank[keep]
 
 
 def _exact_dots(pts, alpha_fracs):
@@ -338,52 +335,25 @@ def _exact_dots(pts, alpha_fracs):
     return np.abs(nums), den
 
 
-def sigma(alpha, k_max, norm="euclidean", budget=DEFAULT_ENUM_BUDGET,
-          method="grid"):
+def sigma(alpha, k_max, norm="euclidean", budget=DEFAULT_ENUM_BUDGET):
     """sigma(alpha)_k = min |<alpha,i>| over 0 != i in Z^n, ||i|| <= 2^k.
 
-    Exact Fractions when alpha is rational, floats otherwise.  The two
-    methods ("grid": one masked pass per k; "sorted": order indices by norm
-    and take prefix minima) enumerate in different orders and must agree.
+    Exact Fractions when alpha is rational, floats otherwise.  |<alpha,i>|
+    is even in i, so the minima are taken over `_half_ball`, one index
+    per +-i pair, with one masked pass per k.
     """
     alpha = _as_freq(alpha)
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    radius = 2 ** k_max
-    pts, normsq = _enumerate_indices(alpha.dim, radius, norm, budget)
-    rank = _norm_rank(pts, normsq, norm)
+    pts, rank = _half_ball(alpha.dim, 2 ** k_max, norm, budget)
     exact = alpha.is_exact
     if exact:
-        nums, den = _exact_dots(pts, alpha.as_fractions())
-        absdot = nums
+        absdot, den = _exact_dots(pts, alpha.as_fractions())
     else:
         absdot = np.abs(pts @ alpha.as_floats())
-        den = None
-
-    thresholds = [4 ** k for k in range(k_max + 1)]
-    if method == "grid":
-        minima = []
-        for t in thresholds:
-            mask = rank <= t
-            block = absdot[mask]
-            minima.append(block.min() if block.size else None)
-    elif method == "sorted":
-        order = np.argsort(rank, kind="stable")
-        sorted_rank = rank[order]
-        prefix_min = np.minimum.accumulate(absdot[order])
-        minima = []
-        for t in thresholds:
-            pos = int(np.searchsorted(sorted_rank, t, side="right")) - 1
-            minima.append(prefix_min[pos] if pos >= 0 else None)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    values = []
-    for m in minima:
-        if m is None:
-            # no nonzero index in the ball (cannot happen for radius >= 1)
-            raise BudgetExceededError("empty enumeration ball")
-        values.append(Fraction(int(m), den) if exact else float(m))
+    # radius >= 1 keeps e_1 in every ball, so no mask is empty
+    minima = [absdot[rank <= 4 ** k].min() for k in range(k_max + 1)]
+    values = [Fraction(int(m), den) if exact else float(m) for m in minima]
     return DecaySequence(values, monotone=True, allow_zero=True)
 
 
@@ -539,17 +509,10 @@ def density_estimate(f, x0, a: DecaySequence, rho: DecaySequence, r,
     if b.k_max < k_max:
         raise ValueError("sequences shorter than k_max")
     n = f.dim_out
-    pts, normsq = _enumerate_indices(n, 2 ** k_max, norm, budget)
-    rank = _norm_rank(pts, normsq, norm)
+    pts, rank = _half_ball(n, 2 ** k_max, norm, budget)
     # e(i) = smallest k with ||i|| <= 2^k, via rank <= 4^k
-    thresholds = np.array([4 ** k for k in range(k_max + 1)], dtype=np.int64)
-    e_of_i = np.searchsorted(thresholds, rank, side="left")
+    e_of_i = np.searchsorted(4 ** np.arange(k_max + 1), rank)
     t_i = np.array([float(b[k]) for k in range(k_max + 1)])[e_of_i]
-
-    # only the +i or -i representative is needed: |<y,i>| is even in i
-    lead = np.argmax(pts != 0, axis=1)
-    canonical = pts[np.arange(len(pts)), lead] > 0
-    pts, t_i = pts[canonical], t_i[canonical]
 
     # thresholds equal to zero are vacuous
     live = t_i > 0
@@ -691,15 +654,17 @@ def flow_and_shortest(basis: LatticeBasis, t, coeff_bound,
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be >= 1")
     n = basis.dim
-    pts, _ = _enumerate_indices(n, coeff_bound, "sup", budget)
+    pts, _ = _half_ball(n, coeff_bound, "sup", budget)
     alpha = np.array([float(v[-1]) for v in basis.vectors])
     et = math.exp(float(t))
     # combination c gives the lattice point (c, <alpha, c>)
     spatial = (pts.astype(float) / et) ** 2
     dots = (pts @ alpha) * et
     lengths = np.sqrt(spatial.sum(axis=1) + dots ** 2)
-    j = int(np.argmin(lengths))
-    return float(lengths[j]), tuple(int(c) for c in pts[j])
+    # lengths are bitwise even in c, so the witness, the lexicographically
+    # first minimizer over the whole box, is minus the last one here
+    j = len(lengths) - 1 - int(np.argmin(lengths[::-1]))
+    return float(lengths[j]), tuple(-int(c) for c in pts[j])
 
 
 def lemma_eps_t(a, i_norm):
@@ -739,13 +704,8 @@ def strip_analysis(alpha, a: DecaySequence, rho: DecaySequence, r, k_max,
         raise ClassMembershipError(
             "alpha is not in D_a up to k_max; strip geometry assumes it is"
         )
-    pts, normsq = _enumerate_indices(alpha.dim, 2 ** k_max, norm, budget)
-    rank = _norm_rank(pts, normsq, norm)
-    lead = np.argmax(pts != 0, axis=1)
-    canonical = pts[np.arange(len(pts)), lead] > 0
-    pts, rank = pts[canonical], rank[canonical]
-    thresholds = np.array([4 ** k for k in range(k_max + 1)], dtype=np.int64)
-    e_of_i = np.searchsorted(thresholds, rank, side="left")
+    pts, rank = _half_ball(alpha.dim, 2 ** k_max, norm, budget)
+    e_of_i = np.searchsorted(4 ** np.arange(k_max + 1), rank)
 
     af = alpha.as_floats()
     dots = np.abs(pts @ af)

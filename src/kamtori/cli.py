@@ -369,10 +369,10 @@ def _cmd_torus_scan(args):
     rep = torus_scan(jet, args.r, args.samples, seed=args.seed, dt=args.dt,
                      steps=args.steps, windows=args.windows,
                      tol_energy=args.tol_energy, tol_freq=args.tol_freq,
-                     escape_factor=args.escape_factor, jobs=args.jobs)
+                     escape_factor=args.escape_factor)
     _emit({"config": _config_of(args, ["H", "r", "samples", "seed", "dt",
                                        "steps", "windows", "tol_energy",
-                                       "tol_freq", "escape_factor", "jobs"]),
+                                       "tol_freq", "escape_factor"]),
            "report": rep}, args)
     if args.csv:
         header, rows = rep.csv_rows()
@@ -507,7 +507,6 @@ def build_parser():
     ps.add_argument("--tol-energy", type=float, default=1e-6)
     ps.add_argument("--tol-freq", type=float, default=1e-4)
     ps.add_argument("--escape-factor", type=float, default=10.0)
-    ps.add_argument("--jobs", type=int, default=None)
     _add_common(ps, mode=False, seed=True, csv_flag=True)
     ps.set_defaults(func=_cmd_torus_scan)
 

@@ -40,8 +40,8 @@ from .birkhoff import (COMPLEX_MORSE, REAL_ELLIPTIC, EllipticHamiltonian,
                        _rref, _solve_terms, action_ideal_certificate,
                        to_complex_morse)
 from .errors import (BudgetExceededError, CertificateError,
-                     ClassMembershipError, ConvergenceError, OrderTooLowError,
-                     ResonanceError, ShapeMismatchError)
+                     ClassMembershipError, ConvergenceError, ModeMixError,
+                     OrderTooLowError, ResonanceError, ShapeMismatchError)
 from .jets import EXACT, ComplexRational, Jet, to_jsonable
 from .poisson import HamiltonianDerivation, SymplecticLayout, lie_exp
 
@@ -797,12 +797,18 @@ def extended_scenario(H, basis, N=None, *, base_degree=3, divisor_floor=None,
         raise TypeError("extended_scenario needs an EllipticHamiltonian")
     basis = tuple(tuple(v) for v in basis)
     n = H.n
+    exact = H.H.mode == EXACT
+    # checked up front: a Fraction direction in a float run would only
+    # fail after the whole recurrence, when it scales the corrections
+    foreign = (float, complex) if exact else (Fraction, ComplexRational)
     for v in basis:
         if len(v) != n:
             raise ShapeMismatchError(
                 f"direction {v} does not have {n} components")
+        if any(isinstance(c, foreign) for c in v):
+            raise ModeMixError(
+                f"direction {v} does not match the {H.H.mode} Hamiltonian")
     d = len(basis)
-    exact = H.H.mode == EXACT
     hm = to_complex_morse(H.H, H.coordinate_mode)
     if N is not None:
         hm = hm.truncate(N)

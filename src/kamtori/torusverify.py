@@ -24,7 +24,6 @@ Newton iteration costs one monomial pass, one matmul and a batched
 """
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -259,8 +258,8 @@ class OrbitRecord:
     the escape ball), "non-finite" (a step overflowed) or
     "fixed-point-stall" (a midpoint substep solve did not settle); it is
     None for an orbit that stayed in.  window_frequencies and stability
-    appear after classify_orbit; the classification is a pure function
-    of the record and the thresholds.
+    appear after classify_orbit (None for an escaped orbit); the
+    classification is a pure function of the record and the thresholds.
     """
 
     x0: tuple
@@ -392,6 +391,18 @@ def _dominant_freq(z, dt):
     return float(omega)
 
 
+def _window_length(orbit, windows):
+    """Samples per window; at least 2 windows of at least 64 samples."""
+    if windows < 2:
+        raise ValueError("need at least 2 windows")
+    L = len(orbit.trajectory) // windows
+    if L < 64:
+        raise ValueError(
+            f"window length {L} below 64 samples; integrate longer or "
+            "use fewer windows")
+    return L
+
+
 @dataclass(frozen=True)
 class FrequencyAnalysis:
     """Per-window dominant frequency vectors and their spread."""
@@ -426,16 +437,9 @@ def frequency_analysis(orbit, windows=4):
     Below about 1024 samples a small stability does not show an accurate
     frequency.
     """
-    if windows < 2:
-        raise ValueError("need at least 2 windows")
     traj = orbit.trajectory
-    T, d = traj.shape
-    n = d // 2
-    L = T // windows
-    if L < 64:
-        raise ValueError(
-            f"window length {L} below 64 samples; integrate longer or "
-            "use fewer windows")
+    n = traj.shape[1] // 2
+    L = _window_length(orbit, windows)
     freqs = []
     for w in range(windows):
         seg = traj[w * L:(w + 1) * L]
@@ -468,13 +472,19 @@ def classify_orbit(orbit, analysis=None, *, windows=4, tol_energy=1e-6,
     is below tol_energy, and the frequency stability is below tol_freq;
     degenerate signals are undecided; everything else (escape, drifting
     energy, wandering frequencies) is chaotic/escaping.  Pure function
-    of the record and thresholds.
+    of the record and thresholds.  An escaped orbit is frozen from
+    escape_step on, so its windows are not analysed: it records None
+    for window_frequencies and stability.
     """
+    if orbit.escaped:
+        if analysis is None:
+            _window_length(orbit, windows)
+        return dataclasses.replace(
+            orbit, window_frequencies=None, stability=None,
+            classification="chaotic/escaping")
     if analysis is None:
         analysis = frequency_analysis(orbit, windows)
-    if orbit.escaped:
-        cls = "chaotic/escaping"
-    elif analysis.degenerate:
+    if analysis.degenerate:
         cls = "undecided"
     elif (orbit.energy_drift < tol_energy
           and analysis.stability < tol_freq):
@@ -556,8 +566,7 @@ def _sample_ball(rng, samples, d, r):
 
 
 def torus_scan(H, r, samples, seed=0, *, dt=0.02, steps=8192, windows=4,
-               tol_energy=1e-6, tol_freq=1e-4, escape_factor=10.0,
-               jobs=None):
+               tol_energy=1e-6, tol_freq=1e-4, escape_factor=10.0):
     """Sample B(0, r), integrate every orbit, report the torus-like fraction.
 
     H must be elliptic at the origin (positive diagonal quadratic part
@@ -565,8 +574,6 @@ def torus_scan(H, r, samples, seed=0, *, dt=0.02, steps=8192, windows=4,
     uniform in the ball with a counter-based generator, so a (seed, r,
     samples) triple reproduces the same report bit for bit.  The step
     size must pass integrate's sanity check at every sampled start.
-    Orbits are independent; `jobs` integrates the batch in that many
-    parallel chunks (the aggregation is a plain associative count).
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -578,20 +585,9 @@ def torus_scan(H, r, samples, seed=0, *, dt=0.02, steps=8192, windows=4,
     X0 = _sample_ball(rng, samples, field.d, r)
     _check_step(field, X0, dt)
     escape_radius = escape_factor * r
-
-    def run_chunk(chunk):
-        return _orbit_records(field, chunk, dt, steps, escape_radius)
-
-    if jobs and jobs > 1 and samples > 1:
-        chunks = np.array_split(X0, min(jobs, samples))
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            records = [rec for part in pool.map(run_chunk, chunks)
-                       for rec in part]
-    else:
-        records = run_chunk(X0)
-
     records = [classify_orbit(rec, windows=windows, tol_energy=tol_energy,
-                              tol_freq=tol_freq) for rec in records]
+                              tol_freq=tol_freq)
+               for rec in _orbit_records(field, X0, dt, steps, escape_radius)]
     hits = sum(rec.classification == "torus-like" for rec in records)
     return ScanReport(
         radius=float(r), samples=samples, seed=seed,

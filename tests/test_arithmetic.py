@@ -90,13 +90,82 @@ def test_sigma_two_precisions_agree():
         assert abs(float(a) - b) < 1e-9
 
 
-def test_sigma_enumeration_orders_agree():
-    rng = np.random.default_rng(1)
-    for _ in range(5):
-        alpha = [float(x) for x in rng.normal(size=2) * 2]
-        g = sigma(alpha, 7, method="grid")
-        s = sigma(alpha, 7, method="sorted")
-        assert list(g) == list(s)
+def full_box(n, radius):
+    """Every nonzero integer vector with sup norm <= radius, in
+    lexicographic order: the whole box, both members of each +-i pair."""
+    axis = np.arange(-radius, radius + 1)
+    grids = np.meshgrid(*([axis] * n), indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+    return pts[(pts != 0).any(axis=1)]
+
+
+def box_rank(pts, norm):
+    if norm == "euclidean":
+        return (pts ** 2).sum(axis=1)
+    return np.abs(pts).max(axis=1) ** 2
+
+
+SIGMA_CASES = [
+    ([Fraction(-3, 7)], 6), ([0.25], 6), ([Fraction(5)], 3),
+    ([1, PHI_EXACT], 5), ([1.0, PHI], 5), ([1, 1], 3),
+    ([Fraction(-3, 5), Fraction(7, 11)], 4), ([-1.25, 0.5], 4),
+    ([1, Fraction(7, 5), Fraction(-26, 15)], 3), ([1.0, 1.41421356, -1.7320508], 3),
+]
+
+
+@pytest.mark.parametrize("norm", ["euclidean", "sup"])
+def test_sigma_matches_full_box_oracle(norm):
+    for alpha, k_max in SIGMA_CASES:
+        pts = full_box(len(alpha), 2 ** k_max)
+        rank = box_rank(pts, norm)
+        keep = rank <= 4 ** k_max if norm == "euclidean" else rank > 0
+        pts, rank = pts[keep], rank[keep]
+        if all(isinstance(c, (int, Fraction)) for c in alpha):
+            dots = np.array([abs(sum(Fraction(a) * int(c)
+                                     for a, c in zip(alpha, row)))
+                             for row in pts], dtype=object)
+        else:
+            dots = np.abs(pts @ np.array(alpha, dtype=float))
+        want = [dots[rank <= 4 ** k].min() for k in range(k_max + 1)]
+        assert list(sigma(alpha, k_max, norm=norm)) == want, alpha
+
+
+@pytest.mark.parametrize("norm", ["euclidean", "sup"])
+def test_strip_order_matches_full_box_oracle(norm):
+    # records come in order of rank, ties in lexicographic order, one per
+    # +-i pair: the member whose first nonzero component is positive
+    for alpha, k_max in (([1, PHI_EXACT], 3), ([1.0, 1.41421356, 1.7320508], 2)):
+        a = sigma(alpha, k_max, norm=norm)
+        rho = DecaySequence.constant(Fraction(1, 2), k_max)
+        pts = full_box(len(alpha), 2 ** k_max)
+        rank = box_rank(pts, norm)
+        want = []
+        for j in np.lexsort((np.arange(len(pts)), rank)):
+            row = tuple(int(c) for c in pts[j])
+            if rank[j] > 4 ** k_max or next(c for c in row if c) < 0:
+                continue
+            want.append((row, next(k for k in range(k_max + 1)
+                                   if rank[j] <= 4 ** k)))
+        records = strip_analysis(alpha, a, rho, 0.1, k_max, norm=norm)
+        assert [(rec.index, rec.k) for rec in records] == want
+
+
+def test_flow_witness_matches_full_box_oracle():
+    # the witness is the lexicographically first minimizer over the whole
+    # box; every length ties with its mirror -c, and alpha = 0 makes the
+    # unit vectors tie as well
+    for alpha in ([0, 0], [1, PHI_EXACT], [2, -3], [0.5], [1.0, 1.41421356, 1.7320508]):
+        basis = lattice_basis(alpha)
+        af = np.array([float(c) for c in alpha])
+        for bound in (1, 2, 5):
+            pts = full_box(len(alpha), bound)
+            for t in (-1.0, 0.0, 0.5, 2.0):
+                et = math.exp(t)
+                lengths = np.sqrt(((pts.astype(float) / et) ** 2).sum(axis=1)
+                                  + ((pts @ af) * et) ** 2)
+                j = int(np.argmin(lengths))
+                want = (float(lengths[j]), tuple(int(c) for c in pts[j]))
+                assert flow_and_shortest(basis, t, bound) == want, (alpha, t)
 
 
 def test_sigma_nonincreasing():

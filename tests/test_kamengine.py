@@ -9,8 +9,9 @@ import pytest
 from kamtori.birkhoff import (COMPLEX_MORSE, REAL_ELLIPTIC,
                               EllipticHamiltonian, birkhoff_normalize,
                               frequency_map, prenormal_form)
+from kamtori import kamengine
 from kamtori.errors import (ClassMembershipError, ConvergenceError,
-                            NotEllipticError, OrderTooLowError,
+                            ModeMixError, NotEllipticError, OrderTooLowError,
                             ResonanceError, SmallDivisorError)
 from kamtori.jets import ComplexRational, Jet
 from kamtori.kamengine import (ExtendedResult, FiberResult, KamProblem,
@@ -499,6 +500,26 @@ def test_extended_requires_elliptic_hamiltonian():
     H = mono(LAY1, F1, qexp=(1,), pexp=(1,))
     with pytest.raises(TypeError):
         extended_scenario(H, [(F1,)])
+
+
+def test_extended_basis_mode_checked_before_the_recurrence(monkeypatch):
+    # a Fraction direction cannot scale float corrections: the mismatch is
+    # refused before any stage runs, while int and float directions work
+    c = Fraction(1, 3)
+    exact = elliptic_morse([(Fraction(2), (1,), (1,)), (c, (2,), (2,))], N=6)
+    fl = EllipticHamiltonian(exact.H.to_float(), coordinate_mode=COMPLEX_MORSE)
+    for basis in ([(1,)], [(1.0,)]):
+        res = extended_scenario(fl, basis)
+        assert dict(res.corrections[0].coeffs) == {(1,): 2 * float(c)}
+
+    def no_stages(problem):
+        raise AssertionError("the stage recurrence ran")
+
+    monkeypatch.setattr(kamengine, "kam_iterate", no_stages)
+    with pytest.raises(ModeMixError, match="does not match the float"):
+        extended_scenario(fl, [(F1,)])
+    with pytest.raises(ModeMixError, match="does not match the exact"):
+        extended_scenario(exact, [(1.0,)])
 
 
 # ---------------------------------------------------------------- remainders
