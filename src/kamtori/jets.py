@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from operator import add
 from types import MappingProxyType
 
 from .errors import ModeMixError, OrderTooLowError, ShapeMismatchError
@@ -283,7 +284,7 @@ class Jet:
             mode = _detect_mode(raw.values())
         elif mode not in (EXACT, FLOAT):
             raise ValueError(f"mode must be {EXACT!r} or {FLOAT!r}")
-        clean = {}
+        kept = {}
         for idx, value in raw.items():
             idx = tuple(int(e) for e in idx)
             if len(idx) != num_vars:
@@ -292,15 +293,11 @@ class Jet:
                 )
             if any(e < 0 for e in idx):
                 raise ShapeMismatchError(f"negative exponent in {idx}")
-            if sum(idx) > trunc_degree:
-                continue
-            value = _coerce(value, mode)
-            if value == 0 or (isinstance(value, ComplexRational) and not value):
-                continue
-            clean[idx] = value
+            if sum(idx) <= trunc_degree:
+                kept[idx] = value
         object.__setattr__(self, "num_vars", int(num_vars))
         object.__setattr__(self, "trunc_degree", int(trunc_degree))
-        object.__setattr__(self, "_coeffs", clean)
+        object.__setattr__(self, "_coeffs", _clean(kept, mode))
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "blocks", blocks)
 
@@ -462,17 +459,9 @@ class Jet:
         if not isinstance(other, Jet):
             return self.scale(other)
         trunc, blocks, mode = self._join(other)
-        acc = {}
-        for i, a in self._coeffs.items():
-            di = sum(i)
-            for j, b in other._coeffs.items():
-                if di + sum(j) > trunc:
-                    continue
-                k = tuple(x + y for x, y in zip(i, j))
-                ab = a * b
-                cur = acc.get(k)
-                acc[k] = ab if cur is None else cur + ab
-        return Jet(self.num_vars, trunc, acc, blocks=blocks, mode=mode)
+        return Jet(self.num_vars, trunc,
+                   _product(self._coeffs, other._coeffs, trunc),
+                   blocks=blocks, mode=mode)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -559,7 +548,22 @@ class Jet:
         return self._like(acc, trunc=max(self.trunc_degree - 1, 0))
 
     def compose(self, args):
-        """Substitute args[k] for variable k; every substituted jet needs ord >= 1."""
+        """Substitute args[k] for variable k; every substituted jet needs ord >= 1.
+
+        The unknown outer terms start at degree N + 1 (N this jet's
+        truncation degree) and substitute to order >= (N + 1)·m, where m
+        is the smallest inner order, so the result is certified to degree
+        min((N + 1)·m - 1, smallest inner truncation degree): past the
+        outer truncation when m >= 2.
+
+        Each outer monomial is expanded one variable power at a time, and
+        a partial product keeps only the degrees the monomial can still
+        reach: the result's degree minus the lowest degree its remaining
+        factors add (their exponents times their inner orders).  Outer
+        terms are added in graded-lex order into one coefficient dict, so
+        float results do not depend on the outer jet's dict order; partial
+        products and sums drop what cancels, as a jet would.
+        """
         args = list(args)
         if len(args) != self.num_vars:
             raise ShapeMismatchError(
@@ -576,41 +580,42 @@ class Jet:
                 raise OrderTooLowError(
                     "compose requires substituted jets with zero constant term"
                 )
-        # Unknown outer terms start at degree trunc+1 and substitute to order
-        # >= (trunc+1)*m where m is the smallest inner order, so the result
-        # stays certified beyond the outer truncation when m >= 2.
-        m = min(g.ord() for g in args)
-        trunc = min((self.trunc_degree + 1) * m - 1,
+        ords = [g.ord() for g in args]
+        trunc = min((self.trunc_degree + 1) * min(ords) - 1,
                     min(g.trunc_degree for g in args))
         mode = self.mode
         for g in args:
             if g._coeffs and self._coeffs and g.mode != mode:
                 raise ModeMixError("compose cannot mix exact and float jets")
-        one = Jet.constant(1 if mode == EXACT else 1.0, inner_vars, trunc,
-                           blocks=inner_blocks, mode=mode)
-        powers = [{0: one} for _ in range(self.num_vars)]
-
-        def power(k, e):
-            cache = powers[k]
-            if e not in cache:
-                best = max(x for x in cache if x <= e)
-                cur = cache[best]
-                for step in range(best + 1, e + 1):
-                    cur = cur * args[k]
-                    cache[step] = cur
-            return cache[e]
-
-        out = Jet.zero(inner_vars, trunc, blocks=inner_blocks, mode=mode)
-        for idx, value in sorted(self._coeffs.items(),
-                                 key=lambda kv: graded_lex_key(kv[0])):
-            if sum(idx) * m > trunc:
+        unit = {(0,) * inner_vars: Fraction(1) if mode == EXACT else 1.0}
+        powers = [[unit] for _ in args]     # powers[k][e]: args[k]^e
+        acc = {}
+        for idx, value in self.terms():
+            rest = sum(e * o for e, o in zip(idx, ords))
+            if rest > trunc:
                 continue
-            term = one
+            term = unit
             for k, e in enumerate(idx):
-                if e:
-                    term = term * power(k, e)
-            out = out + term.scale(value)
-        return out
+                if not e:
+                    continue
+                table = powers[k]
+                while len(table) <= e:
+                    table.append(_clean(
+                        _product(table[-1], args[k]._coeffs, trunc), mode))
+                rest -= e * ords[k]
+                term = _clean(_product(term, table[e], trunc - rest), mode)
+            for key, v in term.items():
+                v = _coerce(v * value, mode)
+                if v == 0:
+                    continue
+                cur = acc.get(key)
+                if cur is not None:
+                    v = _coerce(cur + v, mode)
+                    if v == 0:
+                        del acc[key]
+                        continue
+                acc[key] = v
+        return Jet(inner_vars, trunc, acc, blocks=inner_blocks, mode=mode)
 
     def evaluate(self, point):
         """Numeric evaluation at a point (tuple of scalars)."""
@@ -773,6 +778,42 @@ class Jet:
             idx = tuple(int(e) for e in exps.split(","))
             coeffs[idx] = _coeff_from_str(raw.strip(), mode)
         return cls(num_vars, trunc_degree, coeffs, blocks=blocks, mode=mode)
+
+
+def _product(left, right, cap):
+    """Coefficient dict of left · right, without exponents of degree > cap.
+
+    left and right map exponent tuples to coefficients.  Pairs run left
+    term outer, right term inner, in the dicts' order, and each product
+    is added in that order, so float sums and the result's key order are
+    those of the plain double loop.  Zeros are kept; callers clean.
+    """
+    graded = [(j, b, sum(j)) for j, b in right.items()]
+    within = {}                 # room -> right terms of degree <= room
+    acc = {}
+    get = acc.get
+    for i, a in left.items():
+        room = cap - sum(i)
+        row = within.get(room)
+        if row is None:
+            row = within[room] = [(j, b) for j, b, d in graded if d <= room]
+        for j, b in row:
+            k = tuple(map(add, i, j))
+            ab = a * b
+            cur = get(k)
+            acc[k] = ab if cur is None else cur + ab
+    return acc
+
+
+def _clean(acc, mode):
+    """The coefficients a jet keeps: each coerced to its mode, zeros
+    dropped, the order kept."""
+    out = {}
+    for k, v in acc.items():
+        v = _coerce(v, mode)
+        if v != 0:
+            out[k] = v
+    return out
 
 
 def _abs_float(value):

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from kamtori.arithmetic import BrunoReport, GeometricTail
 from kamtori.errors import ModeMixError, OrderTooLowError, ShapeMismatchError
@@ -172,6 +173,208 @@ def test_compose_against_evaluation():
     via = comp.evaluate([x])
     # difference only from degree > N cross terms; bound it crudely
     assert abs(direct - via) < Fraction(1, 100)
+
+
+# The double loops Jet.__mul__ and compose ran before they shared one
+# capped product: every outer term expanded at the full truncation and
+# added to the result as a new jet.  Float results must match them bit
+# for bit, and in the same key order.
+
+def reference_mul(f, g):
+    trunc = min(f.trunc_degree, g.trunc_degree)
+    acc = {}
+    for i, a in f.coeffs.items():
+        di = sum(i)
+        for j, b in g.coeffs.items():
+            if di + sum(j) > trunc:
+                continue
+            k = tuple(x + y for x, y in zip(i, j))
+            ab = a * b
+            cur = acc.get(k)
+            acc[k] = ab if cur is None else cur + ab
+    return Jet(f.num_vars, trunc, acc, blocks=f.blocks or g.blocks,
+               mode=f.mode)
+
+
+def reference_compose(f, args):
+    m = min(g.ord() for g in args)
+    trunc = min((f.trunc_degree + 1) * m - 1,
+                min(g.trunc_degree for g in args))
+    nv, blocks, mode = args[0].num_vars, args[0].blocks, f.mode
+    one = Jet.constant(1 if mode == "exact" else 1.0, nv, trunc,
+                       blocks=blocks, mode=mode)
+    powers = [[one] for _ in args]
+    out = Jet.zero(nv, trunc, blocks=blocks, mode=mode)
+    for idx, value in f.terms():
+        if sum(idx) * m > trunc:
+            continue
+        term = one
+        for k, e in enumerate(idx):
+            while len(powers[k]) <= e:
+                powers[k].append(reference_mul(powers[k][-1], args[k]))
+            if e:
+                term = reference_mul(term, powers[k][e])
+        out = out + term.scale(value)
+    return out
+
+
+def float_bits(jet):
+    """Key order, type and float.hex of both parts of every coefficient."""
+    return [(idx, type(c).__name__, float.hex(complex(c).real),
+             float.hex(complex(c).imag)) for idx, c in jet.coeffs.items()]
+
+
+def random_float_jet(rng, num_vars, trunc_degree, n_terms, min_ord=0,
+                     coarse=False, complex_share=0.3):
+    """Float jet; coarse coefficients (+-1/2, +-1, +-2) make sums cancel."""
+    terms = []
+    for _ in range(n_terms):
+        deg = int(rng.integers(min_ord, trunc_degree + 1))
+        idx = tuple(int(e) for e in rng.multinomial(deg, [1 / num_vars] * num_vars))
+        if coarse:
+            re, im = (float(rng.choice([-2, -1, -0.5, 0.5, 1, 2]))
+                      for _ in range(2))
+        else:
+            re, im = rng.normal(), rng.normal()
+        terms.append((idx, complex(re, im) if rng.random() < complex_share
+                      else re))
+    return Jet.from_terms(num_vars, trunc_degree, terms, mode="float")
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_float_compose_and_product_bit_identical_to_reference(case):
+    rng = np.random.default_rng(1000 + case)
+    outer_vars = int(rng.integers(1, 5))
+    inner_vars = int(rng.integers(1, 5))
+    N = int(rng.integers(1, 8))
+    coarse = bool(case % 2)
+    f = random_float_jet(rng, outer_vars, N, int(rng.integers(1, 12)),
+                         coarse=coarse)
+    m = int(rng.integers(1, 3))
+    args = [random_float_jet(rng, inner_vars, int(rng.integers(max(N, m), 8)),
+                             int(rng.integers(1, 6)), min_ord=m,
+                             coarse=coarse)
+            for _ in range(outer_vars)]
+    args = [g if g else Jet.variable(0, inner_vars, N, mode="float")
+            for g in args]
+    assert float_bits(f.compose(args)) == \
+        float_bits(reference_compose(f, args))
+    g = args[0]
+    assert float_bits(g * g) == float_bits(reference_mul(g, g))
+    h = random_float_jet(rng, inner_vars, N, 8, coarse=coarse)
+    assert float_bits(h * g) == float_bits(reference_mul(h, g))
+
+
+def test_float_compose_drops_cancelled_partial_products():
+    # (y0 + y1)(y0 - y1) cancels at y0*y1.  Kept as a zero, that key
+    # would meet y1 of the third factor first and move y0*y1^2 ahead of
+    # y1^3 in the result, so later float sums would run in another order.
+    f = Jet.from_terms(3, 3, [((1, 1, 1), 1.0)], mode="float")
+    g0, g1, g2 = (Jet.from_terms(2, 3, terms, mode="float") for terms in (
+        [((1, 0), 1.0), ((0, 1), 1.0)],
+        [((1, 0), 1.0), ((0, 1), -1.0)],
+        [((0, 1), 1.0), ((1, 0), 1.0)]))
+    out = f.compose([g0, g1, g2])
+    assert list(out.coeffs) == [(2, 1), (3, 0), (0, 3), (1, 2)]
+    assert float_bits(out) == float_bits(reference_compose(f, [g0, g1, g2]))
+
+
+def test_float_compose_drops_cancelled_sums():
+    # z1 and z0 cancel at y0^2, which z0^2 brings back after y0^3: a sum
+    # that cancels leaves the result, and its key returns at the end.
+    f = Jet.from_terms(2, 3, [((0, 1), 1.0), ((1, 0), 1.0), ((2, 0), 1.0)],
+                       mode="float")
+    g0 = Jet.from_terms(2, 3, [((2, 0), -1.0), ((1, 0), 1.0)], mode="float")
+    g1 = Jet.from_terms(2, 3, [((2, 0), 1.0), ((0, 1), 1.0)], mode="float")
+    out = f.compose([g0, g1])
+    assert list(out.coeffs) == [(0, 1), (1, 0), (3, 0), (2, 0)]
+    assert float_bits(out) == float_bits(reference_compose(f, [g0, g1]))
+
+
+def _sympy_scalar(c):
+    if isinstance(c, ComplexRational):
+        return _sympy_scalar(c.re) + sympy.I * _sympy_scalar(c.im)
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+def _sympy_compose(outer, inner, gens, cap):
+    """sum_i c_i prod_k inner[k]^i_k by sympy Poly products, each cut to
+    total degree <= cap (a product's low degrees need only the factors'
+    low degrees)."""
+    def cut(poly):
+        kept = {mon: c for mon, c in poly.as_dict().items() if sum(mon) <= cap}
+        return sympy.Poly.from_dict(kept or {(0,) * len(gens): 0}, *gens)
+
+    total = sympy.Poly(0, *gens)
+    for idx, c in outer:
+        term = sympy.Poly(_sympy_scalar(c), *gens)
+        for g, e in zip(inner, idx):
+            for _ in range(e):
+                term = cut(term * g)
+        total = total + term
+    return {mon: c for mon, c in total.as_dict().items() if c != 0}
+
+
+def _tail(rng, num_vars, degree, n_terms):
+    """Random exact terms of one total degree: the unknown part of a jet."""
+    out = []
+    for _ in range(n_terms):
+        idx = tuple(int(e) for e in rng.multinomial(degree, [1 / num_vars] * num_vars))
+        out.append((idx, Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 5)))))
+    return out
+
+
+def _complexify(jet, rng):
+    return Jet(jet.num_vars, jet.trunc_degree,
+               {i: ComplexRational(c, Fraction(int(rng.integers(-3, 4)), 2))
+                for i, c in jet.coeffs.items()},
+               blocks=jet.blocks)
+
+
+@pytest.mark.parametrize("case", range(24))
+def test_exact_compose_matches_sympy_beyond_the_unknown_tails(case):
+    # compose(f, g) must equal F(G) up to its certified degree for any F, G
+    # that agree with f, g up to their truncation degrees: the tails added
+    # here are the unknown terms.  Inner order m >= 2 certifies the result
+    # past the outer truncation.
+    rng = np.random.default_rng(2000 + case)
+    outer_vars = int(rng.integers(1, 5))
+    inner_vars = int(rng.integers(1, 5))
+    m = 1 + case % 3
+    N_outer = int(rng.integers(1, 8 if m == 1 else 4))
+    blocks = None
+    if inner_vars % 2 == 0 and case % 4 < 2:
+        blocks = (("q", inner_vars // 2), ("p", inner_vars // 2))
+    f = Jet.zero(outer_vars, N_outer) if case % 8 == 5 else \
+        random_exact_jet(rng, outer_vars, N_outer, n_terms=8)
+    args = []
+    for k in range(outer_vars):
+        N_inner = int(rng.integers(max(m, N_outer + m - 1), 8))
+        g = random_exact_jet(rng, inner_vars, N_inner, n_terms=4, min_ord=m)
+        g = g + Jet.from_terms(inner_vars, N_inner, _tail(rng, inner_vars, m, 1))
+        if case % 6 == 1 and k == 0:
+            g = _complexify(g, rng)
+        args.append(Jet(inner_vars, N_inner, g.coeffs, blocks=blocks))
+    out = f.compose(args)
+    cap = min((N_outer + 1) * m - 1, min(g.trunc_degree for g in args))
+    assert out.trunc_degree == cap
+    assert out.blocks == blocks
+    if m >= 2:
+        assert cap > N_outer
+
+    gens = sympy.symbols(f"y0:{inner_vars}")
+    inner = []
+    for g in args:
+        terms = list(g.terms()) + _tail(rng, inner_vars, g.trunc_degree + 1, 2)
+        poly = sympy.Poly(0, *gens)
+        for idx, c in terms:
+            poly = poly + sympy.Poly.from_dict({idx: _sympy_scalar(c)}, *gens)
+        inner.append(poly)
+    outer = list(f.terms()) + _tail(rng, outer_vars, N_outer + 1, 2)
+    expected = _sympy_compose(outer, inner, gens, cap)
+    got = {idx: _sympy_scalar(c) for idx, c in out.coeffs.items()}
+    assert got == expected
+    assert out == reference_compose(f, args)
 
 
 # --- norms ------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Stage recurrence, quasi-inverses, fiber normalization, parameters."""
 
+import dataclasses
 import json
 import math
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -10,9 +13,10 @@ from kamtori.birkhoff import (COMPLEX_MORSE, REAL_ELLIPTIC,
                               EllipticHamiltonian, birkhoff_normalize,
                               frequency_map, prenormal_form)
 from kamtori import kamengine
-from kamtori.errors import (ClassMembershipError, ConvergenceError,
-                            ModeMixError, NotEllipticError, OrderTooLowError,
-                            ResonanceError, SmallDivisorError)
+from kamtori.errors import (CertificateError, ClassMembershipError,
+                            ConvergenceError, ModeMixError, NotEllipticError,
+                            OrderTooLowError, ResonanceError,
+                            SmallDivisorError)
 from kamtori.jets import ComplexRational, Jet
 from kamtori.kamengine import (ExtendedResult, FiberResult, KamProblem,
                                KamState, extended_scenario, fiber_normalize,
@@ -520,6 +524,168 @@ def test_extended_basis_mode_checked_before_the_recurrence(monkeypatch):
         extended_scenario(fl, [(F1,)])
     with pytest.raises(ModeMixError, match="does not match the exact"):
         extended_scenario(exact, [(1.0,)])
+
+
+# ---------------------------------------------------------------- replay
+
+def iterated_image_replay(H, gens, lay):
+    """The replay by iterated images: every coordinate pushed through all
+    the stages, then H composed with the images once."""
+    N = H.trunc_degree
+    coords = [lay.q(k, N) for k in range(lay.n)] \
+        + [lay.p(k, N) for k in range(lay.n)] \
+        + [lay.lam(i, N) for i in range(lay.lambda_dim)] \
+        + [lay.mu(i, N) for i in range(lay.mu_dim)]
+    images = []
+    for z in coords:
+        for u in gens:
+            z = lie_exp(-u, z)
+        images.append(z)
+    return H.compose(images)
+
+
+def conjugated(H, gens):
+    """The stage flows applied to the whole jet, as kam_iterate does."""
+    for u in gens:
+        H = lie_exp(-u, H)
+    return H
+
+
+def assert_replay_routes_agree(H, gens, lay):
+    assert gens
+    replay = kamengine._replay(H, gens, lay)
+    assert replay == iterated_image_replay(H, gens, lay)
+    assert replay == conjugated(H, gens)
+
+
+def golden_ratio_fiber_jet(N=8):
+    phi = Fraction(987, 610)
+    return (LAY2.monomial(F1, qexp=(1, 0), pexp=(1, 0), trunc_degree=N) +
+            LAY2.monomial(phi, qexp=(0, 1), pexp=(0, 1), trunc_degree=N) +
+            LAY2.monomial(F1, qexp=(2, 1), trunc_degree=N) +
+            LAY2.monomial(F1, pexp=(3, 0), trunc_degree=N))
+
+
+def cubic_pair(N=8):
+    return mono(LAY1, F1, qexp=(1,), pexp=(1,), N=N) + \
+        mono(LAY1, F1, qexp=(3,), N=N) + mono(LAY1, F1, pexp=(3,), N=N)
+
+
+def dense_fiber_jet(seed, N):
+    """p1q1 + (987/610) p2q2 plus every cubic and quartic monomial, each
+    with a seeded coefficient n/(10d), n in +-1..9, d in 1..9."""
+    rng = random.Random(seed)
+    coeffs = {(1, 0, 1, 0): F1, (0, 1, 0, 1): Fraction(987, 610)}
+    for deg in (3, 4):
+        for idx in sorted(e for e in product(range(deg + 1), repeat=4)
+                          if sum(e) == deg):
+            num = rng.choice([v for v in range(-9, 10) if v])
+            coeffs[idx] = Fraction(num, 10 * rng.randint(1, 9))
+    return Jet(4, N, coeffs, blocks=LAY2.blocks)
+
+
+def test_replay_routes_agree_on_test_problems():
+    prob = flagship_problem(b_extra=mono(LAY1, F1, pexp=(3,)))
+    final, _ = kam_iterate(prob)
+    assert_replay_routes_agree(prob.a + prob.b, final.transform, LAY1)
+    for H, lay in ((cubic_pair(), LAY1), (golden_ratio_fiber_jet(), LAY2)):
+        fib = fiber_normalize(H, verify=False)
+        assert_replay_routes_agree(H, fib.transform, lay)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_replay_routes_agree_on_dense_problems(seed):
+    H = dense_fiber_jet(seed, 5)
+    fib = fiber_normalize(H, verify=False)
+    assert len(fib.transform) >= 2
+    assert_replay_routes_agree(H, fib.transform, LAY2)
+
+
+def captured_problem(monkeypatch):
+    """Record the KamProblem that extended_scenario hands to kam_iterate."""
+    seen = []
+    run = kamengine.kam_iterate
+
+    def recording(problem):
+        seen.append(problem)
+        return run(problem)
+
+    monkeypatch.setattr(kamengine, "kam_iterate", recording)
+    return seen
+
+
+@pytest.mark.parametrize("eh, basis", [
+    (mu_chain_problem(6), [(1, 0)]),
+    (mu_chain_problem(6), [(1, 0), (0, 1)]),
+    (mu_chain_problem(8), [(1, 0)]),
+    (mu_chain_problem(8), [(1, 0), (0, 1)]),
+    (elliptic_morse([(F1, (1,), (1,)), (F1, (3,), (0,)),
+                     (Fraction(1, 2), (2,), (2,))], N=8), [(F1,)]),
+], ids=["mu-chain-6-d1", "mu-chain-6-d2", "mu-chain-8-d1", "mu-chain-8-d2",
+        "mixed-content"])
+def test_replay_routes_agree_on_extended_scenarios(monkeypatch, eh, basis):
+    seen = captured_problem(monkeypatch)
+    res = extended_scenario(eh, basis, verify=False)
+    prob, = seen
+    # the lambda/mu coordinates and the d/dmu terms are in play
+    assert res.layout.mu_dim == len(basis)
+    assert any(u.mu_coeffs is not None for u in res.transform)
+    assert any(u.generator_touches_mu() for u in res.transform)
+    assert_replay_routes_agree(prob.a + prob.b, res.transform, res.layout)
+
+
+def certificate_args(prob, final, T, gens):
+    f_test = prob.f_test or kamengine._action_square_test
+    return (prob, final, T, list(gens), prob.layout, f_test,
+            prob.parametric, True)
+
+
+def test_replay_rejects_tampered_jet_and_generator():
+    # The residual check only asks that T lie over the normal form modulo
+    # F; an absorbable monomial added to T, or a generator changed after
+    # the fact, passes it and must be caught by the replay alone.
+    prob = KamProblem(layout=LAY1, a=mono(LAY1, F1, qexp=(1,), pexp=(1,)),
+                      b=cubic_pair() - mono(LAY1, F1, qexp=(1,), pexp=(1,)),
+                      alpha=[F1])
+    final, _ = kam_iterate(prob)
+    gens = list(final.transform)
+    assert len(gens) >= 2
+    T = conjugated(prob.a + prob.b, gens)
+    kamengine._check_postconditions(*certificate_args(prob, final, T, gens))
+
+    in_f = mono(LAY1, Fraction(1, 9), qexp=(2,), pexp=(2,))
+    u = gens[1].generator
+    idx = next(iter(u.coeffs))
+    bent = list(gens)
+    bent[1] = HamiltonianDerivation(
+        u + mono(LAY1, Fraction(1, 100), qexp=idx[:1], pexp=idx[1:]), LAY1)
+    unchecked = dataclasses.replace(prob, verify=False)
+    for T_used, gens_used in ((T + in_f, gens), (T, bent)):
+        kamengine._check_postconditions(
+            *certificate_args(unchecked, final, T_used, gens_used))
+        with pytest.raises(CertificateError, match="replay"):
+            kamengine._check_postconditions(
+                *certificate_args(prob, final, T_used, gens_used))
+
+
+def test_replay_rejects_tampered_mu_shift(monkeypatch):
+    seen = captured_problem(monkeypatch)
+    res = extended_scenario(mu_chain_problem(6), [(1, 0)])
+    prob, = seen
+    gens = list(res.transform)
+    T = conjugated(prob.a + prob.b, gens)
+    k = next(i for i, u in enumerate(gens) if u.mu_coeffs is not None)
+    lay = res.layout
+    shift = [a + lay.lam(0, a.trunc_degree).scale(Fraction(1, 100))
+             for a in gens[k].mu_coeffs]
+    bent = list(gens)
+    bent[k] = HamiltonianDerivation(gens[k].generator, lay, shift)
+    unchecked = dataclasses.replace(prob, verify=False)
+    kamengine._check_postconditions(
+        *certificate_args(unchecked, res.final, T, bent))
+    with pytest.raises(CertificateError, match="replay"):
+        kamengine._check_postconditions(
+            *certificate_args(prob, res.final, T, bent))
 
 
 # ---------------------------------------------------------------- remainders
