@@ -1,16 +1,16 @@
 """Run the benchmark on two checkouts in alternating pairs; write a BENCH file.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_N.json
-        [--pairs 10] [--seconds 20] [--workload NAME ...]
 
 DIR is the root of a kamtori checkout (each runs its own, unchanged
-``perfbench/run.py`` from its root).  Pair i runs seed i + 1 on both
-sides, one run at a time; the parent runs first in even pairs and the
-change first in odd ones, so a drift of the host's speed does not favour
-one side.  For every end-to-end metric of ``BENCHMARK.json`` the file
-records each side's runs, median and interquartile range, and the pairs
-in which the change was better; per run it keeps ``correct``,
-``attempted`` and ``failed``.  Progress goes to stderr.
+``perfbench/run.py`` from its root, for the ``run_seconds`` of
+``BENCHMARK.json``).  Every workload gets ten pairs; pair i runs seed
+i + 1 on both sides, one run at a time, the parent first in even pairs
+and the change first in odd ones, so a drift of the host's speed does
+not favour one side.  For every end-to-end metric the file records each
+side's runs, median and interquartile range, and the pairs in which the
+change was better; per run it keeps ``correct``, ``attempted`` and
+``failed``.  Progress goes to stderr.
 """
 
 import argparse
@@ -20,6 +20,8 @@ import platform
 import statistics
 import subprocess
 import sys
+
+PAIRS = 10
 
 
 def checkout_commit(root):
@@ -38,11 +40,6 @@ def run_once(root, workload, seed, seconds):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def quartiles(values):
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, q2, q3
-
-
 def summarize(runs, spec):
     """Per metric: both sides' runs, median, IQR and the change's wins."""
     out = {}
@@ -56,7 +53,8 @@ def summarize(runs, spec):
                  "bound": metric["bound"], "pairs_won": wins,
                  "pairs": len(runs)}
         for side, values in (("parent", parent), ("change", change)):
-            q1, med, q3 = quartiles(values)
+            q1, med, q3 = statistics.quantiles(values, n=4,
+                                               method="inclusive")
             entry[side] = {"median": med, "iqr": q3 - q1, "runs": values}
         entry["change_worse_by"] = (
             (entry["change"]["median"] / entry["parent"]["median"] - 1)
@@ -70,36 +68,33 @@ def main(argv=None):
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
     parser.add_argument("--out", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20)
-    parser.add_argument("--workload", action="append")
     args = parser.parse_args(argv)
 
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     import numpy
     report = {
         "command": (f"perfbench/run.py --workload W --seed S "
-                    f"--seconds {args.seconds:g} --trace 0"),
+                    f"--seconds {seconds:g} --trace 0"),
         "parent_commit": checkout_commit(args.parent),
         "change_commit": checkout_commit(args.change),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "cpu_count": os.cpu_count(),
-        "pairs": args.pairs,
+        "pairs": PAIRS,
         "order": "pair i runs seed i + 1; parent first in even pairs",
         "workloads": {},
     }
     sides = {"parent": args.parent, "change": args.change}
-    for workload in workloads:
+    for workload in (w["name"] for w in spec["workloads"]):
         runs = []
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else \
                 ("change", "parent")
             pair = {"seed": i + 1, "first": order[0]}
             for side in order:
-                result = run_once(sides[side], workload, i + 1, args.seconds)
+                result = run_once(sides[side], workload, i + 1, seconds)
                 pair[side] = result
                 print(f"{workload} pair {i + 1} {side}: "
                       f"round_s {result['metrics']['round_s']['value']:.3f} "
