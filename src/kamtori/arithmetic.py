@@ -192,7 +192,7 @@ class DecaySequence:
     positivity call require_positive().
     """
 
-    def __init__(self, values, descriptor=None, monotone=None, allow_zero=False):
+    def __init__(self, values, descriptor=None, allow_zero=False):
         vals = []
         for v in values:
             v = Fraction(v) if isinstance(v, (int, Fraction)) else float(v)
@@ -208,9 +208,8 @@ class DecaySequence:
             raise NonPositiveTermError("decay sequence needs at least one term")
         self.values = tuple(vals)
         self.descriptor = descriptor
-        if monotone is None:
-            monotone = all(vals[j + 1] <= vals[j] for j in range(len(vals) - 1))
-        self.monotone = monotone
+        self.monotone = all(vals[j + 1] <= vals[j]
+                            for j in range(len(vals) - 1))
 
     @classmethod
     def from_descriptor(cls, descriptor, k_max, allow_zero=False):
@@ -354,7 +353,7 @@ def sigma(alpha, k_max, norm="euclidean", budget=DEFAULT_ENUM_BUDGET):
     # radius >= 1 keeps e_1 in every ball, so no mask is empty
     minima = [absdot[rank <= 4 ** k].min() for k in range(k_max + 1)]
     values = [Fraction(int(m), den) if exact else float(m) for m in minima]
-    return DecaySequence(values, monotone=True, allow_zero=True)
+    return DecaySequence(values, allow_zero=True)
 
 
 class BrunoReport(tuple):
@@ -526,15 +525,11 @@ def density_estimate(f, x0, a: DecaySequence, rho: DecaySequence, r,
 
     # screening: an index i can only fail somewhere in the sampled image if
     # |<y0,i>| < t_i + R_img*||i||, R_img covering every sampled image point
-    if pts.shape[0]:
-        r_img = float(np.sqrt(((Y - y0) ** 2).sum(axis=1)).max(initial=0.0))
-        base = np.abs(pts @ y0[0])
-        margin = t_i + r_img * np.sqrt((pts ** 2).sum(axis=1)) * (1 + 1e-12) + 1e-15
-        active = base < margin
-        pts_a, t_a = pts[active], t_i[active]
-    else:
-        pts_a = pts
-        t_a = t_i
+    r_img = float(np.sqrt(((Y - y0) ** 2).sum(axis=1)).max(initial=0.0))
+    base = np.abs(pts @ y0[0])
+    margin = t_i + r_img * np.sqrt((pts ** 2).sum(axis=1)) * (1 + 1e-12) + 1e-15
+    active = base < margin
+    pts_a, t_a = pts[active], t_i[active]
 
     alive_total = 0
     block = 20_000
@@ -553,10 +548,7 @@ def density_estimate(f, x0, a: DecaySequence, rho: DecaySequence, r,
             alive[idx[~ok]] = False
         alive_total += int(alive.sum())
 
-    center_ok = True
-    if pts.shape[0]:
-        cdots = np.abs(pts @ y0[0])
-        center_ok = bool((cdots >= t_i).all())
+    center_ok = bool((base >= t_i).all())
 
     return DensityReport(
         radius=float(r),

@@ -251,10 +251,10 @@ def birkhoff_normalize(H, l, divisor_floor=None, strategy="per-degree"):
     not depend on the choice.
 
     divisor_floor: a non-resonant divisor |(alphat, i-j)| at or below this
-    triggers SmallDivisorError; the default is exact-zero testing in
-    rational mode (only a true resonance aborts, with ResonanceError) and
-    1e-12 in float mode.  The KAM engine's quasi-inverse tests its
-    divisors with the same code.
+    triggers SmallDivisorError; the default (`_solve_terms`) is exact-zero
+    testing in rational mode (only a true resonance aborts, with
+    ResonanceError) and 1e-12 in float mode.  The KAM engine's
+    quasi-inverse tests its divisors with the same code.
     """
     if not isinstance(H, EllipticHamiltonian):
         raise TypeError("birkhoff_normalize needs an EllipticHamiltonian")
@@ -268,8 +268,6 @@ def birkhoff_normalize(H, l, divisor_floor=None, strategy="per-degree"):
             f"truncation degree {N} cannot certify order {2 * l}")
     lay = H.layout
     exact = H.H.mode == EXACT
-    if divisor_floor is None:
-        divisor_floor = 0 if exact else 1e-12
 
     if H.coordinate_mode == REAL_ELLIPTIC:
         hm = to_complex_morse(H.H, REAL_ELLIPTIC)
@@ -449,12 +447,17 @@ def action_ideal_certificate(H, layout=None):
         qe, pe, le, me = lay.split(idx)
         if qe == pe and sum(qe) == 1 and not any(le) and not any(me):
             continue    # the quadratic model itself
-        if sum(min(a, b) for a, b in zip(qe, pe)) < 2:
+        if not _in_action_square(qe, pe):
             name = _monomial_name(idx, lay)
             return ActionIdealCertificate(
                 ok=False, offending=idx,
                 message=f"monomial {name} is not in the action ideal squared")
     return ActionIdealCertificate(ok=True)
+
+
+def _in_action_square(qe, pe):
+    """q^qe p^pe lies in the action ideal squared: two factors p_kq_k."""
+    return sum(min(a, b) for a, b in zip(qe, pe)) >= 2
 
 
 def _monomial_name(idx, lay):
@@ -507,7 +510,11 @@ def _solve_terms(terms, layout, freqs, floor, exact):
 
     The eigenvalue of q^i p^j is (freqs, i-j); returns the quotients by
     index and the smallest divisor magnitude (None when terms is empty).
+    A floor of None means 0 (only a true resonance aborts) in exact mode
+    and 1e-12 in float mode.
     """
+    if floor is None:
+        floor = 0 if exact else 1e-12
     out = {}
     min_div = None
     for idx, c in terms:

@@ -37,7 +37,7 @@ from . import arithmetic
 from .birkhoff import (COMPLEX_MORSE, REAL_ELLIPTIC, EllipticHamiltonian,
                        birkhoff_normalize)
 from .errors import KamtoriError
-from .jets import ComplexRational, to_jsonable
+from .jets import ComplexRational, Jet, to_jsonable
 from .kamengine import KamProblem, kam_iterate
 from .poisson import SymplecticLayout
 from .torusverify import torus_scan
@@ -136,16 +136,16 @@ def _jet_from_dict(data, mode, *, what="jet"):
         raise SchemaError(
             f"{what} needs n, trunc_degree and coeffs: {exc}") from None
     lay = SymplecticLayout(n)
-    jet = lay.zero(trunc, mode="exact" if mode == RATIONAL else "float")
+    terms = []
     for key, val in raw.items():
         exps = tuple(int(e) for e in str(key).split(","))
         if len(exps) != 2 * n or any(e < 0 for e in exps):
             raise SchemaError(
                 f"{what} exponent {key!r} must be {2 * n} nonnegative "
                 "integers")
-        jet = jet + lay.monomial(_parse_number(val, mode),
-                                 qexp=exps[:n], pexp=exps[n:],
-                                 trunc_degree=trunc)
+        terms.append((exps, _parse_number(val, mode)))
+    jet = Jet.from_terms(lay.num_vars, trunc, terms, blocks=lay.blocks,
+                         mode="exact" if mode == RATIONAL else "float")
     return jet, lay
 
 
@@ -219,9 +219,7 @@ def _cmd_density(args):
     rho = _decay_from_args(args, args.kmax)
     center = ([float(c) for c in str(args.center).split(",")]
               if args.center else [float(c) for c in alpha])
-    dim = len(center)
-    ident = arithmetic.SmoothMap("identity", dim, dim, lambda x: x,
-                                 is_identity=True)
+    ident = arithmetic.SmoothMap.identity(len(center))
     sweep = []
     for r in radii:
         rep = arithmetic.density_estimate(
@@ -324,10 +322,13 @@ def _cmd_kam_run(args):
     try:
         n = int(data["n"])
         trunc = int(data["trunc_degree"])
-        alpha = [_parse_number(x, args.mode) for x in data["alpha"]]
+        # FrequencyVector refuses complex entries with a TypeError
+        alpha = arithmetic.FrequencyVector(
+            _parse_number(x, args.mode) for x in data["alpha"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(
-            f"problem file needs n, trunc_degree, alpha: {exc}") from None
+            f"problem file needs n, trunc_degree and a real alpha: "
+            f"{exc}") from None
     if "b" not in data:
         raise SchemaError("problem file needs a perturbation jet 'b'")
     lay = SymplecticLayout(n)
@@ -339,13 +340,7 @@ def _cmd_kam_run(args):
             {"n": n, "trunc_degree": trunc, "coeffs": data["a"]},
             args.mode, what="model a")
     else:
-        a = lay.zero(trunc, mode="exact" if args.mode == RATIONAL
-                     else "float")
-        for k, al in enumerate(alpha):
-            qe, pe = [0] * n, [0] * n
-            qe[k] = pe[k] = 1
-            a = a + lay.monomial(al, qexp=tuple(qe), pexp=tuple(pe),
-                                 trunc_degree=trunc)
+        a = lay.quadratic_model(alpha, trunc)
     floor = (_parse_number(data["divisor_floor"], args.mode)
              if "divisor_floor" in data else None)
     problem = KamProblem(

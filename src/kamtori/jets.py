@@ -113,10 +113,6 @@ class ComplexRational:
         """Exact squared modulus."""
         return self.re * self.re + self.im * self.im
 
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __eq__(self, other):
         if isinstance(other, ComplexRational):
             return self.re == other.re and self.im == other.im

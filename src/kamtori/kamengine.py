@@ -11,8 +11,13 @@ normal form by the four-term stage recurrence
 where the restrictions r_n are degree truncations (the window grows by
 one degree per stage, realizing the ultraviolet cutoff of the
 quasi-inverse), alpha_n collects the absorbable part (the set F), c_n
-the unsolved overflow, and j_n is the quasi-inverse built by dividing
-each solvable monomial by its eigenvalue under the quadratic model.
+the overflow (its complement), and j_n is the quasi-inverse built by
+dividing each solvable monomial by its eigenvalue under the quadratic
+model.  F is fixed: the monomials with two action factors p_kq_k, or,
+in the parametric scenario, what is left of the jet once the
+non-resonant monomials and the reduced resonant classes are taken out.
+`_split` is the one place that draws this line, for the stage solution,
+the stage absorption and the certificate alike.
 
 Conventions.  A derivation acts by u_h(f) = {f, h}, so the quasi-inverse
 returns the generator with bracket(model, generator) = target modulo F
@@ -46,9 +51,9 @@ from fractions import Fraction
 
 from .arithmetic import FrequencyVector, bruno_diagnostic, sigma
 from .birkhoff import (COMPLEX_MORSE, REAL_ELLIPTIC, EllipticHamiltonian,
-                       _abs_mag, _extract_frequencies, _monomial_name,
-                       _rref, _solve_terms, action_ideal_certificate,
-                       to_complex_morse)
+                       _abs_mag, _extract_frequencies, _in_action_square,
+                       _monomial_name, _rref, _solve_terms,
+                       action_ideal_certificate, to_complex_morse)
 from .errors import (BudgetExceededError, CertificateError,
                      ClassMembershipError, ConvergenceError, ModeMixError,
                      OrderTooLowError, ResonanceError, ShapeMismatchError)
@@ -59,26 +64,8 @@ _I = ComplexRational(0, 1)
 
 
 # ---------------------------------------------------------------------------
-# small helpers
+# weighted degree: lambda and mu stand for actions, weight 2
 # ---------------------------------------------------------------------------
-
-def _layout_of(jet):
-    """Reconstruct the symplectic layout from a jet's block structure."""
-    if jet.blocks is None:
-        if jet.num_vars % 2:
-            raise ShapeMismatchError("need an even number of (q,p) variables")
-        return SymplecticLayout(jet.num_vars // 2)
-    spec = dict(jet.blocks)
-    return SymplecticLayout(spec.get("q", 0), lambda_dim=spec.get("lam", 0),
-                            mu_dim=spec.get("mu", 0))
-
-
-def _action_square_test(qe, pe, le, me):
-    """Default F-membership: two action factors p_kq_k divide the monomial."""
-    return sum(min(a, b) for a, b in zip(qe, pe)) >= 2
-
-
-# --- weighted degree: lambda and mu stand for actions, weight 2 -----------
 
 def _wdeg(idx, layout):
     qe, pe, le, me = layout.split(idx)
@@ -100,35 +87,32 @@ def _word(jet, layout):
 # quasi-inverse by eigenvalue division
 # ---------------------------------------------------------------------------
 
-def hadamard_quasi_inverse(alpha, n, target, layout=None, *, alpha_acc=None,
-                           eigen_freqs=None, divisor_floor=None, f_test=None):
+def hadamard_quasi_inverse(alpha, n, target, layout, *, alpha_acc=None,
+                           eigen_freqs=None, divisor_floor=None):
     """Quasi-inverse of the adjoint of the quadratic model, on one target.
 
-    Every monomial of ``target`` outside the absorbable set F (default:
-    two action factors) is divided by its eigenvalue (alpha, i-j); the
-    returned derivation u satisfies bracket(model, generator) = target
-    modulo F, up to the degree window the caller imposed by truncating
-    the target (the stage index ``n`` tags that window).  When the model
-    has accumulated F-terms ``alpha_acc`` beyond its quadratic part, the
-    displayed correction re-solves the solvable part of the bracket of
-    alpha_acc against the first generator, so the identity still holds
-    modulo F at the window.
+    Every monomial of ``target`` outside the absorbable set F (the
+    monomials with two action factors p_kq_k) is divided by its
+    eigenvalue (alpha, i-j); the returned derivation u satisfies
+    bracket(model, generator) = target modulo F, up to the degree window
+    the caller imposed by truncating the target (the stage index ``n``
+    tags that window).  When the model has accumulated F-terms
+    ``alpha_acc`` beyond its quadratic part, the displayed correction
+    re-solves the solvable part of the bracket of alpha_acc against the
+    first generator, so the identity still holds modulo F at the window.
 
     The generator sign is the one that makes bracket(model, generator)
     equal +target; callers conjugate with e^{-u}.
     """
     if n < 0:
         raise ValueError("stage index must be >= 0")
-    lay = layout if layout is not None else _layout_of(target)
     freqs = _effective_freqs(alpha, eigen_freqs)
-    test = f_test if f_test is not None else _action_square_test
-    exact = target.mode == EXACT
-    floor = _default_floor(divisor_floor, exact)
-    terms, _, _ = _stage_solution(target, lay, freqs, floor, exact, test,
-                                  alpha_acc, math.inf, None)
+    terms, _, _ = _stage_solution(target, layout, freqs, divisor_floor,
+                                  target.mode == EXACT, alpha_acc, math.inf,
+                                  None)
     gen = Jet(target.num_vars, target.trunc_degree, terms,
-              blocks=lay.blocks, mode=target.mode)
-    return HamiltonianDerivation(gen, lay)
+              blocks=layout.blocks, mode=target.mode)
+    return HamiltonianDerivation(gen, layout)
 
 
 def _effective_freqs(alpha, eigen_freqs):
@@ -141,23 +125,15 @@ def _effective_freqs(alpha, eigen_freqs):
     return tuple(alpha)
 
 
-def _default_floor(divisor_floor, exact):
-    if divisor_floor is not None:
-        return divisor_floor
-    return 0 if exact else 1e-12
-
-
 # ---------------------------------------------------------------------------
 # parametric (lambda, mu) reduction data
 # ---------------------------------------------------------------------------
 
-def _poly_mul(p, q, keep=None):
+def _poly_mul(p, q):
     out = {}
     for a, u in p.items():
         for b, v in q.items():
             c = tuple(x + y for x, y in zip(a, b))
-            if keep is not None and sum(c) > keep:
-                continue
             w = out.get(c, 0) + u * v
             if w:
                 out[c] = w
@@ -166,12 +142,12 @@ def _poly_mul(p, q, keep=None):
     return out
 
 
-def _poly_power_product(forms, exps, d, keep=None):
+def _poly_power_product(forms, exps, d):
     """Product over k of forms[k]**exps[k]; forms are lambda-polynomials."""
     out = {(0,) * d: 1}
     for f, e in zip(forms, exps):
         for _ in range(e):
-            out = _poly_mul(out, f, keep=keep)
+            out = _poly_mul(out, f)
     return out
 
 
@@ -206,16 +182,28 @@ class _Parametric:
         return out
 
 
-def _parametric_split(jet, layout, par):
-    """Split a jet into solvable classes and the absorbable remainder.
+def _split(jet, layout, par):
+    """Split a jet into what a stage solves and what F absorbs.
 
-    Returns (nonres, gamma, rep, f_part): ``nonres`` carries the monomials
-    with q-exponent != p-exponent; ``gamma[k]`` accumulates, as a
-    lambda-polynomial, the coefficient of the class of p_kq_k produced by
-    reducing the resonant monomials modulo the square of the shifted-action
-    ideal on the zero section; ``rep`` is the plain-monomial representative
-    of those classes, and f_part = jet - nonres - rep is absorbable.
+    Returns (solvable, gamma, overflow, absorbable): ``absorbable`` is the
+    part of ``jet`` in F and ``overflow`` = jet - absorbable the rest.
+    Without parametric data (``par`` None), F is the monomials with two
+    action factors p_kq_k, the whole overflow is solvable (a resonant
+    monomial in it raises when solved) and ``gamma`` is None.  With
+    ``par``, ``solvable`` carries the monomials with q-exponent !=
+    p-exponent; ``gamma[k]`` accumulates, as a lambda-polynomial, the
+    coefficient of the class of p_kq_k produced by reducing the resonant
+    monomials modulo the square of the shifted-action ideal on the zero
+    section; the overflow is the solvable part plus the plain-monomial
+    representatives of those classes.
     """
+    if par is None:
+        def in_f(idx):
+            qe, pe, _, _ = layout.split(idx)
+            return _in_action_square(qe, pe)
+        absorbable = jet.project(in_f)
+        overflow = jet - absorbable
+        return overflow, None, overflow, absorbable
     d = layout.lambda_dim
     nonres = {}
     rep = {}
@@ -261,10 +249,9 @@ def _parametric_split(jet, layout, par):
                     del rep[new_idx]
     nonres_jet = Jet(jet.num_vars, jet.trunc_degree, nonres,
                      blocks=layout.blocks, mode=jet.mode)
-    rep_jet = Jet(jet.num_vars, jet.trunc_degree, rep,
-                  blocks=layout.blocks, mode=jet.mode)
-    f_part = jet - nonres_jet - rep_jet
-    return nonres_jet, gamma, rep_jet, f_part
+    overflow = nonres_jet + Jet(jet.num_vars, jet.trunc_degree, rep,
+                                blocks=layout.blocks, mode=jet.mode)
+    return nonres_jet, gamma, overflow, jet - overflow
 
 
 def _gamma_to_mu_coeffs(gamma, layout, par, jet_like):
@@ -304,13 +291,15 @@ def _gamma_to_mu_coeffs(gamma, layout, par, jet_like):
 class KamProblem:
     """One normalization run: model ``a``, perturbation ``b``, descriptors.
 
-    ``f_test(qe, pe, le, me)`` recognizes the absorbable monomials F
-    (default: two action factors); the supplement G is the coefficient
-    complement, and ``g_test`` may additionally be supplied to validate
-    the overflow c_n.  ``eigen_freqs`` are the scalars entering the
+    The absorbable set F is fixed by the scenario (see `_split`): the
+    monomials with two action factors, or with ``parametric`` the
+    remainder of the (lambda, mu) class reduction; the overflow c_n is
+    its complement.  ``eigen_freqs`` are the scalars entering the
     divisors (alpha itself when omitted).  The restriction r_n truncates
     to weighted degree base_degree + n.  ``parametric`` carries the
     (lambda, mu) reduction data and is installed by extended_scenario.
+    The norm ledger is read at the stage radii s_n = s (1 + 3^-n) / 2
+    with s = 1/2.
     """
 
     layout: SymplecticLayout
@@ -318,13 +307,10 @@ class KamProblem:
     b: Jet
     alpha: FrequencyVector = None
     eigen_freqs: tuple = None
-    f_test: object = None
-    g_test: object = None
     max_stage: int = None
     k_offset: int = 0
     base_degree: int = 3
     divisor_floor: object = None
-    s_base: object = None
     parametric: object = None
     verify: bool = True
 
@@ -374,16 +360,15 @@ class KamState:
         })
 
 
-def _norm_ledger(s_base, stage, jets):
-    """Sup-norm ledger at the stage radius s_n = s (1 + 3^-n) / 2."""
-    exact = all(j.mode == EXACT for j in jets.values() if j is not None)
-    if isinstance(s_base, Fraction) and exact:
-        s_n = s_base * (1 + Fraction(1, 3 ** stage)) / 2
-        sigma_n = s_base / 3 ** (stage + 2)
+def _norm_ledger(stage, jets, exact):
+    """Sup-norm ledger at the stage radius s_n = s (1 + 3^-n) / 2, s = 1/2."""
+    if exact:
+        s = Fraction(1, 2)
+        s_n = s * (1 + Fraction(1, 3 ** stage)) / 2
+        sigma_n = s / 3 ** (stage + 2)
     else:
-        s_f = float(s_base)
-        s_n = s_f * (1 + 3.0 ** (-stage)) / 2
-        sigma_n = s_f / 3.0 ** (stage + 2)
+        s_n = 0.5 * (1 + 3.0 ** (-stage)) / 2
+        sigma_n = 0.5 / 3.0 ** (stage + 2)
     ledger = {"s": s_n, "sigma": sigma_n}
     for name, j in jets.items():
         ledger[name] = 0 if j is None else j.sup_norm_bound(s_n)
@@ -394,35 +379,29 @@ def _norm_ledger(s_base, stage, jets):
 # the iteration
 # ---------------------------------------------------------------------------
 
-def _stage_solution(target, layout, freqs, floor, exact, f_test, alpha_acc,
-                    window, par):
+def _stage_solution(target, layout, freqs, floor, exact, alpha_acc, window,
+                    par):
     """Build the stage derivation: generator terms and mu-shift jets."""
-    if par is None:
-        solvable = [(idx, c) for idx, c in target.terms()
-                    if not f_test(*layout.split(idx))]
-    else:
-        nonres, gamma, _, _ = _parametric_split(target, layout, par)
-        solvable = nonres.terms()
-    quotients, min_div = _solve_terms(solvable, layout, freqs, floor, exact)
+    solvable, gamma, _, _ = _split(target, layout, par)
+    quotients, min_div = _solve_terms(solvable.terms(), layout, freqs, floor,
+                                      exact)
     # the generator holds -coeff/eigenvalue (0 - v: no float -0.0)
     terms = {idx: 0 - v for idx, v in quotients.items()}
     mu_jets = None
-    if par is not None:
+    if gamma is not None:
         mu_jets = _gamma_to_mu_coeffs(gamma, layout, par, target)
 
-    if alpha_acc is not None and alpha_acc and terms:
+    if alpha_acc and terms:
         gen = Jet(target.num_vars, target.trunc_degree, terms,
                   blocks=layout.blocks, mode=target.mode)
-        err = HamiltonianDerivation(gen, layout)(alpha_acc)
-        corr_src = []
-        for idx, c in err.terms():
-            qe, pe, le, me = layout.split(idx)
-            if qe == pe or _wdeg(idx, layout) > window:
-                continue
-            if par is None and f_test(qe, pe, le, me):
-                continue
-            corr_src.append((idx, c))
-        corr, corr_div = _solve_terms(corr_src, layout, freqs, floor, exact)
+
+        def in_window(idx):
+            qe, pe, _, _ = layout.split(idx)
+            return qe != pe and _wdeg(idx, layout) <= window
+        err = HamiltonianDerivation(gen, layout)(alpha_acc).project(in_window)
+        corr_src, _, _, _ = _split(err, layout, par)
+        corr, corr_div = _solve_terms(corr_src.terms(), layout, freqs, floor,
+                                      exact)
         for idx, c in corr.items():
             w = terms.get(idx, 0) + c        # solve the negated error
             if w:
@@ -432,16 +411,6 @@ def _stage_solution(target, layout, freqs, floor, exact, f_test, alpha_acc,
         if corr_div is not None and (min_div is None or corr_div < min_div):
             min_div = corr_div
     return terms, mu_jets, min_div
-
-
-def _split_absorbable(rhs, layout, f_test, par):
-    """alpha_n (in F) and c_n (the complement) for the stage right side."""
-    if par is None:
-        alpha_n = rhs.project(
-            lambda idx: f_test(*layout.split(idx)))
-        return alpha_n, rhs - alpha_n
-    nonres, _, rep, f_part = _parametric_split(rhs, layout, par)
-    return f_part, nonres + rep
 
 
 def _clean_float(jet, tol):
@@ -476,10 +445,7 @@ def kam_iterate(problem: KamProblem):
     """
     lay = problem.layout
     exact = problem.a.mode == EXACT and problem.b.mode == EXACT
-    floor = _default_floor(problem.divisor_floor, exact)
     freqs = _effective_freqs(problem.alpha, problem.eigen_freqs)
-    f_test = problem.f_test if problem.f_test is not None \
-        else _action_square_test
     par = problem.parametric
     N = min(problem.a.trunc_degree, problem.b.trunc_degree)
     wmax = N if lay.lambda_dim == 0 and lay.mu_dim == 0 else 2 * N
@@ -488,8 +454,6 @@ def kam_iterate(problem: KamProblem):
     # and the order of b climbs by at least one per solving stage, so wmax
     # stages always reach the truncation degree.
     max_stage = problem.max_stage if problem.max_stage is not None else wmax
-    s_base = problem.s_base if problem.s_base is not None \
-        else (Fraction(1, 2) if exact else 0.5)
 
     a0 = problem.a
     T = a0 + problem.b
@@ -524,7 +488,8 @@ def kam_iterate(problem: KamProblem):
         target = _wtruncate(b_n, lay, w)
         alpha_acc = a_cur - a0 if n > 0 else None
         terms, mu_jets, min_div = _stage_solution(
-            target, lay, freqs, floor, exact, f_test, alpha_acc, w, par)
+            target, lay, freqs, problem.divisor_floor, exact, alpha_acc, w,
+            par)
 
         gen = Jet(b_n.num_vars, N, terms, blocks=lay.blocks, mode=b_n.mode)
         u_n = HamiltonianDerivation(gen, lay, mu_jets) \
@@ -538,20 +503,14 @@ def kam_iterate(problem: KamProblem):
 
         rhs = b_n - u_n(a_cur) if u_n is not None else b_n
         rhs = _clean_float(rhs, tol())
-        alpha_n, c_n = _split_absorbable(rhs, lay, f_test, par)
-        if problem.g_test is not None:
-            for idx in c_n.coeffs:
-                if not problem.g_test(*lay.split(idx)):
-                    raise ClassMembershipError(
-                        f"overflow term {_monomial_name(idx, lay)} is not "
-                        "in the supplement G")
+        _, _, c_n, alpha_n = _split(rhs, lay, par)
 
         done = False
         if u_n is None:
             done = not _clean_float(T - a_cur - alpha_n, tol())
-        ledger = _norm_ledger(s_base, n, {
+        ledger = _norm_ledger(n, {
             "a": a_cur, "b": b_n, "alpha": alpha_n, "c": c_n,
-            "generator": gen if gen else None})
+            "generator": gen if gen else None}, exact)
         state = KamState(
             stage=n, a_n=a_cur, b_n=b_n, alpha_n=alpha_n, c_n=c_n, u_n=u_n,
             ord_b=ord_b, min_divisor=min_div, norm_ledger=ledger,
@@ -581,8 +540,7 @@ def kam_iterate(problem: KamProblem):
         n += 1
 
     if final.success:
-        _check_postconditions(problem, final, T, gens, lay, f_test, par,
-                              exact)
+        _check_postconditions(problem, final, T, gens, exact)
     return final, trace
 
 
@@ -591,13 +549,10 @@ def _normal_form_of(final):
     return final.a_n + final.alpha_n
 
 
-def _check_postconditions(problem, final, T, gens, lay, f_test, par, exact):
-    resid = T - _normal_form_of(final)
-    if par is None:
-        bad = resid.project(lambda idx: not f_test(*lay.split(idx)))
-    else:
-        nonres, _, rep, _ = _parametric_split(resid, lay, par)
-        bad = nonres + rep
+def _check_postconditions(problem, final, T, gens, exact):
+    lay = problem.layout
+    _, _, bad, _ = _split(T - _normal_form_of(final), lay,
+                          problem.parametric)
     if bad:
         raise CertificateError(
             "conjugacy residual escapes the absorbable set F at "
@@ -665,7 +620,7 @@ class FiberResult:
 
 def fiber_normalize(H, alpha=None, coordinate_mode=COMPLEX_MORSE, N=None, *,
                     base_degree=3, max_stage=None, divisor_floor=None,
-                    s_base=None, verify=True):
+                    verify=True):
     """Conjugate sum alphat_k p_kq_k + R to the model modulo the ideal square.
 
     ``H`` is a jet in complex-Morse shape (quadratic part a combination of
@@ -714,7 +669,7 @@ def fiber_normalize(H, alpha=None, coordinate_mode=COMPLEX_MORSE, N=None, *,
     problem = KamProblem(
         layout=lay, a=quad, b=R, alpha=alpha, eigen_freqs=eigen,
         base_degree=base_degree, max_stage=max_stage,
-        divisor_floor=divisor_floor, s_base=s_base, verify=verify)
+        divisor_floor=divisor_floor, verify=verify)
     final, trace = kam_iterate(problem)
     if not final.success:
         raise ConvergenceError(
@@ -806,7 +761,7 @@ class ExtendedResult:
 
 
 def extended_scenario(H, basis, N=None, *, base_degree=3, divisor_floor=None,
-                      max_stage=None, s_base=None, verify=True):
+                      max_stage=None, verify=True):
     """Normalize with deformation parameters along frequency directions.
 
     ``H`` is an EllipticHamiltonian and ``basis`` a tuple of directions
@@ -845,8 +800,7 @@ def extended_scenario(H, basis, N=None, *, base_degree=3, divisor_floor=None,
         fib = fiber_normalize(hm, H.alpha, H.coordinate_mode,
                               base_degree=base_degree,
                               divisor_floor=divisor_floor,
-                              max_stage=max_stage, s_base=s_base,
-                              verify=verify)
+                              max_stage=max_stage, verify=verify)
         base_freq = _base_frequencies(H, exact)
         corrected = tuple(
             Jet(0, N, {(): f}, mode=hm.mode) for f in base_freq)
@@ -899,8 +853,7 @@ def extended_scenario(H, basis, N=None, *, base_degree=3, divisor_floor=None,
     problem = KamProblem(
         layout=lay, a=model, b=b, alpha=H.alpha, eigen_freqs=tuple(alphat),
         base_degree=base_degree, max_stage=max_stage,
-        divisor_floor=divisor_floor, s_base=s_base, parametric=par,
-        verify=verify)
+        divisor_floor=divisor_floor, parametric=par, verify=verify)
     final, trace = kam_iterate(problem)
     if not final.success:
         raise ConvergenceError(

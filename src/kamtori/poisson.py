@@ -147,10 +147,12 @@ class SymplecticLayout:
         alpha = FrequencyVector(alpha)
         if alpha.dim != self.n:
             raise ShapeMismatchError("alpha dimension must equal the pair count")
-        total = self.zero(trunc_degree)
+        coeffs = {}
         for k, ak in enumerate(alpha.components):
-            total = total + (self.p(k, trunc_degree) * self.q(k, trunc_degree)).scale(ak)
-        return total
+            idx = [0] * self.num_vars
+            idx[self.q_index(k)] = idx[self.p_index(k)] = 1
+            coeffs[tuple(idx)] = ak
+        return Jet(self.num_vars, trunc_degree, coeffs, blocks=self.blocks)
 
 
 def _bracket_trunc(f, g):

@@ -160,7 +160,7 @@ class ProductNormReport:
 
 
 def product_norm_check(us, k_list, tau, basis_degree, grid_size,
-                       num_vars=1, blocks=None, input_trunc=None):
+                       num_vars=1, blocks=None):
     """Fit each factor and their composition, and compare with n^k prod N_i.
 
     The composition applies the last operator in ``us`` first (mathematical
@@ -171,8 +171,7 @@ def product_norm_check(us, k_list, tau, basis_degree, grid_size,
         raise ShapeMismatchError("need one k per operator")
     fits = tuple(
         fit_bounded_constant(u, ki, tau, basis_degree, grid_size,
-                             num_vars=num_vars, blocks=blocks,
-                             input_trunc=input_trunc)
+                             num_vars=num_vars, blocks=blocks)
         for u, ki in zip(us, k_list))
     k_total = sum(k_list)
     n = len(us)
@@ -184,7 +183,7 @@ def product_norm_check(us, k_list, tau, basis_degree, grid_size,
 
     comp_fit = fit_bounded_constant(composed, k_total, tau, basis_degree,
                                     grid_size, num_vars=num_vars,
-                                    blocks=blocks, input_trunc=input_trunc)
+                                    blocks=blocks)
     bound = Fraction(n) ** k_total   # 0^0 = 1: the empty product is the identity
     for f in fits:
         bound = bound * f.N_hat

@@ -464,8 +464,7 @@ def frequency_analysis(orbit, windows=4):
     return FrequencyAnalysis(windows, tuple(freqs), float(stability), False)
 
 
-def classify_orbit(orbit, analysis=None, *, windows=4, tol_energy=1e-6,
-                   tol_freq=1e-4):
+def classify_orbit(orbit, *, windows=4, tol_energy=1e-6, tol_freq=1e-4):
     """Attach frequencies and a classification to an orbit record.
 
     torus-like iff the orbit stayed bounded, the relative energy drift
@@ -477,13 +476,11 @@ def classify_orbit(orbit, analysis=None, *, windows=4, tol_energy=1e-6,
     for window_frequencies and stability.
     """
     if orbit.escaped:
-        if analysis is None:
-            _window_length(orbit, windows)
+        _window_length(orbit, windows)
         return dataclasses.replace(
             orbit, window_frequencies=None, stability=None,
             classification="chaotic/escaping")
-    if analysis is None:
-        analysis = frequency_analysis(orbit, windows)
+    analysis = frequency_analysis(orbit, windows)
     if analysis.degenerate:
         cls = "undecided"
     elif (orbit.energy_drift < tol_energy

@@ -210,6 +210,18 @@ def test_kam_run_trace_jsonlines(capsys, tmp_path):
     assert out_path.read_text().strip() == out.strip()
 
 
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_kam_run_complex_alpha_exits_two(capsys, tmp_path, mode):
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(
+        {"n": 1, "trunc_degree": 6, "alpha": [{"re": "1", "im": "1"}],
+         "b": {"3,0": "1"}}))
+    code, out, err = run_cli(
+        capsys, ["kam", "run", "--problem", str(problem), "--mode", mode])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "schema"
+
+
 def test_torus_scan_summary_and_csv(capsys, tmp_path):
     jet_path = tmp_path / "H2.jet"
     jet_path.write_text(json.dumps(

@@ -635,9 +635,7 @@ def test_replay_routes_agree_on_extended_scenarios(monkeypatch, eh, basis):
 
 
 def certificate_args(prob, final, T, gens):
-    f_test = prob.f_test or kamengine._action_square_test
-    return (prob, final, T, list(gens), prob.layout, f_test,
-            prob.parametric, True)
+    return (prob, final, T, list(gens), True)
 
 
 def test_replay_rejects_tampered_jet_and_generator():

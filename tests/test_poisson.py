@@ -100,6 +100,16 @@ def test_bracket_ignores_lambda_mu():
     assert bracket(f, lay.p(0, N), lay) == lam.truncate(3)
 
 
+def test_quadratic_model_float_matches_exact():
+    lay = SymplecticLayout(2)
+    exact = lay.quadratic_model([Fraction(1), Fraction(809, 500)], 4)
+    fl = lay.quadratic_model([1.0, 1.618], 4)
+    assert fl.mode == "float" and exact.mode == "exact"
+    assert dict(fl.coeffs) == dict(exact.to_float().coeffs)
+    assert dict(exact.coeffs) == {(1, 0, 1, 0): 1,
+                                  (0, 1, 0, 1): Fraction(809, 500)}
+
+
 # --- ad_eigenvalue -------------------------------------------------------------
 
 def test_ad_eigenvalue_examples():

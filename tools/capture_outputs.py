@@ -1,0 +1,316 @@
+"""Capture what one kamtori checkout computes, for a before/after diff.
+
+    python3 tools/capture_outputs.py DIR
+
+Runs the checkout this script lives in (its ``src/``) and writes:
+
+- ``DIR/cli/``: a fixed list of ``kamtori`` commands (sigma, bruno,
+  strips, density, lattice, birkhoff at n=1 and n=2, kam run on a real
+  and on a complex alpha, each in both modes; one torus scan and one
+  report), run one at a time in that directory.  Per command NAME it
+  keeps ``NAME.stdout``, ``NAME.stderr`` and ``NAME.exit``, next to the
+  files the command wrote.  The checkout's path is replaced by
+  ``<root>`` in stderr, so tracebacks from two checkouts compare.
+- ``DIR/engine/``: one text file per engine case, in exact and float
+  mode: every generator with its mu-coefficients, the per-stage
+  a_n/b_n/alpha_n/c_n/min_divisor/norm ledger, the normalized jets and
+  the frequency corrections, written with their coefficient dicts in
+  storage order.  Cases are the kamengine test problems, the dense
+  fiber jets of seeds 1-3 at N=5 and the mu-chain problem at N=6/8 with
+  one and two directions.  A case that raises records the error.
+
+Capture two checkouts into two directories; ``diff -r A B`` then lists
+every difference in behaviour.
+"""
+
+import json
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from itertools import product
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from kamtori.birkhoff import COMPLEX_MORSE, EllipticHamiltonian  # noqa: E402
+from kamtori.jets import Jet  # noqa: E402
+from kamtori.kamengine import (KamProblem, extended_scenario,  # noqa: E402
+                               fiber_normalize, hadamard_quasi_inverse,
+                               kam_iterate)
+from kamtori.poisson import SymplecticLayout  # noqa: E402
+
+F1 = Fraction(1)
+LAY1 = SymplecticLayout(1)
+LAY2 = SymplecticLayout(2)
+
+# ------------------------------------------------------------------ CLI
+
+INPUTS = {
+    "h1.json": {"n": 1, "trunc_degree": 6, "coeffs": {
+        "2,0": "1", "0,2": "1", "3,0": "0.2", "1,2": "-0.3",
+        "4,0": "0.25", "2,2": "0.125", "0,5": "0.1"}},
+    "h2.json": {"n": 2, "trunc_degree": 5, "coeffs": {
+        "2,0,0,0": "1", "0,0,2,0": "1", "0,2,0,0": "1.618",
+        "0,0,0,2": "1.618", "3,0,0,0": "0.1", "1,0,0,2": "-0.125",
+        "2,2,0,0": "0.05", "0,0,2,2": "0.15", "1,1,1,1": "-0.2"}},
+    "problem.json": {"n": 2, "trunc_degree": 6, "alpha": ["1", "1.618"],
+                     "b": {"3,0,0,0": "0.1", "0,1,2,0": "-0.14",
+                           "1,0,0,3": "0.3", "2,0,2,0": "0.25"}},
+    "problem_complex.json": {"n": 1, "trunc_degree": 6,
+                             "alpha": [{"re": "1", "im": "1"}],
+                             "b": {"3,0": "1"}},
+}
+
+ALPHA = ["--alpha", "1,1.618"]
+
+
+def cli_commands():
+    """(name, argv) pairs, in the order they run."""
+    cmds = []
+    for mode in ("rational", "float"):
+        m = ["--mode", mode]
+        cmds += [
+            (f"sigma-{mode}", ["sigma", *ALPHA, "--kmax", "6", *m,
+                               "--out", f"sigma-{mode}.json"]),
+            (f"bruno-{mode}", ["bruno", *ALPHA, "--kmax", "6", *m]),
+            (f"strips-{mode}", ["strips", *ALPHA, "--kmax", "4",
+                                "--r", "0.1", *m,
+                                "--csv", f"strips-{mode}.csv"]),
+            (f"density-{mode}", ["density", *ALPHA, "--kmax", "4",
+                                 "--radii", "0.1,0.05", "--samples", "200",
+                                 "--seed", "3", *m,
+                                 "--csv", f"density-{mode}.csv"]),
+            (f"lattice-{mode}", ["lattice", *ALPHA, "--t-grid", "0:2:3", *m,
+                                 "--csv", f"lattice-{mode}.csv"]),
+            (f"birkhoff-n1-{mode}", ["birkhoff", "--H", "h1.json", "--l",
+                                     "3", *m]),
+            (f"birkhoff-n2-{mode}", ["birkhoff", "--H", "h2.json", "--l",
+                                     "2", *m]),
+            (f"kam-run-{mode}", ["kam", "run", "--problem", "problem.json",
+                                 *m, "--out", f"kam-run-{mode}.jsonl"]),
+            (f"kam-run-complex-alpha-{mode}",
+             ["kam", "run", "--problem", "problem_complex.json", *m]),
+        ]
+    cmds += [
+        ("torus-scan", ["torus", "scan", "--H", "h2.json", "--r", "0.05",
+                        "--samples", "4", "--steps", "512", "--seed", "5",
+                        "--csv", "torus-scan.csv"]),
+        ("report", ["report", "--inputs", "sigma-rational.json",
+                    "kam-run-rational.jsonl", "kam-run-float.jsonl"]),
+    ]
+    return cmds
+
+
+def capture_cli(out):
+    out.mkdir(parents=True)
+    for name, data in INPUTS.items():
+        (out / name).write_text(json.dumps(data, sort_keys=True, indent=1))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("KAMTORI_OUT", None)
+    for name, argv in cli_commands():
+        proc = subprocess.run(
+            [sys.executable, "-m", "kamtori.cli", *argv], cwd=out, env=env,
+            capture_output=True, text=True)
+        (out / f"{name}.stdout").write_text(proc.stdout)
+        (out / f"{name}.stderr").write_text(
+            proc.stderr.replace(str(ROOT), "<root>"))
+        (out / f"{name}.exit").write_text(f"{proc.returncode}\n")
+
+
+# --------------------------------------------------------------- engine
+
+def mono(lay, c, qexp=(), pexp=(), N=8):
+    return lay.monomial(c, qexp=qexp, pexp=pexp, trunc_degree=N)
+
+
+def elliptic_morse(terms, N=8, n=1):
+    lay = SymplecticLayout(n)
+    H = None
+    for c, qe, pe in terms:
+        m = lay.monomial(c, qexp=qe, pexp=pe, trunc_degree=N)
+        H = m if H is None else H + m
+    return H
+
+
+def mu_chain(N):
+    return (mono(LAY2, F1, (1, 0), (1, 0), N)
+            + mono(LAY2, Fraction(7, 3), (0, 1), (0, 1), N)
+            + mono(LAY2, Fraction(1, 2), (2, 0), (2, 0), N)
+            + mono(LAY2, Fraction(1, 7), (2, 1), (0, 1), N))
+
+
+def two_mode_action_square(N=6):
+    return (mono(LAY2, F1, (1, 0), (1, 0), N)
+            + mono(LAY2, Fraction(7, 3), (0, 1), (0, 1), N)
+            + mono(LAY2, F1, (2, 0), (2, 0), N))
+
+
+def dense_fiber_jet(seed, N):
+    """p1q1 + (987/610) p2q2 plus every cubic and quartic monomial, each
+    with a seeded coefficient n/(10d), n in +-1..9, d in 1..9."""
+    rng = random.Random(seed)
+    coeffs = {(1, 0, 1, 0): F1, (0, 1, 0, 1): Fraction(987, 610)}
+    for deg in (3, 4):
+        for idx in sorted(e for e in product(range(deg + 1), repeat=4)
+                          if sum(e) == deg):
+            num = rng.choice([v for v in range(-9, 10) if v])
+            coeffs[idx] = Fraction(num, 10 * rng.randint(1, 9))
+    return Jet(4, N, coeffs, blocks=LAY2.blocks)
+
+
+def golden_ratio_fiber_jet(N=8):
+    return (mono(LAY2, F1, (1, 0), (1, 0), N)
+            + mono(LAY2, Fraction(987, 610), (0, 1), (0, 1), N)
+            + mono(LAY2, F1, (2, 1), (), N) + mono(LAY2, F1, (), (3, 0), N))
+
+
+def cubic_pair(N=8):
+    return (mono(LAY1, F1, (1,), (1,), N) + mono(LAY1, F1, (3,), (), N)
+            + mono(LAY1, F1, (), (3,), N))
+
+
+def fiber(H):
+    return lambda fl: fiber_normalize(H.to_float() if fl else H)
+
+
+def extended(H, basis):
+    def run(fl):
+        eh = EllipticHamiltonian(H.to_float() if fl else H,
+                                 coordinate_mode=COMPLEX_MORSE)
+        return extended_scenario(eh, basis)
+    return run
+
+
+def flagship(fl):
+    a = mono(LAY1, F1, (1,), (1,))
+    b = mono(LAY1, F1, (3,)) + mono(LAY1, F1, (), (3,))
+    if fl:
+        return kam_iterate(KamProblem(layout=LAY1, a=a.to_float(),
+                                      b=b.to_float(), alpha=[1.0]))
+    return kam_iterate(KamProblem(layout=LAY1, a=a, b=b, alpha=[F1]))
+
+
+def quasi_inverse_with_drift(fl):
+    drift = mono(LAY1, F1, (2,), (2,))
+    target = mono(LAY1, F1, (1,)) + mono(LAY1, Fraction(1, 3), (2,), (1,)) \
+        + mono(LAY1, F1, (3,), (3,))
+    if fl:
+        drift, target = drift.to_float(), target.to_float()
+    return hadamard_quasi_inverse([1.0 if fl else F1], 0, target, LAY1,
+                                  alpha_acc=drift)
+
+
+def engine_cases():
+    cases = [
+        ("kam-flagship", flagship),
+        ("quasi-inverse-drift", quasi_inverse_with_drift),
+        ("fiber-cubic-pair", fiber(cubic_pair())),
+        ("fiber-golden-ratio", fiber(golden_ratio_fiber_jet())),
+        ("extended-mixed-content", extended(elliptic_morse(
+            [(F1, (1,), (1,)), (F1, (3,), (0,)),
+             (Fraction(1, 2), (2,), (2,))]), [(1,)])),
+        ("extended-cubic-action", extended(elliptic_morse(
+            [(F1, (1,), (1,)), (Fraction(1, 5), (3,), (3,))], N=6),
+            [(1,)])),
+        ("extended-no-directions", extended(elliptic_morse(
+            [(F1, (1,), (1,)), (F1, (3,), (0,))]), [])),
+        ("extended-missing-direction", extended(
+            two_mode_action_square(), [(0, 1)])),
+        ("extended-insoluble-direction", extended(
+            two_mode_action_square(), [(1, 1)])),
+        ("extended-mu-resonant", extended(elliptic_morse(
+            [(F1, (1,), (1,)), (F1, (3,), (0,)), (F1, (0,), (3,))]),
+            [(1,)])),
+    ]
+    cases += [(f"fiber-dense-seed{s}-N5", fiber(dense_fiber_jet(s, 5)))
+              for s in (1, 2, 3)]
+    cases += [(f"extended-mu-chain-N{N}-d{len(b)}", extended(mu_chain(N), b))
+              for N in (6, 8) for b in ([(1, 0)], [(1, 0), (0, 1)])]
+    return cases
+
+
+def show_jet(jet):
+    if jet is None:
+        return "None"
+    return (f"Jet(vars={jet.num_vars}, N={jet.trunc_degree}, {jet.mode}, "
+            f"blocks={jet.blocks}) {list(jet.coeffs.items())!r}")
+
+
+def show_derivation(u):
+    if u is None:
+        return ["  None"]
+    lines = [f"  generator {show_jet(u.generator)}"]
+    for i, a in enumerate(u.mu_coeffs or ()):
+        lines.append(f"  mu[{i}] {show_jet(a)}")
+    return lines
+
+
+def show_state(st):
+    lines = [f"stage {st.stage} ord_b={st.ord_b!r} "
+             f"min_divisor={st.min_divisor!r} success={st.success}",
+             f"  ledger {st.norm_ledger!r}"]
+    for name in ("a_n", "b_n", "alpha_n", "c_n"):
+        lines.append(f"  {name} {show_jet(getattr(st, name))}")
+    lines.append("  u_n:")
+    lines += show_derivation(st.u_n)
+    lines.append(f"  transform length {len(st.transform)}")
+    return lines
+
+
+def show_result(res):
+    if isinstance(res, tuple):          # kam_iterate: (final, trace)
+        final, trace = res
+        lines = ["final:"] + show_state(final)
+    elif hasattr(res, "generator"):     # a quasi-inverse derivation
+        return ["derivation:"] + show_derivation(res)
+    else:
+        trace = res.trace
+        lines = []
+        for name in ("normalized", "g0_model", "residual"):
+            if hasattr(res, name):
+                lines.append(f"{name} {show_jet(getattr(res, name))}")
+        for name in ("corrections", "corrected_frequencies"):
+            for i, j in enumerate(getattr(res, name, ())):
+                lines.append(f"{name}[{i}] {show_jet(j)}")
+        for name in ("certificate", "eigen_freqs", "bruno", "basis",
+                     "reduced_to_fiber"):
+            if hasattr(res, name):
+                lines.append(f"{name} {getattr(res, name)!r}")
+        lines.append("transform:")
+        for u in res.transform:
+            lines += show_derivation(u)
+    lines.append("trace:")
+    for st in trace:
+        lines += show_state(st)
+    return lines
+
+
+def capture_engine(out):
+    out.mkdir(parents=True)
+    for name, run in engine_cases():
+        for mode, fl in (("exact", False), ("float", True)):
+            try:
+                lines = show_result(run(fl))
+            except Exception as exc:    # the error is the recorded outcome
+                lines = [f"raised {type(exc).__name__}: {exc}"]
+            (out / f"{name}-{mode}.txt").write_text("\n".join(lines) + "\n")
+
+
+def main(argv):
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    out = Path(argv[0])
+    if out.exists():
+        print(f"{out} exists; pick a new directory", file=sys.stderr)
+        return 2
+    capture_cli(out / "cli")
+    capture_engine(out / "engine")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
