@@ -135,11 +135,17 @@ def _jet_from_dict(data, mode, *, what="jet"):
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(
             f"{what} needs n, trunc_degree and coeffs: {exc}") from None
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{what} coeffs must be an object mapping "
+                          "exponents to coefficients")
     lay = SymplecticLayout(n)
     terms = []
     for key, val in raw.items():
-        exps = tuple(int(e) for e in str(key).split(","))
-        if len(exps) != 2 * n or any(e < 0 for e in exps):
+        try:
+            exps = tuple(int(e) for e in str(key).split(","))
+        except ValueError:
+            exps = None
+        if exps is None or len(exps) != 2 * n or any(e < 0 for e in exps):
             raise SchemaError(
                 f"{what} exponent {key!r} must be {2 * n} nonnegative "
                 "integers")

@@ -16,11 +16,15 @@ angular rates of z_j = q_j + i p_j per unit time, de-biased for the
 scheme's known phase response, so H = a (q_j^2 + p_j^2) rotates z_j at
 omega_j = -2 a.
 
-Each midpoint substep solves m = x + (s/2) X_H(m) by Newton's method
-with the analytic Jacobian.  X_H and its Jacobian are compiled from H
-once, as one coefficient matrix over one table of monomials, so a
-Newton iteration costs one monomial pass, one matmul and a batched
-2n x 2n solve.
+Each midpoint substep solves m = x + (s/2) X_H(m) by simplified Newton
+(Hairer, Lubich and Wanner, Geometric Numerical Integration, VIII.6):
+I - (s/2) DX_H is evaluated and inverted once, at x, and an iteration
+costs one X_H pass and one batched matmul with that frozen inverse.
+Where the batch's largest update is non-finite or fails to halve the
+one before, the Jacobian is evaluated and inverted again at the current
+midpoint, so a hard solve falls back to full Newton.  X_H and its
+Jacobian are compiled from H once, as one coefficient matrix over one
+table of monomials.
 """
 
 import dataclasses
@@ -76,22 +80,26 @@ def _poly_data(H):
 class _Monomials:
     """Values of x^e for every row e of an exponent table, on batches.
 
-    One per-variable power table x_v^0..x_v^top, then one gather of the
-    factors of every monomial and one product over the variables.
+    Row e becomes the column list of its factors in [1, x]: variable v
+    e_v times, padded with the column of ones to the table's top degree.
+    An evaluation is one fill of [1, x], one gather of those columns and
+    one product over them.
     """
 
     def __init__(self, exps):
-        d = exps.shape[1]
-        self.top = int(exps.max(initial=0))
-        self.index = np.arange(d) * (self.top + 1) + exps
+        K, d = exps.shape
+        top = int(exps.sum(axis=1).max(initial=0))
+        self.index = np.zeros((K, top), dtype=np.intp)
+        for r, e in enumerate(exps):
+            cols = np.repeat(np.arange(1, d + 1), e)
+            self.index[r, :len(cols)] = cols
 
     def __call__(self, X):
         S, d = X.shape
-        powers = np.empty((S, d, self.top + 1))
-        powers[:, :, 0] = 1.0
-        for p in range(1, self.top + 1):
-            powers[:, :, p] = powers[:, :, p - 1] * X
-        return powers.reshape(S, -1)[:, self.index].prod(axis=2)
+        ones_x = np.empty((S, d + 1))
+        ones_x[:, 0] = 1.0
+        ones_x[:, 1:] = X
+        return ones_x[:, self.index].prod(axis=2)
 
 
 class _VectorField:
@@ -100,8 +108,9 @@ class _VectorField:
     Every monomial of X_H and of its Jacobian is a row of one exponent
     table, and one (K, d + d*d) coefficient matrix over that table holds
     X_H and then its Jacobian, so an evaluation is one monomial pass and
-    one matmul.  The energy keeps H's own (shorter) table, because it
-    runs over whole trajectories.
+    one matmul; velocity() is the same pass times X_H's columns alone.
+    The energy keeps H's own (shorter) table, because it runs over whole
+    trajectories.
     """
 
     def __init__(self, H):
@@ -118,6 +127,7 @@ class _VectorField:
         for col, part in enumerate(parts):
             for e, c in part.coeffs.items():
                 self.table[index[e], col] = _real_coeff(c)
+        self.xh_table = self.table[:, :d].copy()
         self.monomials = _Monomials(
             np.array(rows, dtype=np.int64).reshape(len(rows), d))
 
@@ -127,21 +137,25 @@ class _VectorField:
         d = self.d
         return out[:, :d], out[:, d:].reshape(len(X), d, d)
 
+    def velocity(self, X):
+        """X_H alone at the rows of X."""
+        return self.monomials(X) @ self.xh_table
+
     def energy(self, X):
         return self.h_monomials(X) @ self.h_coeffs
 
 
 # ----------------------------------------------------------------- integrator
 
-def _solve_rows(A, b):
-    """Solve A[i] y[i] = b[i] for every i; NaN where A[i] is singular."""
+def _invert_rows(A):
+    """The inverse of every A[i]; NaN where A[i] is singular."""
     try:
-        return np.linalg.solve(A, b[:, :, None])[:, :, 0]
+        return np.linalg.inv(A)
     except np.linalg.LinAlgError:
-        out = np.full_like(b, np.nan)
-        for i in range(len(b)):
+        out = np.full_like(A, np.nan)
+        for i in range(len(A)):
             try:
-                out[i] = np.linalg.solve(A[i], b[i])
+                out[i] = np.linalg.inv(A[i])
             except np.linalg.LinAlgError:
                 pass
         return out
@@ -150,22 +164,39 @@ def _solve_rows(A, b):
 def _midpoint_substep(field, x, s):
     """One implicit midpoint substep of size s on a batch.
 
-    Solves m = x + (s/2) X_H(m) by Newton's method from m = x, with the
-    analytic Jacobian I - (s/2) DX_H(m).  Returns (x_new, ok): ok is
-    False where the Newton update failed to settle within the cap (the
-    orbit has left the scheme's regime).
+    Solves m = x + (s/2) X_H(m) by simplified Newton from m = x: the
+    matrix I - (s/2) DX_H is evaluated and inverted once, at x, and each
+    iteration costs one X_H pass and one batched matmul with that frozen
+    inverse.  Where the batch's largest update is non-finite or fails to
+    halve the one before, the Jacobian is re-evaluated at the current m
+    and inverted again, so a hard solve falls back to full Newton.
+    Returns (x_new, ok): ok is False where the update failed to settle
+    within the cap (the orbit has left the scheme's regime).
     """
-    m = x.copy()
+    m = x
     half = 0.5 * s
+    f, df = field(x)
     eye = np.eye(x.shape[1])
+    inv = _invert_rows(eye - half * df)
+    last = np.inf
     for _ in range(_FIXED_POINT_CAP):
-        f, df = field(m)
-        step = _solve_rows(eye - half * df, x + half * f - m)
-        scale = 1.0 + np.abs(m).max(axis=1)
+        step = (inv @ (x + half * f - m)[:, :, None])[:, :, 0]
+        size = np.abs(step)
+        largest = size.max()
+        if largest <= _FIXED_POINT_TOL:     # every row's scale is >= 1
+            ok = np.ones(len(x), dtype=bool)
+        else:
+            scale = 1.0 + np.abs(m).max(axis=1)
+            ok = size.max(axis=1) <= _FIXED_POINT_TOL * scale
         m = m + step
-        ok = np.abs(step).max(axis=1) <= _FIXED_POINT_TOL * scale
         if ok.all():
             break
+        if not np.isfinite(largest) or largest > 0.5 * last:
+            f, df = field(m)
+            inv = _invert_rows(eye - half * df)
+        else:
+            f = field.velocity(m)
+        last = largest
     return 2.0 * m - x, ok
 
 
@@ -187,28 +218,30 @@ def _integrate_batch(field, X0, dt, steps, escape_radius):
     traj[:, 0] = x
     escape_step = np.full(S, -1, dtype=np.int64)
     escape_reason = np.full(S, None, dtype=object)
-    alive = np.ones(S, dtype=bool)
+    live = np.arange(S)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
-            if alive.any():
-                xa = x[alive]
+            if len(live):
+                xa = x if len(live) == S else x[live]
                 x_new = xa
-                good = np.ones(len(xa), dtype=bool)
+                good = True
                 for w in (_W1, _W0, _W1):
                     x_new, ok = _midpoint_substep(field, x_new, w * dt)
-                    good &= ok
+                    good = good & ok
                 blown = ~np.isfinite(x_new).all(axis=1)
                 far = np.sqrt((x_new ** 2).sum(axis=1)) > escape_radius
                 bad = blown | ~good | far
-                x_new[bad] = xa[bad]
-                live_idx = np.flatnonzero(alive)
-                x[live_idx] = x_new
-                newly = live_idx[bad]
-                escape_step[newly] = k
-                escape_reason[newly] = np.where(
-                    blown[bad], "non-finite",
-                    np.where(good[bad], "radius", "fixed-point-stall"))
-                alive[newly] = False
+                if len(live) == S and not bad.any():
+                    x = x_new
+                else:
+                    x_new[bad] = xa[bad]
+                    x[live] = x_new
+                    newly = live[bad]
+                    escape_step[newly] = k
+                    escape_reason[newly] = np.where(
+                        blown[bad], "non-finite",
+                        np.where(good[bad], "radius", "fixed-point-stall"))
+                    live = live[~bad]
             traj[:, k + 1] = x
     return traj, escape_step, escape_reason
 
@@ -308,7 +341,7 @@ def _orbit_records(field, X0, dt, steps, escape_radius):
 def _check_step(field, X0, dt):
     """Reject dt |X_H(x0)| > 1 at any start: a step that coarse does not
     resolve the flow, yet the midpoint solve may still converge on it."""
-    speed = float(np.abs(field(X0)[0]).max())
+    speed = float(np.abs(field.velocity(X0)).max())
     if dt * speed > 1.0:
         raise ValueError(
             f"step size fails the sanity check: dt*|X_H(x0)| = "

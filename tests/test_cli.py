@@ -301,6 +301,18 @@ def test_jet_schema_violations_exit_two(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("coeffs", [{"x,1": "1"}, {"1.5,0": "1"},
+                                    [["2,0", "1"]]])
+def test_malformed_jet_coeffs_exit_two(capsys, tmp_path, coeffs):
+    # a non-integer exponent key and a coeffs list are schema errors,
+    # not a bare ValueError or an AttributeError traceback
+    bad = tmp_path / "bad.jet"
+    bad.write_text(json.dumps({"n": 1, "trunc_degree": 4, "coeffs": coeffs}))
+    code, _, err = run_cli(capsys, ["birkhoff", "--H", str(bad), "--l", "1"])
+    assert code == 2
+    assert json.loads(err)["error"]["type"] == "schema"
+
+
 def test_out_dir_environment_variable(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("KAMTORI_OUT", str(tmp_path))
     code, out, _ = run_cli(

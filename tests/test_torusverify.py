@@ -10,11 +10,11 @@ import sympy
 from kamtori import torusverify
 from kamtori.errors import NotEllipticError
 from kamtori.poisson import SymplecticLayout
-from kamtori.torusverify import (_FIXED_POINT_TOL, _W1, FREQ_CONVENTION,
-                                 SCHEME, OrbitRecord, _integrate_batch,
-                                 _midpoint_substep, _VectorField,
-                                 classify_orbit, frequency_analysis,
-                                 integrate, torus_scan)
+from kamtori.torusverify import (_FIXED_POINT_CAP, _FIXED_POINT_TOL, _W1,
+                                 FREQ_CONVENTION, SCHEME, OrbitRecord,
+                                 _integrate_batch, _midpoint_substep,
+                                 _Monomials, _VectorField, classify_orbit,
+                                 frequency_analysis, integrate, torus_scan)
 
 LAY1 = SymplecticLayout(1)
 LAY2 = SymplecticLayout(2)
@@ -53,7 +53,55 @@ def random_jet(rng, n, terms):
     return H
 
 
+def reference_substep(field, x, s):
+    """Full Newton on m = x + (s/2) X_H(m) from m = x: a fresh Jacobian
+    and a batched solve on every iteration, with the same cap and the
+    same scaled per-row test as the integrator."""
+    m = x.copy()
+    half = 0.5 * s
+    eye = np.eye(x.shape[1])
+    for _ in range(_FIXED_POINT_CAP):
+        f, df = field(m)
+        step = np.linalg.solve(eye - half * df,
+                               (x + half * f - m)[:, :, None])[:, :, 0]
+        scale = 1.0 + np.abs(m).max(axis=1)
+        m = m + step
+        ok = np.abs(step).max(axis=1) <= _FIXED_POINT_TOL * scale
+        if ok.all():
+            break
+    return 2.0 * m - x, ok
+
+
+class CountingField(_VectorField):
+    """A vector field that counts its Jacobian evaluations."""
+
+    def __init__(self, H):
+        super().__init__(H)
+        self.jacobians = 0
+
+    def __call__(self, X):
+        self.jacobians += 1
+        return super().__call__(X)
+
+
 # ------------------------------------------------------------- vector field
+
+@pytest.mark.parametrize("d", [1, 2, 4, 6])
+def test_monomials_match_direct_products(d):
+    # every row e of a random exponent table, degree-0 rows included,
+    # against prod_v x_v^e_v; the empty table gives no columns
+    rng = np.random.default_rng(d)
+    exps = rng.integers(0, 4, size=(9, d))
+    exps[[0, 5]] = 0
+    X = rng.uniform(-1.5, 1.5, size=(7, d))
+    got = _Monomials(exps)(X)
+    want = np.prod(X[:, None, :] ** exps[None, :, :], axis=2)
+    assert got.shape == (7, 9)
+    assert np.allclose(got, want, rtol=1e-14, atol=0)
+    assert (got[:, [0, 5]] == 1.0).all()
+    assert _Monomials(np.zeros((0, d), dtype=np.int64))(X).shape == (7, 0)
+    assert (_Monomials(np.zeros((3, d), dtype=np.int64))(X) == 1.0).all()
+
 
 @pytest.mark.parametrize("n,terms", [(1, 0), (1, 5), (2, 8), (3, 10)])
 def test_vector_field_matches_sympy(n, terms):
@@ -95,6 +143,39 @@ def test_newton_midpoint_solves_the_midpoint_equation():
             resid = np.abs(m - x - 0.5 * s * field(m)[0]).max(axis=1)
             scale = 1.0 + np.abs(m).max(axis=1)
             assert (resid <= _FIXED_POINT_TOL * scale).all()
+
+
+def test_simplified_newton_agrees_with_full_newton():
+    # one frozen inverse per substep lands on the midpoint full Newton
+    # finds, on the same random jets and sizes as above
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3):
+        field = _VectorField(random_jet(rng, n, 3 * n))
+        x = rng.uniform(-0.8, 0.8, size=(12, 2 * n))
+        for s in (0.002, 0.02, -0.03, 0.1):
+            x_new, ok = _midpoint_substep(field, x, s)
+            want, want_ok = reference_substep(field, x, s)
+            assert ok.all() and want_ok.all()
+            assert np.abs(x_new - want).max() <= 1e-13
+
+
+def test_refresh_when_the_frozen_inverse_does_not_contract():
+    # H = p^2/2 + q^4/4 from (2, 1) at s = 2: the inverse frozen at x
+    # fails to halve the update, so the Jacobian is evaluated again at
+    # the current midpoint, and the solve still settles
+    quartic = (LAY1.monomial(0.5, pexp=(2,), trunc_degree=4)
+               + LAY1.monomial(0.25, qexp=(4,), trunc_degree=4))
+    field = CountingField(quartic)
+    x, s = np.array([[2.0, 1.0]]), 2.0
+    x_new, ok = _midpoint_substep(field, x, s)
+    assert ok.all() and field.jacobians > 1
+    m = 0.5 * (x + x_new)
+    resid = np.abs(m - x - 0.5 * s * field.velocity(m)).max(axis=1)
+    assert (resid <= _FIXED_POINT_TOL * (1.0 + np.abs(m).max(axis=1))).all()
+    # the easy substeps of the other tests need one Jacobian only
+    field.jacobians = 0
+    _midpoint_substep(field, np.array([[0.5, 0.0]]), 0.1)
+    assert field.jacobians == 1
 
 
 def test_singular_newton_system_spoils_only_its_own_orbit():

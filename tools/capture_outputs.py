@@ -18,6 +18,12 @@ Runs the checkout this script lives in (its ``src/``) and writes:
   storage order.  Cases are the kamengine test problems, the dense
   fiber jets of seeds 1-3 at N=5 and the mu-chain problem at N=6/8 with
   one and two directions.  A case that raises records the error.
+- ``DIR/torus/``: one text file per ``torus_scan`` call, one line per
+  orbit with its classification, escape step and escape reason (no
+  float values, so the files compare across roundoff).  The scans are
+  the two ``torus-scan`` benchmark Hamiltonians at benchmark seeds 1-3,
+  the three seed-11 scans of ``test_scan_monotone_in_perturbation_and_
+  radius`` and the four scans of acceptance criterion 10.
 
 Capture two checkouts into two directories; ``diff -r A B`` then lists
 every difference in behaviour.
@@ -41,6 +47,7 @@ from kamtori.kamengine import (KamProblem, extended_scenario,  # noqa: E402
                                fiber_normalize, hadamard_quasi_inverse,
                                kam_iterate)
 from kamtori.poisson import SymplecticLayout  # noqa: E402
+from kamtori.torusverify import torus_scan  # noqa: E402
 
 F1 = Fraction(1)
 LAY1 = SymplecticLayout(1)
@@ -298,6 +305,60 @@ def capture_engine(out):
                 lines = [f"raised {type(exc).__name__}: {exc}"]
             (out / f"{name}-{mode}.txt").write_text("\n".join(lines) + "\n")
 
+# ---------------------------------------------------------------- torus
+
+PHI = (1 + 5 ** 0.5) / 2
+CRITERION_10_SEED = 20260819
+
+
+def golden_oscillator(eps=0.0):
+    """q1^2 + p1^2 + phi (q2^2 + p2^2), plus eps q1^2 q2^2."""
+    H = LAY2.zero(4, mode="float")
+    for k, a in enumerate((1.0, PHI)):
+        qe, pe = [0, 0], [0, 0]
+        qe[k] = pe[k] = 2
+        H = H + LAY2.monomial(a, qexp=tuple(qe), trunc_degree=4)
+        H = H + LAY2.monomial(a, pexp=tuple(pe), trunc_degree=4)
+    if eps:
+        H = H + LAY2.monomial(eps, qexp=(2, 2), trunc_degree=4)
+    return H
+
+
+def cubic_oscillator(c):
+    """(q^2 + p^2) / 2 + c q^3."""
+    return (LAY1.monomial(0.5, qexp=(2,), trunc_degree=4)
+            + LAY1.monomial(0.5, pexp=(2,), trunc_degree=4)
+            + LAY1.monomial(c, qexp=(3,), trunc_degree=4))
+
+
+def torus_cases():
+    """(name, H, r, samples, seed, keyword arguments) per scan."""
+    cases = []
+    for bench_seed in (1, 2, 3):    # perfbench's TorusScan at that seed
+        seed = random.Random(bench_seed).randrange(2 ** 32)
+        for eps, r in ((0.0, 0.5), (0.05, 0.25)):
+            cases.append((f"bench-seed{bench_seed}-eps{eps}-r{r}",
+                          golden_oscillator(eps), r, 16, seed,
+                          {"steps": 2048, "windows": 2}))
+    for c, r in ((0.4, 0.3), (0.4, 0.55), (1.0, 0.55)):
+        cases.append((f"monotone-c{c}-r{r}", cubic_oscillator(c), r, 15,
+                      11, {}))
+    cases.append(("criterion10-integrable-r0.5", golden_oscillator(), 0.5,
+                  200, CRITERION_10_SEED, {}))
+    for r in (0.5, 0.25, 0.1):
+        cases.append((f"criterion10-eps0.05-r{r}", golden_oscillator(0.05),
+                      r, 100, CRITERION_10_SEED, {}))
+    return cases
+
+
+def capture_torus(out):
+    out.mkdir(parents=True)
+    for name, H, r, samples, seed, kwargs in torus_cases():
+        rep = torus_scan(H, r, samples, seed, **kwargs)
+        lines = [f"{i} {rec.classification} {rec.escape_step} "
+                 f"{rec.escape_reason}" for i, rec in enumerate(rep.records)]
+        (out / f"{name}.txt").write_text("\n".join(lines) + "\n")
+
 
 def main(argv):
     if len(argv) != 1:
@@ -309,6 +370,7 @@ def main(argv):
         return 2
     capture_cli(out / "cli")
     capture_engine(out / "engine")
+    capture_torus(out / "torus")
     return 0
 
 
