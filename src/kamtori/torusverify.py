@@ -127,7 +127,6 @@ class _VectorField:
         for col, part in enumerate(parts):
             for e, c in part.coeffs.items():
                 self.table[index[e], col] = _real_coeff(c)
-        self.xh_table = self.table[:, :d].copy()
         self.monomials = _Monomials(
             np.array(rows, dtype=np.int64).reshape(len(rows), d))
 
@@ -139,7 +138,7 @@ class _VectorField:
 
     def velocity(self, X):
         """X_H alone at the rows of X."""
-        return self.monomials(X) @ self.xh_table
+        return self.monomials(X) @ self.table[:, :self.d]
 
     def energy(self, X):
         return self.h_monomials(X) @ self.h_coeffs
