@@ -616,9 +616,6 @@ class LatticeBasis:
     def dim(self):
         return len(self.vectors)
 
-    def matrix(self):
-        return np.array([[float(c) for c in v] for v in self.vectors])
-
     def to_json_dict(self):
         return to_jsonable(vars(self))
 

@@ -39,6 +39,7 @@ from .jets import EXACT, ComplexRational, Jet, graded_lex_key, to_jsonable
 from .poisson import (
     HamiltonianDerivation,
     SymplecticLayout,
+    _rref,
     ad_eigenvalue,
     exp_product,
     lie_exp,
@@ -356,31 +357,6 @@ def birkhoff_normalize(H, l, divisor_floor=None, strategy="per-degree"):
 def frequency_map(A):
     """Gradient of the Birkhoff polynomial: one jet per action variable."""
     return tuple(A.derivative(k) for k in range(A.num_vars))
-
-
-def _rref(rows):
-    """Reduced row echelon form over an exact field; returns nonzero rows."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivot_row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(pivot_row, len(rows)) if rows[r][col]),
-                     None)
-        if pivot is None:
-            continue
-        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-        pv = rows[pivot_row][col]
-        rows[pivot_row] = [x / pv for x in rows[pivot_row]]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(rows):
-            break
-    return [tuple(r) for r in rows if any(r)]
 
 
 @dataclass(frozen=True)

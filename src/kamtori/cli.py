@@ -85,6 +85,15 @@ def _parse_vector(text, mode):
     return [_parse_number(p.strip(), mode) for p in parts]
 
 
+def _parse_alpha(args):
+    """--alpha as a FrequencyVector; a non-finite entry is a schema error."""
+    comps = _parse_vector(args.alpha, args.mode)
+    try:
+        return arithmetic.FrequencyVector(comps)
+    except ValueError as exc:
+        raise SchemaError(f"bad --alpha {args.alpha!r}: {exc}") from None
+
+
 def _decay_from_args(args, k_max):
     base = Fraction(2) ** Fraction(args.rho_exp)
     vals = [base ** (k + args.rho_shift) for k in range(k_max + 1)]
@@ -200,7 +209,7 @@ def _config_of(args, names):
 # ----------------------------------------------------------------- commands
 
 def _cmd_sigma(args):
-    alpha = _parse_vector(args.alpha, args.mode)
+    alpha = _parse_alpha(args)
     seq = arithmetic.sigma(alpha, args.kmax, norm=args.norm)
     _emit({"config": _config_of(args, ["alpha", "kmax", "norm", "mode"]),
            "sigma": seq}, args)
@@ -208,7 +217,7 @@ def _cmd_sigma(args):
 
 
 def _cmd_bruno(args):
-    alpha = _parse_vector(args.alpha, args.mode)
+    alpha = _parse_alpha(args)
     seq = arithmetic.sigma(alpha, args.kmax, norm=args.norm)
     rep = arithmetic.bruno_diagnostic(seq, args.kmax)
     _emit({"config": _config_of(args, ["alpha", "kmax", "norm", "mode"]),
@@ -217,14 +226,12 @@ def _cmd_bruno(args):
 
 
 def _cmd_density(args):
-    alpha = _parse_vector(args.alpha, args.mode)
-    radii = [float(r) for r in str(args.radii).split(",") if r.strip()]
-    if not radii:
-        raise SchemaError("need at least one radius")
+    alpha = _parse_alpha(args)
+    radii = _parse_vector(args.radii, FLOAT)
     a = arithmetic.sigma(alpha, args.kmax, norm=args.norm)
     rho = _decay_from_args(args, args.kmax)
-    center = ([float(c) for c in str(args.center).split(",")]
-              if args.center else [float(c) for c in alpha])
+    center = (_parse_vector(args.center, FLOAT) if args.center
+              else [float(c) for c in alpha])
     ident = arithmetic.SmoothMap.identity(len(center))
     sweep = []
     for r in radii:
@@ -249,7 +256,7 @@ def _cmd_density(args):
 
 
 def _cmd_lattice(args):
-    alpha = _parse_vector(args.alpha, args.mode)
+    alpha = _parse_alpha(args)
     basis = arithmetic.lattice_basis(alpha)
     if args.t_grid:
         try:
@@ -281,7 +288,7 @@ def _cmd_lattice(args):
 
 
 def _cmd_strips(args):
-    alpha = _parse_vector(args.alpha, args.mode)
+    alpha = _parse_alpha(args)
     a = arithmetic.sigma(alpha, args.kmax, norm=args.norm)
     rho = _decay_from_args(args, args.kmax)
     r = _parse_number(args.r, args.mode)

@@ -13,7 +13,6 @@ operations themselves never look inside the blocks beyond checking equality.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from operator import add
@@ -145,31 +144,6 @@ class ComplexRational:
         if self.re == 0:
             return f"{self.im}j"
         return f"{self.re}{imag}"
-
-    @classmethod
-    def parse(cls, text: str) -> "ComplexRational":
-        s = text.strip().replace(" ", "")
-        if not s:
-            raise ValueError("empty ComplexRational literal")
-        if not s.endswith("j"):
-            return cls(Fraction(s))
-        body = s[:-1]
-        # find the sign separating real and imaginary parts (not the leading one)
-        split = -1
-        for k in range(1, len(body)):
-            if body[k] in "+-" and body[k - 1] not in "/+-":
-                split = k
-        if split < 0:
-            if body in ("", "+"):
-                return cls(0, 1)
-            if body == "-":
-                return cls(0, -1)
-            return cls(0, Fraction(body))
-        re_part = Fraction(body[:split])
-        im_text = body[split:]
-        if im_text in ("+", "-"):
-            im_text += "1"
-        return cls(re_part, Fraction(im_text))
 
 
 def _as_fraction(x):
@@ -727,14 +701,6 @@ class Jet:
         return (f"Jet({self.num_vars} vars, N={self.trunc_degree}, "
                 f"{self.mode}, {len(self._coeffs)} terms: {self})")
 
-    def to_text(self):
-        """Graded-lex `exponents:coefficient` lines."""
-        lines = []
-        for idx, value in self.terms():
-            exps = ",".join(str(e) for e in idx)
-            lines.append(f"{exps}:{_coeff_to_str(value)}")
-        return "\n".join(lines)
-
     def to_json_dict(self):
         return to_jsonable({
             "num_vars": self.num_vars,
@@ -743,37 +709,6 @@ class Jet:
             "blocks": self.blocks or None,
             "terms": list(self.terms()),
         })
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json_dict(cls, data):
-        mode = data["mode"]
-        coeffs = {
-            tuple(idx): _coeff_from_json(raw, mode) for idx, raw in data["terms"]
-        }
-        blocks = data.get("blocks")
-        if blocks is not None:
-            blocks = tuple((name, size) for name, size in blocks)
-        return cls(data["num_vars"], data["trunc_degree"], coeffs,
-                   blocks=blocks, mode=mode)
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_json_dict(json.loads(text))
-
-    @classmethod
-    def from_text(cls, text, num_vars, trunc_degree, blocks=None, mode=EXACT):
-        coeffs = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            exps, _, raw = line.partition(":")
-            idx = tuple(int(e) for e in exps.split(","))
-            coeffs[idx] = _coeff_from_str(raw.strip(), mode)
-        return cls(num_vars, trunc_degree, coeffs, blocks=blocks, mode=mode)
 
 
 def _product(left, right, cap):
@@ -832,22 +767,6 @@ def _check_radius(s):
     return s
 
 
-def _coeff_to_str(value):
-    if isinstance(value, (Fraction, ComplexRational)):
-        return str(value)
-    if isinstance(value, complex):
-        return repr(value)
-    return repr(float(value))
-
-
-def _coeff_from_str(raw, mode):
-    if mode == EXACT:
-        if "j" in raw:
-            return ComplexRational.parse(raw)
-        return Fraction(raw)
-    return complex(raw) if "j" in raw else float(raw)
-
-
 def to_jsonable(x):
     """The JSON form of a result; every artifact goes through this one rule.
 
@@ -871,16 +790,6 @@ def to_jsonable(x):
     if hasattr(x, "item") and not isinstance(x, (str, bytes)):
         return x.item()  # numpy scalars
     return x
-
-
-def _coeff_from_json(raw, mode):
-    if isinstance(raw, str):
-        return Fraction(raw)
-    if isinstance(raw, dict):
-        if mode == EXACT:
-            return ComplexRational(Fraction(raw["re"]), Fraction(raw["im"]))
-        return complex(raw["re"], raw["im"])
-    return float(raw)
 
 
 def _all_indices(num_vars, max_degree):

@@ -52,13 +52,13 @@ from fractions import Fraction
 from .arithmetic import FrequencyVector, bruno_diagnostic, sigma
 from .birkhoff import (COMPLEX_MORSE, REAL_ELLIPTIC, EllipticHamiltonian,
                        _abs_mag, _extract_frequencies, _in_action_square,
-                       _monomial_name, _rref, _solve_terms,
+                       _monomial_name, _solve_terms,
                        action_ideal_certificate, to_complex_morse)
 from .errors import (BudgetExceededError, CertificateError,
                      ClassMembershipError, ConvergenceError, ModeMixError,
                      OrderTooLowError, ResonanceError, ShapeMismatchError)
-from .jets import EXACT, ComplexRational, Jet, to_jsonable
-from .poisson import HamiltonianDerivation, SymplecticLayout, lie_exp
+from .jets import EXACT, ComplexRational, Jet, _product, to_jsonable
+from .poisson import HamiltonianDerivation, SymplecticLayout, _rref, lie_exp
 
 _I = ComplexRational(0, 1)
 
@@ -129,25 +129,12 @@ def _effective_freqs(alpha, eigen_freqs):
 # parametric (lambda, mu) reduction data
 # ---------------------------------------------------------------------------
 
-def _poly_mul(p, q):
-    out = {}
-    for a, u in p.items():
-        for b, v in q.items():
-            c = tuple(x + y for x, y in zip(a, b))
-            w = out.get(c, 0) + u * v
-            if w:
-                out[c] = w
-            elif c in out:
-                del out[c]
-    return out
-
-
 def _poly_power_product(forms, exps, d):
     """Product over k of forms[k]**exps[k]; forms are lambda-polynomials."""
     out = {(0,) * d: 1}
     for f, e in zip(forms, exps):
         for _ in range(e):
-            out = _poly_mul(out, f)
+            out = {k: v for k, v in _product(out, f, math.inf).items() if v}
     return out
 
 

@@ -364,31 +364,30 @@ def _linear_part_matrix(images, layout):
     return rows
 
 
-def _det(matrix):
-    """Determinant by fraction-free-ish Gaussian elimination; works for
-    Fraction, ComplexRational, float, and complex entries."""
-    m = [row[:] for row in matrix]
-    size = len(m)
-    det = None
-    sign = 1
-    for col in range(size):
-        piv = None
-        for r in range(col, size):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        pivot = m[col][col]
-        det = pivot if det is None else det * pivot
-        for r in range(col + 1, size):
-            if m[r][col] != 0:
-                factor = m[r][col] / pivot
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return det * sign if det is not None else 1
+def _rref(rows):
+    """Reduced row echelon form of Fraction, ComplexRational, float or
+    complex rows; returns the nonzero rows, as many as the rank."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    pivot_row = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(pivot_row, len(rows)) if rows[r][col]),
+                     None)
+        if pivot is None:
+            continue
+        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
+        pv = rows[pivot_row][col]
+        rows[pivot_row] = [x / pv for x in rows[pivot_row]]
+        for r in range(len(rows)):
+            if r != pivot_row and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[pivot_row])]
+        pivot_row += 1
+        if pivot_row == len(rows):
+            break
+    return [tuple(r) for r in rows if any(r)]
 
 
 def check_symplectic(images, layout, trunc=None):
@@ -407,7 +406,7 @@ def check_symplectic(images, layout, trunc=None):
         if im and im.ord() < 1:
             raise OrderTooLowError("coordinate images must vanish at the origin")
     lin = _linear_part_matrix(images, layout)
-    if _det(lin) == 0:
+    if len(_rref(lin)) < 2 * n:
         raise NonInvertibleLinearPartError(
             "transform's linear part is singular on the (q,p) block"
         )

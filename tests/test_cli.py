@@ -313,6 +313,34 @@ def test_malformed_jet_coeffs_exit_two(capsys, tmp_path, coeffs):
     assert json.loads(err)["error"]["type"] == "schema"
 
 
+@pytest.mark.parametrize("flag, value", [("--radii", "0.1,abc"),
+                                         ("--center", "1,x")])
+def test_malformed_density_vector_exits_two(capsys, flag, value):
+    argv = ["density", "--alpha", "1,987/610", "--kmax", "3",
+            "--radii", "0.1", "--samples", "10", flag, value]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "schema"
+
+
+ALPHA_COMMAND_ARGS = {
+    "sigma": ["--kmax", "3"],
+    "bruno": ["--kmax", "3"],
+    "density": ["--kmax", "3", "--radii", "0.1", "--samples", "10"],
+    "strips": ["--kmax", "3", "--r", "0.1"],
+    "lattice": ["--t", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(ALPHA_COMMAND_ARGS))
+def test_non_finite_float_alpha_exits_two(capsys, command):
+    for alpha in ("1,nan", "1,inf"):
+        argv = [command, "--alpha", alpha, "--mode", "float"]
+        code, out, err = run_cli(capsys, argv + ALPHA_COMMAND_ARGS[command])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "schema"
+
+
 def test_out_dir_environment_variable(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("KAMTORI_OUT", str(tmp_path))
     code, out, _ = run_cli(

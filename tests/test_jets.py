@@ -495,16 +495,16 @@ def test_complex_rational_arithmetic():
         ComplexRational(0.5)
 
 
-def test_complex_rational_parse_roundtrip():
+def test_complex_rational_str():
     cases = [
-        ComplexRational(Fraction(3, 4), Fraction(-1, 2)),
-        ComplexRational(0, 1),
-        ComplexRational(0, -1),
-        ComplexRational(Fraction(-2, 7), 0),
-        ComplexRational(5, Fraction(22, 7)),
+        (ComplexRational(Fraction(3, 4), Fraction(-1, 2)), "3/4-1/2j"),
+        (ComplexRational(0, 1), "1j"),
+        (ComplexRational(0, -1), "-1j"),
+        (ComplexRational(Fraction(-2, 7), 0), "-2/7"),
+        (ComplexRational(5, Fraction(22, 7)), "5+22/7j"),
     ]
-    for c in cases:
-        assert ComplexRational.parse(str(c)) == c
+    for c, text in cases:
+        assert str(c) == text
 
 
 # --- shape and block checks ---------------------------------------------------
@@ -530,18 +530,6 @@ def test_block_structure_checked():
 
 # --- serialization -------------------------------------------------------------
 
-def test_json_roundtrip_exact_and_float():
-    rng = np.random.default_rng(21)
-    f = random_exact_jet(rng, 3, 5)
-    f = f + Jet.from_terms(3, 5, [((1, 1, 0), ComplexRational(1, Fraction(1, 3)))])
-    assert Jet.from_json(f.to_json()) == f
-    g = f.to_float()
-    g2 = Jet.from_json(g.to_json())
-    assert g2.mode == "float"
-    for idx, val in g.terms():
-        assert g2[idx] == pytest.approx(val)
-
-
 @pytest.mark.parametrize("value, expected", [
     (Fraction(-3, 4), "-3/4"),
     (Fraction(5), "5"),
@@ -563,6 +551,10 @@ def test_json_roundtrip_exact_and_float():
      {"num_vars": 2, "trunc_degree": 3, "mode": "exact",
       "blocks": [["q", 1], ["p", 1]],
       "terms": [[[1, 0], "2/3"], [[1, 1], {"re": "0", "im": "1"}]]}),
+    (Jet.from_terms(2, 3, [((1, 1), complex(0.25, -1.0)), ((1, 0), 0.5)],
+                    mode="float"),
+     {"num_vars": 2, "trunc_degree": 3, "mode": "float", "blocks": None,
+      "terms": [[[1, 0], 0.5], [[1, 1], {"re": 0.25, "im": -1.0}]]}),
     ("text", "text"),
 ])
 def test_to_jsonable_each_input_kind(value, expected):
@@ -570,15 +562,6 @@ def test_to_jsonable_each_input_kind(value, expected):
     assert out == expected
     assert type(out) is type(expected)
     assert json.loads(json.dumps(out)) == expected
-
-
-def test_text_roundtrip_graded_lex():
-    f = Jet.from_terms(2, 4, [((0, 2), Fraction(1, 3)), ((1, 0), 2),
-                              ((2, 2), ComplexRational(0, 1))])
-    text = f.to_text()
-    lines = text.splitlines()
-    assert lines[0].startswith("1,0:")  # degree 1 before degree 2
-    assert Jet.from_text(text, 2, 4) == f
 
 
 def test_truncation_invariant_enforced():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from kamtori.birkhoff import morse_substitution
 from kamtori.errors import (
     NonInvertibleLinearPartError,
     OrderTooLowError,
@@ -281,6 +282,16 @@ def test_check_symplectic_rejects_singular_linear_part():
     q, p = lay.q(0, 4), lay.p(0, 4)
     with pytest.raises(NonInvertibleLinearPartError):
         check_symplectic([q, q], lay)
+    # n = 2, rank 3: one complex Morse image is the sum of two others
+    lay2 = SymplecticLayout(2)
+    for mode in ("exact", "float"):
+        images = morse_substitution(2, 3, mode=mode)
+        images[3] = images[0] + images[1]
+        with pytest.raises(NonInvertibleLinearPartError):
+            check_symplectic(images, lay2)
+    # nonsingular, but the first pivot needs a row swap: Q_1 = p_1
+    swapped = [lay2.p(0, 3), lay2.q(1, 3), -lay2.q(0, 3), lay2.p(1, 3)]
+    assert check_symplectic(swapped, lay2) == 0
 
 
 def test_check_symplectic_rejects_constant_shift():

@@ -18,6 +18,13 @@ Runs the checkout this script lives in (its ``src/``) and writes:
   storage order.  Cases are the kamengine test problems, the dense
   fiber jets of seeds 1-3 at N=5 and the mu-chain problem at N=6/8 with
   one and two directions.  A case that raises records the error.
+- ``DIR/algebra/``: one text file per call into the exact eliminator's
+  callers outside the engines: ``frequency_space`` of the
+  ``tests/test_birkhoff.py`` Hamiltonians and of the CLI's ``h1``/``h2``
+  at l = 1..3, and ``check_symplectic`` of the complex-Morse
+  substitutions and their inverses for n = 1..3, of a rank-3 and a
+  row-swapped n = 2 linear map, and of Birkhoff ``coordinate_images()``;
+  each in exact and float mode.  A call that raises records the error.
 - ``DIR/torus/``: one text file per ``torus_scan`` call, one line per
   orbit with its classification, escape step and escape reason (no
   float values, so the files compare across roundoff).  The scans are
@@ -41,12 +48,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from kamtori.birkhoff import COMPLEX_MORSE, EllipticHamiltonian  # noqa: E402
+from kamtori.birkhoff import (COMPLEX_MORSE, REAL_ELLIPTIC,  # noqa: E402
+                              EllipticHamiltonian, birkhoff_normalize,
+                              frequency_space, inverse_morse_substitution,
+                              morse_substitution)
 from kamtori.jets import Jet  # noqa: E402
 from kamtori.kamengine import (KamProblem, extended_scenario,  # noqa: E402
                                fiber_normalize, hadamard_quasi_inverse,
                                kam_iterate)
-from kamtori.poisson import SymplecticLayout  # noqa: E402
+from kamtori.poisson import SymplecticLayout, check_symplectic  # noqa: E402
 from kamtori.torusverify import torus_scan  # noqa: E402
 
 F1 = Fraction(1)
@@ -305,6 +315,93 @@ def capture_engine(out):
                 lines = [f"raised {type(exc).__name__}: {exc}"]
             (out / f"{name}-{mode}.txt").write_text("\n".join(lines) + "\n")
 
+# -------------------------------------------------------------- algebra
+
+def cli_jet(name):
+    """The CLI input jet NAME as an exact jet."""
+    data = INPUTS[name]
+    lay = SymplecticLayout(data["n"])
+    terms = [(tuple(int(e) for e in key.split(",")), Fraction(val))
+             for key, val in data["coeffs"].items()]
+    return Jet.from_terms(lay.num_vars, data["trunc_degree"], terms,
+                          blocks=lay.blocks)
+
+
+def frequency_space_hamiltonians():
+    """(name, H, coordinate mode): the Hamiltonians of the frequency-space
+    and Birkhoff tests, and the CLI's h1 and h2."""
+    Y = mono(LAY1, F1, (1,), (1,), 6)
+    Y1 = mono(LAY2, F1, (1, 0), (1, 0), 6)
+    Y2 = mono(LAY2, F1, (0, 1), (0, 1), 6)
+    q, p = LAY1.q(0, 8), LAY1.p(0, 8)
+    return [
+        ("linear-point", mono(LAY1, Fraction(2, 3), (1,), (1,), 4),
+         COMPLEX_MORSE),
+        ("full-line", Y.scale(Fraction(2, 3)) + Y * Y, COMPLEX_MORSE),
+        ("rank-one-n2", Y1 + Y2.scale(Fraction(3, 2))
+         + ((Y1 + Y2) * (Y1 + Y2)).scale(Fraction(1, 2)), COMPLEX_MORSE),
+        ("real-cubic-n1", (q * q + p * p).scale(Fraction(1, 2)) + q ** 3
+         + (q * q) * p, REAL_ELLIPTIC),
+        ("cli-h1", cli_jet("h1.json"), REAL_ELLIPTIC),
+        ("cli-h2", cli_jet("h2.json"), REAL_ELLIPTIC),
+    ]
+
+
+def rank3_morse(mode):
+    images = morse_substitution(2, 3, mode=mode)
+    images[3] = images[0] + images[1]
+    return images
+
+
+def row_swapped(mode):
+    images = [LAY2.p(0, 3), LAY2.q(1, 3), -LAY2.q(0, 3), LAY2.p(1, 3)]
+    return images if mode == "exact" else [im.to_float() for im in images]
+
+
+def elliptic(H, cmode):
+    return lambda mode: EllipticHamiltonian(
+        H if mode == "exact" else H.to_float(), coordinate_mode=cmode)
+
+
+def birkhoff_symplectic(ell):
+    def call(mode):
+        res = birkhoff_normalize(ell(mode), 2)
+        return check_symplectic(res.coordinate_images(), res.layout)
+    return call
+
+
+def algebra_cases():
+    """(name, call) pairs; call(mode) returns the value to record."""
+    cases = []
+    for name, H, cmode in frequency_space_hamiltonians():
+        ell = elliptic(H, cmode)
+        cases += [(f"frequency-space-{name}-l{l}",
+                   lambda mode, ell=ell, l=l: frequency_space(ell(mode), l))
+                  for l in (1, 2, 3)]
+        cases.append((f"symplectic-birkhoff-{name}", birkhoff_symplectic(ell)))
+    for n in (1, 2, 3):
+        lay = SymplecticLayout(n)
+        for sub in (morse_substitution, inverse_morse_substitution):
+            cases.append((f"symplectic-{sub.__name__}-n{n}",
+                          lambda mode, sub=sub, n=n, lay=lay:
+                          check_symplectic(sub(n, 4, mode=mode), lay)))
+    cases += [("symplectic-rank3-morse-n2",
+               lambda mode: check_symplectic(rank3_morse(mode), LAY2)),
+              ("symplectic-row-swapped-n2",
+               lambda mode: check_symplectic(row_swapped(mode), LAY2))]
+    return cases
+
+
+def capture_algebra(out):
+    out.mkdir(parents=True)
+    for name, call in algebra_cases():
+        for mode in ("exact", "float"):
+            try:
+                line = repr(call(mode))
+            except Exception as exc:    # the error is the recorded outcome
+                line = f"raised {type(exc).__name__}: {exc}"
+            (out / f"{name}-{mode}.txt").write_text(line + "\n")
+
 # ---------------------------------------------------------------- torus
 
 PHI = (1 + 5 ** 0.5) / 2
@@ -370,6 +467,7 @@ def main(argv):
         return 2
     capture_cli(out / "cli")
     capture_engine(out / "engine")
+    capture_algebra(out / "algebra")
     capture_torus(out / "torus")
     return 0
 
