@@ -228,10 +228,15 @@ def _cmd_bruno(args):
 def _cmd_density(args):
     alpha = _parse_alpha(args)
     radii = _parse_vector(args.radii, FLOAT)
-    a = arithmetic.sigma(alpha, args.kmax, norm=args.norm)
-    rho = _decay_from_args(args, args.kmax)
+    if not all(r > 0 for r in radii):
+        raise SchemaError(f"--radii entries must be positive: {args.radii!r}")
     center = (_parse_vector(args.center, FLOAT) if args.center
               else [float(c) for c in alpha])
+    if len(center) != alpha.dim:
+        raise SchemaError(f"--center has {len(center)} entries, --alpha "
+                          f"has {alpha.dim}")
+    a = arithmetic.sigma(alpha, args.kmax, norm=args.norm)
+    rho = _decay_from_args(args, args.kmax)
     ident = arithmetic.SmoothMap.identity(len(center))
     sweep = []
     for r in radii:

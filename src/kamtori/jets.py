@@ -254,7 +254,7 @@ class Jet:
             mode = _detect_mode(raw.values())
         elif mode not in (EXACT, FLOAT):
             raise ValueError(f"mode must be {EXACT!r} or {FLOAT!r}")
-        kept = {}
+        checked = {}
         for idx, value in raw.items():
             idx = tuple(int(e) for e in idx)
             if len(idx) != num_vars:
@@ -263,8 +263,27 @@ class Jet:
                 )
             if any(e < 0 for e in idx):
                 raise ShapeMismatchError(f"negative exponent in {idx}")
-            if sum(idx) <= trunc_degree:
-                kept[idx] = value
+            checked[idx] = value
+        self._fill(num_vars, trunc_degree, checked, blocks, mode)
+
+    @classmethod
+    def _trusted(cls, num_vars, trunc_degree, coeffs, blocks, mode):
+        """A jet from a kernel's coefficient dict.
+
+        The keys are sums or shifts of keys of validated jets, and
+        num_vars, blocks and mode come from such jets, so only the
+        per-key int, length and sign checks of __init__ are skipped; the
+        degree cut, _clean and the trunc_degree check still run.
+        """
+        jet = object.__new__(cls)
+        jet._fill(num_vars, trunc_degree, coeffs, blocks, mode)
+        return jet
+
+    def _fill(self, num_vars, trunc_degree, coeffs, blocks, mode):
+        if trunc_degree < 0:
+            raise ShapeMismatchError("num_vars and trunc_degree must be >= 0")
+        kept = {idx: v for idx, v in coeffs.items()
+                if sum(idx) <= trunc_degree}
         object.__setattr__(self, "num_vars", int(num_vars))
         object.__setattr__(self, "trunc_degree", int(trunc_degree))
         object.__setattr__(self, "_coeffs", _clean(kept, mode))
@@ -381,14 +400,10 @@ class Jet:
         blocks = self.blocks if self.blocks is not None else other.blocks
         return min(self.trunc_degree, other.trunc_degree), blocks, mode
 
-    def _like(self, coeffs, trunc=None, mode=None, blocks=None):
-        return Jet(
-            self.num_vars,
-            self.trunc_degree if trunc is None else trunc,
-            coeffs,
-            blocks=self.blocks if blocks is None else blocks,
-            mode=self.mode if mode is None else mode,
-        )
+    def _like(self, coeffs, trunc=None):
+        return Jet._trusted(self.num_vars,
+                            self.trunc_degree if trunc is None else trunc,
+                            coeffs, self.blocks, self.mode)
 
     # --- ring operations ----------------------------------------------------
 
@@ -404,7 +419,7 @@ class Jet:
         for idx, value in other._coeffs.items():
             cur = acc.get(idx)
             acc[idx] = value if cur is None else cur + value
-        return Jet(self.num_vars, trunc, acc, blocks=blocks, mode=mode)
+        return Jet._trusted(self.num_vars, trunc, acc, blocks, mode)
 
     __radd__ = __add__
 
@@ -429,9 +444,9 @@ class Jet:
         if not isinstance(other, Jet):
             return self.scale(other)
         trunc, blocks, mode = self._join(other)
-        return Jet(self.num_vars, trunc,
-                   _product(self._coeffs, other._coeffs, trunc),
-                   blocks=blocks, mode=mode)
+        return Jet._trusted(self.num_vars, trunc,
+                            _product(self._coeffs, other._coeffs, trunc),
+                            blocks, mode)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -711,24 +726,44 @@ class Jet:
         })
 
 
+def _degree_rows(terms):
+    """A lookup room -> the (index, value) pairs of terms whose total
+    degree is <= room, in terms' order.
+
+    terms maps exponent tuples to what a pair loop needs of a right term:
+    its coefficient, or the coefficient with more per-term data.  Each
+    row is built on its first lookup and kept, so a pair loop that asks
+    once per left term does the degree test once per room and right term,
+    not once per pair, and meets the right terms in their own order.
+    """
+    graded = [(j, b, sum(j)) for j, b in terms.items()]
+    rows = {}
+
+    def within(room):
+        row = rows.get(room)
+        if row is None:
+            row = rows[room] = [(j, b) for j, b, d in graded if d <= room]
+        return row
+    return within
+
+
 def _product(left, right, cap):
     """Coefficient dict of left · right, without exponents of degree > cap.
 
     left and right map exponent tuples to coefficients.  Pairs run left
     term outer, right term inner, in the dicts' order, and each product
-    is added in that order, so float sums and the result's key order are
-    those of the plain double loop.  Zeros are kept; callers clean.
+    is added in that order.  Float sums and the result's key order are
+    thus those of the plain double loop, bit for bit, whatever the
+    degree filter skips: the right terms that fit a left term's room
+    come from _degree_rows, which keeps their order.  Any other order
+    (by degree, say) would move float results at roundoff.  Zeros are
+    kept; callers clean.
     """
-    graded = [(j, b, sum(j)) for j, b in right.items()]
-    within = {}                 # room -> right terms of degree <= room
+    within = _degree_rows(right)
     acc = {}
     get = acc.get
     for i, a in left.items():
-        room = cap - sum(i)
-        row = within.get(room)
-        if row is None:
-            row = within[room] = [(j, b) for j, b, d in graded if d <= room]
-        for j, b in row:
+        for j, b in within(cap - sum(i)):
             k = tuple(map(add, i, j))
             ab = a * b
             cur = get(k)

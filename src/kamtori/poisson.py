@@ -25,7 +25,7 @@ from .errors import (
     OrderTooLowError,
     ShapeMismatchError,
 )
-from .jets import ComplexRational, Jet
+from .jets import ComplexRational, Jet, _degree_rows
 
 __all__ = [
     "SymplecticLayout",
@@ -166,6 +166,22 @@ def bracket(f, g, layout, trunc=None):
 
     Computed directly on monomial pairs.  The result's truncation degree is
     the largest certified one unless an explicit trunc is requested.
+
+    Pairs run f's term i outer, g's term j inner, in the dicts' order, and
+    k innermost; each pair forms ab = a * b once and adds ab * c at
+    i + j - e_{q_k} - e_{p_k} for every k with c = i_{q_k} j_{p_k} -
+    i_{p_k} j_{q_k} != 0.  Float sums and the result's key order are
+    therefore those of the plain triple loop, bit for bit; writing the
+    bracket as sums of products of derivatives would add the same terms
+    in another order and move float results at roundoff.
+
+    The right terms that fit a left term's degree room come from
+    jets._degree_rows.  Exponent tuples are packed into one int each
+    (a fixed bit field per variable), so each left term shifts its packed
+    exponents by -e_{q_k} - e_{p_k} once, and a pair's output key is one
+    int addition; the keys are unpacked once, in order, at the end.  A
+    term with c != 0 has every exponent of the sum >= 0, and none exceeds
+    the two operands' largest degrees, so the fields never carry.
     """
     layout.check(f)
     layout.check(g)
@@ -174,28 +190,38 @@ def bracket(f, g, layout, trunc=None):
     if trunc is None:
         trunc = _bracket_trunc(f, g)
     n = layout.n
+    width = (f.max_degree() + g.max_degree()).bit_length()
+    shifts = [width * v for v in range(f.num_vars)]
+
+    def pack(idx):
+        return sum(e << s for e, s in zip(idx, shifts))
+
+    within = _degree_rows({j: (b, pack(j)) for j, b in g.coeffs.items()})
     acc = {}
+    get = acc.get
     for i, a in f.coeffs.items():
-        di = sum(i)
-        for j, b in g.coeffs.items():
-            if di + sum(j) - 2 > trunc:
-                continue
+        # (i_q, i_p, q slot, p slot, packed i - e_q - e_p) per pair i touches
+        packed_i = pack(i)
+        pairs = [(i[k], i[n + k], k, n + k,
+                  packed_i - (1 << shifts[k]) - (1 << shifts[n + k]))
+                 for k in range(n) if i[k] or i[n + k]]
+        if not pairs:
+            continue
+        for j, (b, packed) in within(trunc + 2 - sum(i)):
             ab = None
-            for k in range(n):
-                c = i[k] * j[n + k] - i[n + k] * j[k]
-                if c == 0:
-                    continue
-                if ab is None:
-                    ab = a * b
-                idx = list(map(sum, zip(i, j)))
-                idx[k] -= 1
-                idx[n + k] -= 1
-                idx = tuple(idx)
-                cur = acc.get(idx)
-                contrib = ab * c
-                acc[idx] = contrib if cur is None else cur + contrib
+            for iq, ip, qk, pk, shifted in pairs:
+                c = iq * j[pk] - ip * j[qk]
+                if c:
+                    if ab is None:
+                        ab = a * b
+                    key = shifted + packed
+                    cur = get(key)
+                    contrib = ab * c
+                    acc[key] = contrib if cur is None else cur + contrib
+    mask = (1 << width) - 1
+    out = {tuple(key >> s & mask for s in shifts): v for key, v in acc.items()}
     mode = f.mode if f else g.mode
-    return Jet(f.num_vars, trunc, acc, blocks=f.blocks or g.blocks, mode=mode)
+    return Jet._trusted(f.num_vars, trunc, out, f.blocks or g.blocks, mode)
 
 
 def ad_eigenvalue(alpha, i, j):
@@ -395,7 +421,10 @@ def check_symplectic(images, layout, trunc=None):
     given by the images (Q_1..Q_n, P_1..P_n) of the symplectic coordinates:
     {Q_i, P_j} - delta_ij, {Q_i, Q_j}, {P_i, P_j}.
 
-    Exact zero means symplectic up to the truncation degree.
+    Exact zero means symplectic up to the truncation degree.  The
+    residual is a Fraction for exact images whose residual coefficients
+    are all real, and a float otherwise: float images whose residuals
+    all vanish give 0.0.
     """
     images = list(images)
     n = layout.n
@@ -418,7 +447,8 @@ def check_symplectic(images, layout, trunc=None):
                 one = 1 if r.mode == "exact" else 1.0
                 r = r - one
             residual_coeffs.extend(r.coeffs.values())
-    if all(isinstance(c, Fraction) for c in residual_coeffs):
+    if images[0].mode == "exact" and \
+            all(isinstance(c, Fraction) for c in residual_coeffs):
         return max((abs(c) for c in residual_coeffs), default=Fraction(0))
     mags = []
     for c in residual_coeffs:

@@ -323,6 +323,30 @@ def test_malformed_density_vector_exits_two(capsys, flag, value):
     assert json.loads(err)["error"]["type"] == "schema"
 
 
+@pytest.mark.parametrize("radii", ["-0.1", "0", "0.1,-0.05"])
+def test_non_positive_radii_exit_two(capsys, radii):
+    argv = ["density", "--alpha", "1,987/610", "--kmax", "3",
+            "--radii", radii, "--samples", "10"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "schema"
+
+
+@pytest.mark.parametrize("center", ["1,2,3", "1"])
+def test_density_center_of_wrong_length_exits_two(capsys, monkeypatch,
+                                                   center):
+    # the center must match --alpha's length, and the check comes before
+    # any small-divisor work
+    def no_sigma(*args, **kwargs):
+        raise AssertionError("sigma ran before the config was checked")
+    monkeypatch.setattr(arithmetic, "sigma", no_sigma)
+    argv = ["density", "--alpha", "1,987/610", "--kmax", "3",
+            "--radii", "0.1", "--samples", "10", "--center", center]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "schema"
+
+
 ALPHA_COMMAND_ARGS = {
     "sigma": ["--kmax", "3"],
     "bruno": ["--kmax", "3"],

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from kamtori.birkhoff import morse_substitution
 from kamtori.errors import (
@@ -13,7 +14,7 @@ from kamtori.errors import (
     OrderTooLowError,
     ShapeMismatchError,
 )
-from kamtori.jets import Jet
+from kamtori.jets import ComplexRational, Jet
 from kamtori.poisson import (
     HamiltonianDerivation,
     SymplecticLayout,
@@ -109,6 +110,149 @@ def test_quadratic_model_float_matches_exact():
     assert dict(fl.coeffs) == dict(exact.to_float().coeffs)
     assert dict(exact.coeffs) == {(1, 0, 1, 0): 1,
                                   (0, 1, 0, 1): Fraction(809, 500)}
+
+
+def reference_bracket(f, g, layout, trunc=None):
+    """The plain triple loop over (f term, g term, k), kept as the oracle
+    for bracket's float bits and key order."""
+    if trunc is None:
+        t = min(f.ord() + g.trunc_degree, g.ord() + f.trunc_degree) - 2
+        trunc = max(0, min(t, max(f.trunc_degree, g.trunc_degree)))
+    n = layout.n
+    acc = {}
+    for i, a in f.coeffs.items():
+        di = sum(i)
+        for j, b in g.coeffs.items():
+            if di + sum(j) - 2 > trunc:
+                continue
+            ab = None
+            for k in range(n):
+                c = i[k] * j[n + k] - i[n + k] * j[k]
+                if c == 0:
+                    continue
+                if ab is None:
+                    ab = a * b
+                idx = list(map(sum, zip(i, j)))
+                idx[k] -= 1
+                idx[n + k] -= 1
+                idx = tuple(idx)
+                cur = acc.get(idx)
+                contrib = ab * c
+                acc[idx] = contrib if cur is None else cur + contrib
+    mode = f.mode if f else g.mode
+    return Jet(f.num_vars, trunc, acc, blocks=f.blocks or g.blocks, mode=mode)
+
+
+def float_bits(jet):
+    """Truncation degree, then key order, type and float.hex of both parts
+    of every coefficient."""
+    return jet.trunc_degree, [
+        (idx, type(c).__name__, float.hex(complex(c).real),
+         float.hex(complex(c).imag)) for idx, c in jet.coeffs.items()]
+
+
+def random_float_layout_jet(rng, layout, trunc, n_terms, coarse,
+                            complex_share, max_deg):
+    """Float jet with its terms in random (not graded) order; coarse
+    coefficients (+-1/2, +-1, +-2) make bracket sums cancel."""
+    coeffs = {}
+    for _ in range(n_terms):
+        deg = int(rng.integers(0, max_deg + 1))
+        idx = tuple(int(e) for e in rng.multinomial(
+            deg, [1 / layout.num_vars] * layout.num_vars))
+        if coarse:
+            re, im = (float(rng.choice([-2, -1, -0.5, 0.5, 1, 2]))
+                      for _ in range(2))
+        else:
+            re, im = rng.normal(), rng.normal()
+        coeffs[idx] = complex(re, im) if rng.random() < complex_share else re
+    return Jet(layout.num_vars, trunc, coeffs, blocks=layout.blocks,
+               mode="float")
+
+
+BRACKET_LAYOUTS = [(1, 0, 0), (2, 0, 0), (3, 0, 0), (1, 1, 1), (2, 1, 2)]
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_float_bracket_bit_identical_to_reference(case):
+    rng = np.random.default_rng(2000 + case)
+    lay = SymplecticLayout(*BRACKET_LAYOUTS[case % len(BRACKET_LAYOUTS)])
+    coarse = case % 2 == 1
+    complex_share = 0.0 if case % 4 < 2 else 0.4
+    N = int(rng.integers(3, 8))
+    f, g = (random_float_layout_jet(rng, lay, N, int(rng.integers(4, 25)),
+                                    coarse, complex_share, N)
+            for _ in range(2))
+    trunc = int(rng.integers(0, N + 1)) if case % 3 == 2 else None
+    assert float_bits(bracket(f, g, lay, trunc=trunc)) == \
+        float_bits(reference_bracket(f, g, lay, trunc=trunc))
+
+
+def test_bracket_of_monomials_closed_form():
+    # {q^a p^b, q^c p^d} = (ad - bc) q^(a+c-1) p^(b+d-1), with a spectator
+    # lambda riding along; single exponents of the result come close to
+    # the operands' degree sum, which sizes the packed exponent fields
+    lay = SymplecticLayout(1, lambda_dim=1)
+    N = 16
+    for a, b, c, d in [(7, 1, 1, 7), (8, 0, 0, 8), (1, 0, 7, 8), (3, 4, 5, 2),
+                       (0, 1, 1, 0), (2, 2, 2, 2), (7, 8, 1, 0)]:
+        f = lay.monomial(Fraction(1), qexp=(a,), pexp=(b,), lamexp=(1,),
+                         trunc_degree=N)
+        g = lay.monomial(Fraction(3), qexp=(c,), pexp=(d,), trunc_degree=N)
+        out = bracket(f, g, lay, trunc=N)
+        coeff = 3 * (a * d - b * c)
+        want = {(a + c - 1, b + d - 1, 1): coeff} if coeff else {}
+        assert dict(out.coeffs) == want
+
+
+def test_float_bracket_running_sum_through_zero_keeps_its_place():
+    # q^2 gets -2 from (qp, q^2) and +2 from (q^2, qp): its running sum
+    # is 0.0 there, and the pair (q^3, p) adds 3 later.  The key keeps
+    # the place of its first contribution, as in the reference loop.
+    lay = SymplecticLayout(1)
+    f = Jet(2, 4, {(1, 1): 1.0, (2, 0): 1.0, (3, 0): 1.0}, mode="float")
+    g = Jet(2, 4, {(2, 0): 1.0, (1, 1): 1.0, (0, 2): 0.25, (0, 1): 1.0},
+            mode="float")
+    out = bracket(f, g, lay)
+    assert list(out.coeffs.items()) == [
+        ((2, 0), 3.0), ((0, 2), 0.5), ((0, 1), 1.0), ((1, 1), 1.0),
+        ((1, 0), 2.0), ((3, 0), 3.0), ((2, 1), 1.5)]
+    assert float_bits(out) == float_bits(reference_bracket(f, g, lay))
+
+
+def _sympy_scalar(c):
+    if isinstance(c, ComplexRational):
+        return _sympy_scalar(c.re) + sympy.I * _sympy_scalar(c.im)
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_exact_bracket_matches_sympy(case):
+    rng = np.random.default_rng(3000 + case)
+    lay = SymplecticLayout(*BRACKET_LAYOUTS[case % len(BRACKET_LAYOUTS)])
+    N = int(rng.integers(3, 7))
+    f, g = (random_layout_jet(rng, lay, N, n_terms=10) for _ in range(2))
+    if case % 3 == 1:
+        g = g.scale(ComplexRational(1, 2))
+    trunc = int(rng.integers(0, N + 1)) if case % 4 == 3 else None
+    out = bracket(f, g, lay, trunc=trunc)
+    gens = sympy.symbols(f"x0:{lay.num_vars}")
+    F, G = (sympy.Poly(sum((_sympy_scalar(c) * sympy.prod(
+        x ** e for x, e in zip(gens, idx)) for idx, c in jet.coeffs.items()),
+        sympy.Integer(0)), *gens) for jet in (f, g))
+    want = sympy.Poly(0, *gens)
+    for k in range(lay.n):
+        q, p = gens[lay.q_index(k)], gens[lay.p_index(k)]
+        want += F.diff(q) * G.diff(p) - F.diff(p) * G.diff(q)
+    cut = out.trunc_degree
+    want = {mon: c for mon, c in want.as_dict().items()
+            if sum(mon) <= cut and c != 0}
+    got = {idx: _sympy_scalar(c) for idx, c in out.coeffs.items()}
+    assert got == want
+    assert cut == (trunc if trunc is not None else
+                   max(0, min(min(f.ord() + g.trunc_degree,
+                                  g.ord() + f.trunc_degree) - 2,
+                              max(f.trunc_degree, g.trunc_degree))))
 
 
 # --- ad_eigenvalue -------------------------------------------------------------
@@ -292,6 +436,17 @@ def test_check_symplectic_rejects_singular_linear_part():
     # nonsingular, but the first pivot needs a row swap: Q_1 = p_1
     swapped = [lay2.p(0, 3), lay2.q(1, 3), -lay2.q(0, 3), lay2.p(1, 3)]
     assert check_symplectic(swapped, lay2) == 0
+
+
+def test_check_symplectic_float_zero_residual_is_float():
+    # every residual of the float Morse substitution vanishes exactly;
+    # the float result is then 0.0, not the exact Fraction(0)
+    for n in (1, 2, 3):
+        lay = SymplecticLayout(n)
+        res = check_symplectic(morse_substitution(n, 4, mode="float"), lay)
+        assert type(res) is float and res == 0.0
+        res = check_symplectic(morse_substitution(n, 4, mode="exact"), lay)
+        assert type(res) is Fraction and res == 0
 
 
 def test_check_symplectic_rejects_constant_shift():

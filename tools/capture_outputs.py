@@ -17,7 +17,10 @@ Runs the checkout this script lives in (its ``src/``) and writes:
   the frequency corrections, written with their coefficient dicts in
   storage order.  Cases are the kamengine test problems, the dense
   fiber jets of seeds 1-3 at N=5 and the mu-chain problem at N=6/8 with
-  one and two directions.  A case that raises records the error.
+  one and two directions.  The ``normal-form-float`` benchmark's shapes
+  run in float mode only: the dense fiber jets of seeds 1-3 at N=9, and
+  Birkhoff at l=4 of the seed-0 one.  Float coefficients of every jet are
+  written with ``float.hex``.  A case that raises records the error.
 - ``DIR/algebra/``: one text file per call into the exact eliminator's
   callers outside the engines: ``frequency_space`` of the
   ``tests/test_birkhoff.py`` Hamiltonians and of the CLI's ``h1``/``h2``
@@ -249,11 +252,23 @@ def engine_cases():
     return cases
 
 
+def show_coeff(c):
+    """repr of an exact coefficient; float.hex of each part of a float one,
+    so that equal text means equal bits."""
+    if isinstance(c, float):
+        return c.hex()
+    if isinstance(c, complex):
+        return f"complex({c.real.hex()}, {c.imag.hex()})"
+    return repr(c)
+
+
 def show_jet(jet):
     if jet is None:
         return "None"
+    terms = ", ".join(f"({idx!r}, {show_coeff(c)})"
+                      for idx, c in jet.coeffs.items())
     return (f"Jet(vars={jet.num_vars}, N={jet.trunc_degree}, {jet.mode}, "
-            f"blocks={jet.blocks}) {list(jet.coeffs.items())!r}")
+            f"blocks={jet.blocks}) [{terms}]")
 
 
 def show_derivation(u):
@@ -283,6 +298,16 @@ def show_result(res):
         lines = ["final:"] + show_state(final)
     elif hasattr(res, "generator"):     # a quasi-inverse derivation
         return ["derivation:"] + show_derivation(res)
+    elif hasattr(res, "normal_morse"):  # a BirkhoffResult
+        lines = [f"achieved_order {res.achieved_order!r}",
+                 f"alpha {res.alpha!r}"]
+        for name in ("A", "a_morse", "input_morse", "normal_morse",
+                     "residual"):
+            lines.append(f"{name} {show_jet(getattr(res, name))}")
+        lines.append("generators:")
+        for u in res.generators:
+            lines += show_derivation(u)
+        return lines
     else:
         trace = res.trace
         lines = []
@@ -305,15 +330,29 @@ def show_result(res):
     return lines
 
 
+def float_engine_cases():
+    """The normal-form-float benchmark's shapes, in float mode only (exact
+    N=9 takes minutes): fiber_normalize of the dense jets of seeds 1-3 at
+    N=9, and complex-Morse birkhoff_normalize at l=4 of the seed-0 one."""
+    cases = [(f"fiber-dense-seed{s}-N9", fiber(dense_fiber_jet(s, 9)))
+             for s in (1, 2, 3)]
+    cases.append(("birkhoff-dense-seed0-N9-l4", lambda fl: birkhoff_normalize(
+        EllipticHamiltonian(dense_fiber_jet(0, 9).to_float(),
+                            coordinate_mode=COMPLEX_MORSE), 4)))
+    return cases
+
+
 def capture_engine(out):
     out.mkdir(parents=True)
-    for name, run in engine_cases():
-        for mode, fl in (("exact", False), ("float", True)):
-            try:
-                lines = show_result(run(fl))
-            except Exception as exc:    # the error is the recorded outcome
-                lines = [f"raised {type(exc).__name__}: {exc}"]
-            (out / f"{name}-{mode}.txt").write_text("\n".join(lines) + "\n")
+    runs = [(name, run, mode) for name, run in engine_cases()
+            for mode in ("exact", "float")]
+    runs += [(name, run, "float") for name, run in float_engine_cases()]
+    for name, run, mode in runs:
+        try:
+            lines = show_result(run(mode == "float"))
+        except Exception as exc:    # the error is the recorded outcome
+            lines = [f"raised {type(exc).__name__}: {exc}"]
+        (out / f"{name}-{mode}.txt").write_text("\n".join(lines) + "\n")
 
 # -------------------------------------------------------------- algebra
 
