@@ -290,8 +290,12 @@ def _half_ball(n, radius, norm, budget):
     """One index per +-i pair of nonzero integer vectors with ||i|| <= radius.
 
     Every quantity built on the indices (|<alpha,i>|, ||i||, e(i)) is even
-    in i, so only the half box i_1 >= 0 is built, and of each pair the
-    index whose first nonzero component is positive is kept.  Returns the
+    in i, so of each pair only the index whose first nonzero component is
+    positive is kept.  The ball is built row by row: the half box i_1 >= 0
+    of the first n - 1 coordinates gives the heads, the heads inside the
+    ball are kept, and each head is followed by every last coordinate
+    that keeps it in the ball, |i_n| <= isqrt(R^2 - |head|^2) (the sup
+    ball is the box, so there every head takes |i_n| <= R).  Returns the
     (M, n) indices in lexicographic order and their rank: the squared
     Euclidean norm, or the squared sup norm, so ||i|| <= 2^k iff
     rank <= 4^k.  The budget counts the whole (2 radius + 1)^n box.
@@ -307,16 +311,44 @@ def _half_ball(n, radius, norm, budget):
     if norm not in ("euclidean", "sup"):
         raise ValueError(f"unknown norm {norm!r}")
     axis = np.arange(-radius, radius + 1, dtype=np.int64)
-    grids = np.meshgrid(axis[radius:], *([axis] * (n - 1)), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    lead = np.argmax(pts != 0, axis=1)
-    keep = pts[np.arange(len(pts)), lead] > 0
-    if norm == "euclidean":
-        rank = (pts ** 2).sum(axis=1)
-        keep &= rank <= radius * radius
+    if n > 1:
+        grids = np.meshgrid(axis[radius:], *([axis] * (n - 2)),
+                            indexing="ij")
+        head = np.stack([g.ravel() for g in grids], axis=1)
     else:
-        rank = np.abs(pts).max(axis=1) ** 2
-    return pts[keep], rank[keep]
+        head = np.zeros((1, 0), dtype=np.int64)
+    if norm == "euclidean":
+        head_rank = (head ** 2).sum(axis=1)
+        inside = head_rank <= radius * radius
+        head, head_rank = head[inside], head_rank[inside]
+        room = radius * radius - head_rank
+        top = np.sqrt(room).astype(np.int64)
+        top -= top * top > room                 # integer square root,
+        top += (top + 1) * (top + 1) <= room    # exact after rounding
+    else:
+        head_rank = np.abs(head).max(axis=1, initial=0) ** 2
+        top = np.full(len(head), radius, dtype=np.int64)
+    # the heads are in lexicographic order, so those before the zero head
+    # lead with a negative component; the zero head takes only i_n > 0
+    zero = int(np.flatnonzero(head_rank == 0)[0])
+    head, head_rank, top = head[zero:], head_rank[zero:], top[zero:]
+    start = -top
+    start[0] = 1
+    counts = top - start + 1
+    first_row = np.cumsum(counts) - counts
+    last = np.repeat(start - first_row, counts)
+    last += np.arange(len(last))
+    pts = np.empty((len(last), n), dtype=np.int64)
+    for col in range(n - 1):
+        pts[:, col] = np.repeat(head[:, col], counts)
+    pts[:, n - 1] = last
+    rank = np.repeat(head_rank, counts)
+    last *= last
+    if norm == "euclidean":
+        rank += last
+    else:
+        np.maximum(rank, last, out=rank)
+    return pts, rank
 
 
 def _exact_dots(pts, alpha_fracs):
@@ -483,6 +515,11 @@ def _uniform_ball(rng, center, radius, samples):
     return center[None, :] + radius * u ** (1.0 / d) * g / norms
 
 
+# sample block and index chunk of density_estimate: a (block, chunk) float
+# temporary is 512 KB, small enough to stay in cache
+_BLOCK, _CHUNK = 256, 256
+
+
 def density_estimate(f, x0, a: DecaySequence, rho: DecaySequence, r,
                      samples, k_max, seed, norm="euclidean",
                      budget=DEFAULT_ENUM_BUDGET) -> DensityReport:
@@ -491,7 +528,10 @@ def density_estimate(f, x0, a: DecaySequence, rho: DecaySequence, r,
     Membership of y = f(x) is tested up to k_max: |<y,i>| >= (rho*a)_{e(i)}
     for every nonzero i with e(i) <= k_max, where e(i) is the smallest k
     with ||i|| <= 2^k.  Counter-based RNG keyed by seed, so reports are
-    reproducible sample-for-sample.
+    reproducible sample-for-sample.  Indices that cannot fail anywhere in
+    the sampled image are screened out first; the rest are tested in
+    blocks of _BLOCK samples by _CHUNK indices, so the temporaries stay
+    within one block by one chunk whatever `samples` is.
     """
     if samples <= 0:
         raise ValueError("samples must be positive")
@@ -531,22 +571,17 @@ def density_estimate(f, x0, a: DecaySequence, rho: DecaySequence, r,
     active = base < margin
     pts_a, t_a = pts[active], t_i[active]
 
+    # a sample drops out at its first failed chunk
     alive_total = 0
-    block = 20_000
-    ichunk = 512
-    for start in range(0, samples, block):
-        Yb = Y[start:start + block]
-        alive = np.ones(Yb.shape[0], dtype=bool)
-        for cstart in range(0, pts_a.shape[0], ichunk):
-            if not alive.any():
+    for start in range(0, samples, _BLOCK):
+        Yb = Y[start:start + _BLOCK]
+        for cstart in range(0, pts_a.shape[0], _CHUNK):
+            P = pts_a[cstart:cstart + _CHUNK]
+            T = t_a[cstart:cstart + _CHUNK]
+            Yb = Yb[(np.abs(Yb @ P.T) >= T).all(axis=1)]
+            if not len(Yb):
                 break
-            P = pts_a[cstart:cstart + ichunk]
-            T = t_a[cstart:cstart + ichunk]
-            dots = np.abs(Yb[alive] @ P.T)
-            ok = (dots >= T[None, :]).all(axis=1)
-            idx = np.flatnonzero(alive)
-            alive[idx[~ok]] = False
-        alive_total += int(alive.sum())
+        alive_total += len(Yb)
 
     center_ok = bool((base >= t_i).all())
 
@@ -696,21 +731,13 @@ def strip_analysis(alpha, a: DecaySequence, rho: DecaySequence, r, k_max,
     pts, rank = _half_ball(alpha.dim, 2 ** k_max, norm, budget)
     e_of_i = np.searchsorted(4 ** np.arange(k_max + 1), rank)
 
-    af = alpha.as_floats()
-    dots = np.abs(pts @ af)
+    half = np.array([float(rho[k]) * float(a[k])
+                     for k in range(k_max + 1)])[e_of_i]
     norms = np.sqrt((pts.astype(float) ** 2).sum(axis=1))
-    rf = float(r)
-    records = []
+    width = half / norms
+    dist = np.maximum(0.0, (np.abs(pts @ alpha.as_floats()) - half) / norms)
+    hits = dist < float(r)
     order = np.lexsort((np.arange(len(pts)), rank))
-    for j in order:
-        k = int(e_of_i[j])
-        half = float(rho[k]) * float(a[k])
-        width = half / norms[j]
-        dist = max(0.0, (dots[j] - half) / norms[j])
-        records.append(StripRecord(
-            index=tuple(int(c) for c in pts[j]),
-            k=k,
-            width=width,
-            intersects_ball=bool(dist < rf),
-        ))
-    return records
+    return [StripRecord(tuple(i), k, w, h) for i, k, w, h in zip(
+        pts[order].tolist(), e_of_i[order].tolist(), width[order].tolist(),
+        hits[order].tolist())]

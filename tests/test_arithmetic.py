@@ -9,12 +9,17 @@ import numpy as np
 import pytest
 
 from kamtori.arithmetic import (
+    _BLOCK,
+    _CHUNK,
+    DEFAULT_ENUM_BUDGET,
     BrunoReport,
     DecaySequence,
     DoubleExpTail,
     GeometricTail,
     PowerTail,
     SmoothMap,
+    _half_ball,
+    _uniform_ball,
     bruno_diagnostic,
     density_estimate,
     flow_and_shortest,
@@ -189,8 +194,47 @@ def test_sigma_sup_norm_flag():
 
 
 def test_sigma_budget_guard():
-    with pytest.raises(BudgetExceededError):
+    # the budget counts the whole (2 * 2^9 + 1)^3 box, not the ball
+    with pytest.raises(BudgetExceededError, match="of 1076890625 integer"):
         sigma([1.0, 2.0, 3.0], 9, budget=10_000)
+
+
+def box_half_ball(n, radius, norm):
+    """The half box i_1 >= 0, masked to the ball and to the indices whose
+    first nonzero component is positive: the box-and-mask construction
+    that the row-built `_half_ball` replaced, kept as its oracle."""
+    axis = np.arange(-radius, radius + 1, dtype=np.int64)
+    grids = np.meshgrid(axis[radius:], *([axis] * (n - 1)), indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+    lead = np.argmax(pts != 0, axis=1)
+    keep = pts[np.arange(len(pts)), lead] > 0
+    if norm == "euclidean":
+        rank = (pts ** 2).sum(axis=1)
+        keep &= rank <= radius * radius
+    else:
+        rank = np.abs(pts).max(axis=1) ** 2
+    return pts[keep], rank[keep]
+
+
+@pytest.mark.parametrize("norm", ["euclidean", "sup"])
+def test_half_ball_rows_match_box_and_mask(norm):
+    # R = 5, 10, 25, 65 make R^2 - s a perfect square for some heads
+    # ((3, 4), (6, 8), (7, 24), (16, 63), ...), so an integer square root
+    # off by one either way drops or adds a row
+    cases = [(n, radius) for n in (1, 2, 3, 4) for radius in (1, 2, 3, 5, 7, 10)]
+    cases += [(3, 2 ** k) for k in range(7)] + [(2, 25), (2, 65), (1, 64)]
+    for n, radius in cases:
+        pts, rank = _half_ball(n, radius, norm, DEFAULT_ENUM_BUDGET)
+        want_pts, want_rank = box_half_ball(n, radius, norm)
+        assert pts.dtype == want_pts.dtype and rank.dtype == want_rank.dtype
+        assert np.array_equal(pts, want_pts), (n, radius)
+        assert np.array_equal(rank, want_rank), (n, radius)
+
+
+def test_half_ball_budget_counts_the_box():
+    assert len(_half_ball(3, 2, "euclidean", 125)[0]) == 16
+    with pytest.raises(BudgetExceededError):
+        _half_ball(3, 2, "euclidean", 124)
 
 
 def test_sigma_rejects_empty_vector():
@@ -320,6 +364,56 @@ def test_density_shifted_rho_saturates():
     rho = DecaySequence.from_descriptor(GeometricTail(Fraction(1, 64), Fraction(1, 64)), 6)
     rep = density_estimate(None, [1, PHI_EXACT], s, rho, 0.001, 5000, 6, seed=3)
     assert rep.fraction_in_class == 1.0
+
+
+def density_oracle(f, x0, a, rho, r, samples, k_max, seed):
+    """(fraction_in_class, active_constraints, center_passes) by brute
+    force: every index of the box-and-mask half ball with t_i > 0 against
+    every sample, with no screen and no blocks.  The active count is the
+    screen's definition: indices with |<y0,i>| < t_i + R_img ||i||, up to
+    the screen's rounding slack, R_img the largest sampled |y - y0|."""
+    x0 = np.array([float(c) for c in x0])
+    pts, rank = box_half_ball(len(x0), 2 ** k_max, "euclidean")
+    level = [min(k for k in range(k_max + 1) if q <= 4 ** k) for q in rank]
+    t = np.array([float(a[k] * rho[k]) for k in level])
+    pts, t = pts[t > 0], t[t > 0]
+    X = _uniform_ball(np.random.Generator(np.random.Philox(seed)), x0, r,
+                      samples)
+    Y, y0 = (X, x0) if f is None else (f(X), f(x0[None, :])[0])
+    passes = np.abs(Y @ pts.T) >= t
+    norms = np.sqrt((pts ** 2).sum(axis=1))
+    r_img = np.sqrt(((Y - y0) ** 2).sum(axis=1)).max()
+    margin = t + r_img * norms * (1 + 1e-12) + 1e-15
+    active = np.abs(pts @ y0) < margin
+    # the screen is sound: an index that fails anywhere is active
+    assert active[~passes.all(axis=0)].all()
+    center = bool((np.abs(pts @ y0) >= t).all())
+    return int(passes.all(axis=1).sum()) / samples, int(active.sum()), center
+
+
+def test_density_matches_brute_force_oracle():
+    # 1000 samples is not a multiple of the sample block, and at r = 0.3
+    # the active indices fill more than two chunks, so the last block and
+    # the last chunk are both partial
+    k_max, samples = 6, 1000
+    s = sigma([1, PHI_EXACT], k_max)
+    x, y = Jet.variable(0, 2, 3), Jet.variable(1, 2, 3)
+    fmap = SmoothMap.polynomial([x + (y * y).scale(Fraction(1, 8)),
+                                 y - (x * y).scale(Fraction(1, 16))])
+    seen = set()
+    for f in (None, fmap):
+        for rho_0, r in ((Fraction(1, 4), 0.3), (Fraction(1), 0.3),
+                         (Fraction(1, 4), 0.02)):
+            rho = DecaySequence.constant(rho_0, k_max)
+            rep = density_estimate(f, [1, PHI_EXACT], s, rho, r, samples,
+                                   k_max, seed=4)
+            got = (rep.fraction_in_class, rep.active_constraints,
+                   rep.center_passes)
+            assert got == density_oracle(f, [1, PHI_EXACT], s, rho, r,
+                                         samples, k_max, seed=4)
+            seen.add((rep.active_constraints > 2 * _CHUNK,
+                      0 < rep.fraction_in_class < 1))
+    assert samples % _BLOCK and (True, True) in seen
 
 
 def test_density_rejects_bad_inputs():
@@ -477,6 +571,36 @@ def test_strips_against_sampling_and_witness_oracle():
             assert np.linalg.norm(x - af) < r
             assert abs(x @ i) <= half + 1e-12
     assert hit_any
+
+
+def strip_records_by_loop(alpha, a, rho, r, k_max):
+    """(index, k, width, intersects_ball) per strip from the per-record
+    loop that the array-built `strip_analysis` replaced, on the
+    box-and-mask half ball."""
+    pts, rank = box_half_ball(len(alpha), 2 ** k_max, "euclidean")
+    e_of_i = np.searchsorted(4 ** np.arange(k_max + 1), rank)
+    dots = np.abs(pts @ np.array([float(c) for c in alpha]))
+    norms = np.sqrt((pts.astype(float) ** 2).sum(axis=1))
+    records = []
+    for j in np.lexsort((np.arange(len(pts)), rank)):
+        k = int(e_of_i[j])
+        half = float(rho[k]) * float(a[k])
+        dist = max(0.0, (dots[j] - half) / norms[j])
+        records.append((tuple(int(c) for c in pts[j]), k,
+                        float(half / norms[j]), bool(dist < r)))
+    return records
+
+
+def test_strip_records_match_per_record_loop():
+    alpha, a, rho = strip_setup(6)
+    records = strip_analysis(alpha, a, rho, 0.05, 6)
+    want = strip_records_by_loop(alpha, a, rho, 0.05, 6)
+    assert all(type(rec.width) is float for rec in records)
+    got = [(rec.index, rec.k, rec.width.hex(), rec.intersects_ball)
+           for rec in records]
+    assert got == [(i, k, w.hex(), hit) for i, k, w, hit in want]
+    hits = sum(rec.intersects_ball for rec in records)
+    assert 0 < hits < len(records)
 
 
 def test_strip_widths_and_levels():

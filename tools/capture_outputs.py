@@ -6,8 +6,10 @@ Runs the checkout this script lives in (its ``src/``) and writes:
 
 - ``DIR/cli/``: a fixed list of ``kamtori`` commands (sigma, bruno,
   strips, density, lattice, birkhoff at n=1 and n=2, kam run on a real
-  and on a complex alpha, each in both modes; one torus scan and one
-  report), run one at a time in that directory.  Per command NAME it
+  and on a complex alpha, each in both modes; the ``small-divisors``
+  benchmark's sizes: density on (1, phi) at k=8 with 50 000 samples and
+  both rho shifts, strips at k=8 and sigma at n=3, k=6; one torus scan
+  and one report), run one at a time in that directory.  Per command NAME it
   keeps ``NAME.stdout``, ``NAME.stderr`` and ``NAME.exit``, next to the
   files the command wrote.  The checkout's path is replaced by
   ``<root>`` in stderr, so tracebacks from two checkouts compare.
@@ -85,6 +87,7 @@ INPUTS = {
 }
 
 ALPHA = ["--alpha", "1,1.618"]
+PHI = (1 + 5 ** 0.5) / 2
 
 
 def cli_commands():
@@ -114,6 +117,19 @@ def cli_commands():
             (f"kam-run-complex-alpha-{mode}",
              ["kam", "run", "--problem", "problem_complex.json", *m]),
         ]
+    # the small-divisors benchmark's sizes: the density blocks and chunks
+    # at 50 000 samples, strips at k = 8 and the n = 3 ball
+    density = ["density", "--alpha", f"1,{PHI!r}", "--mode", "float",
+               "--kmax", "8", "--radii", "0.1,0.01,0.001",
+               "--samples", "50000", "--seed", "7"]
+    cmds += [
+        ("density-k8-shift0", [*density, "--rho-shift", "0"]),
+        ("density-k8-shift1", [*density, "--rho-shift", "1"]),
+        ("strips-k8", ["strips", *ALPHA, "--kmax", "8", "--r", "1/100",
+                       "--csv", "strips-k8.csv"]),
+        ("sigma-n3-k6", ["sigma", "--alpha", "1,1.618,-0.7071",
+                         "--kmax", "6"]),
+    ]
     cmds += [
         ("torus-scan", ["torus", "scan", "--H", "h2.json", "--r", "0.05",
                         "--samples", "4", "--steps", "512", "--seed", "5",
