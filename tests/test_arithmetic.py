@@ -221,7 +221,8 @@ def test_half_ball_rows_match_box_and_mask(norm):
     # R = 5, 10, 25, 65 make R^2 - s a perfect square for some heads
     # ((3, 4), (6, 8), (7, 24), (16, 63), ...), so an integer square root
     # off by one either way drops or adds a row
-    cases = [(n, radius) for n in (1, 2, 3, 4) for radius in (1, 2, 3, 5, 7, 10)]
+    cases = [(n, radius) for n in (1, 2, 3, 4)
+             for radius in (1, 2, 3, 5, 7, 10)]
     cases += [(3, 2 ** k) for k in range(7)] + [(2, 25), (2, 65), (1, 64)]
     for n, radius in cases:
         pts, rank = _half_ball(n, radius, norm, DEFAULT_ENUM_BUDGET)

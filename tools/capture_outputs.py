@@ -9,9 +9,9 @@ Runs the checkout this script lives in (its ``src/``) and writes:
   and on a complex alpha, each in both modes; the ``small-divisors``
   benchmark's sizes: density on (1, phi) at k=8 with 50 000 samples and
   both rho shifts, strips at k=8 and sigma at n=3, k=6; one torus scan
-  and one report), run one at a time in that directory.  Per command NAME it
-  keeps ``NAME.stdout``, ``NAME.stderr`` and ``NAME.exit``, next to the
-  files the command wrote.  The checkout's path is replaced by
+  and one report), run one at a time in that directory.  Per command
+  NAME it keeps ``NAME.stdout``, ``NAME.stderr`` and ``NAME.exit``, next
+  to the files the command wrote.  The checkout's path is replaced by
   ``<root>`` in stderr, so tracebacks from two checkouts compare.
 - ``DIR/engine/``: one text file per engine case, in exact and float
   mode: every generator with its mu-coefficients, the per-stage
