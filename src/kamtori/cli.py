@@ -40,7 +40,7 @@ from .errors import KamtoriError
 from .jets import ComplexRational, Jet, to_jsonable
 from .kamengine import KamProblem, kam_iterate
 from .poisson import SymplecticLayout
-from .torusverify import torus_scan
+from .torusverify import check_finite_positive, torus_scan
 
 RATIONAL, FLOAT = "rational", "float"
 
@@ -377,6 +377,11 @@ def _cmd_kam_run(args):
 
 
 def _cmd_torus_scan(args):
+    try:
+        check_finite_positive(r=args.r, dt=args.dt,
+                              escape_factor=args.escape_factor)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
     data = _load_json_file(args.H)
     jet, _ = _jet_from_dict(data, FLOAT, what="Hamiltonian jet")
     rep = torus_scan(jet, args.r, args.samples, seed=args.seed, dt=args.dt,

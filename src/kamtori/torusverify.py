@@ -18,22 +18,29 @@ omega_j = -2 a.
 
 Each midpoint substep solves m = x + (s/2) X_H(m) by simplified Newton
 (Hairer, Lubich and Wanner, Geometric Numerical Integration, VIII.6):
-I - (s/2) DX_H is evaluated and inverted once, at x, and an iteration
-costs one X_H pass and one batched matmul with that frozen inverse.
-Where the batch's largest update is non-finite or fails to halve the
-one before, the Jacobian is evaluated and inverted again at the current
-midpoint, so a hard solve falls back to full Newton.  X_H and its
+an iteration costs one X_H pass and one batched matmul with a frozen
+inverse of I - (s/2) DX_H.  One batch integration keeps that inverse
+across steps, one per substep size (the triple jump has two, w1 dt and
+w0 dt): it is evaluated and inverted on the first substep of each size
+and reused after that.  Where the batch's largest update is non-finite
+or fails to halve the one before, the Jacobian is evaluated and
+inverted again at the current midpoint and replaces the kept inverse,
+so a hard solve, or an inverse gone stale, falls back to full Newton.
+The kept inverses belong to one batch and lose their rows with the
+orbits that escape, so no scan inherits another's.  X_H and its
 Jacobian are compiled from H once, as one coefficient matrix over one
 table of monomials.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .birkhoff import REAL_ELLIPTIC, EllipticHamiltonian
+from .errors import BudgetExceededError
 from .jets import ComplexRational, to_jsonable
 
 SCHEME = "triple-jump composition of implicit midpoint (order 4, symplectic)"
@@ -46,6 +53,9 @@ _FIXED_POINT_CAP = 50
 # triple-jump substep weights: (w1, w0, w1) with w1 = 1/(2 - 2^(1/3))
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _W0 = 1.0 - 2.0 * _W1
+# a scan holds samples x (steps + 1) x d float64 trajectory values; the
+# largest criterion-10 scan (200 orbits, 8192 steps, d = 4) holds 52 MB
+_SCAN_BYTES_LIMIT = 2 ** 30
 
 
 # ------------------------------------------------------------ polynomial data
@@ -129,6 +139,7 @@ class _VectorField:
                 self.table[index[e], col] = _real_coeff(c)
         self.monomials = _Monomials(
             np.array(rows, dtype=np.int64).reshape(len(rows), d))
+        self.velocity_table = np.ascontiguousarray(self.table[:, :d])
 
     def __call__(self, X):
         """X_H at the rows of X, and its Jacobian as an (S, d, d) array."""
@@ -138,7 +149,7 @@ class _VectorField:
 
     def velocity(self, X):
         """X_H alone at the rows of X."""
-        return self.monomials(X) @ self.table[:, :self.d]
+        return self.monomials(X) @ self.velocity_table
 
     def energy(self, X):
         return self.h_monomials(X) @ self.h_coeffs
@@ -160,42 +171,76 @@ def _invert_rows(A):
         return out
 
 
-def _midpoint_substep(field, x, s):
+class _NewtonCache:
+    """The frozen Newton inverses of one batch, kept across steps.
+
+    inverses maps a substep size s to the inverse of I - (s/2) DX_H last
+    used at that size, one row per orbit of the batch; settled is the
+    read-only all-True flag vector that a substep returns when its whole
+    batch converged.  keep() drops rows together with their orbits, so a
+    row always belongs to the orbit it was computed for.
+    """
+
+    def __init__(self, rows):
+        self.inverses = {}
+        self.settled = np.ones(rows, dtype=bool)
+        self.settled.flags.writeable = False
+
+    def keep(self, rows):
+        self.inverses = {s: inv[rows] for s, inv in self.inverses.items()}
+        self.settled = self.settled[rows]
+
+
+def _newton_inverse(field, m, half):
+    """X_H at the rows of m and the inverse of I - half DX_H at each."""
+    f, df = field(m)
+    return f, _invert_rows(np.eye(m.shape[1]) - half * df)
+
+
+def _midpoint_substep(field, x, s, cache=None):
     """One implicit midpoint substep of size s on a batch.
 
-    Solves m = x + (s/2) X_H(m) by simplified Newton from m = x: the
-    matrix I - (s/2) DX_H is evaluated and inverted once, at x, and each
-    iteration costs one X_H pass and one batched matmul with that frozen
-    inverse.  Where the batch's largest update is non-finite or fails to
-    halve the one before, the Jacobian is re-evaluated at the current m
-    and inverted again, so a hard solve falls back to full Newton.
-    Returns (x_new, ok): ok is False where the update failed to settle
-    within the cap (the orbit has left the scheme's regime).
+    Solves m = x + (s/2) X_H(m) by simplified Newton from m = x: each
+    iteration costs one X_H pass and one batched matmul with a frozen
+    inverse of I - (s/2) DX_H.  The inverse is the one cache holds for
+    size s, else it is evaluated and inverted at x.  Where the batch's
+    largest update is non-finite or fails to halve the one before, the
+    Jacobian is re-evaluated at the current m and inverted again, so a
+    hard solve (or a stale inverse) falls back to full Newton.  The
+    inverse last used goes back into cache (a _NewtonCache whose rows are
+    the rows of x; without one, nothing is kept).  Returns (x_new, ok):
+    ok is False where the update failed to settle within the cap (the
+    orbit has left the scheme's regime).
     """
-    m = x
+    if cache is None:
+        cache = _NewtonCache(len(x))
     half = 0.5 * s
-    f, df = field(x)
-    eye = np.eye(x.shape[1])
-    inv = _invert_rows(eye - half * df)
+    inv = cache.inverses.get(s)
+    if inv is None:
+        f, inv = _newton_inverse(field, x, half)
+    else:
+        f = field.velocity(x)
+    m = x
     last = np.inf
     for _ in range(_FIXED_POINT_CAP):
         step = (inv @ (x + half * f - m)[:, :, None])[:, :, 0]
         size = np.abs(step)
         largest = size.max()
         if largest <= _FIXED_POINT_TOL:     # every row's scale is >= 1
-            ok = np.ones(len(x), dtype=bool)
-        else:
-            scale = 1.0 + np.abs(m).max(axis=1)
-            ok = size.max(axis=1) <= _FIXED_POINT_TOL * scale
+            m = m + step
+            ok = cache.settled
+            break
+        scale = 1.0 + np.abs(m).max(axis=1)
+        ok = size.max(axis=1) <= _FIXED_POINT_TOL * scale
         m = m + step
         if ok.all():
             break
         if not np.isfinite(largest) or largest > 0.5 * last:
-            f, df = field(m)
-            inv = _invert_rows(eye - half * df)
+            f, inv = _newton_inverse(field, m, half)
         else:
             f = field.velocity(m)
         last = largest
+    cache.inverses[s] = inv
     return 2.0 * m - x, ok
 
 
@@ -203,8 +248,10 @@ def _integrate_batch(field, X0, dt, steps, escape_radius):
     """Triple-jump midpoint flow of a batch of initial conditions.
 
     Each step composes three implicit midpoint substeps of sizes
-    (w1 dt, w0 dt, w1 dt).  Escaped orbits are frozen at their last point
-    so the rest of the batch keeps integrating.  Returns the trajectory
+    (w1 dt, w0 dt, w1 dt), all drawing on one _NewtonCache that lives as
+    long as this call.  Escaped orbits are frozen at their last point,
+    and their kept inverse rows dropped, so the rest of the batch keeps
+    integrating.  Returns the trajectory
     array (S, steps+1, d), the per-orbit escape step (-1 if the orbit
     stayed in) and the per-orbit escape reason (None if it stayed in):
     "non-finite" for a step with non-finite values, else
@@ -218,6 +265,7 @@ def _integrate_batch(field, X0, dt, steps, escape_radius):
     escape_step = np.full(S, -1, dtype=np.int64)
     escape_reason = np.full(S, None, dtype=object)
     live = np.arange(S)
+    cache = _NewtonCache(S)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
             if len(live):
@@ -225,7 +273,8 @@ def _integrate_batch(field, X0, dt, steps, escape_radius):
                 x_new = xa
                 good = True
                 for w in (_W1, _W0, _W1):
-                    x_new, ok = _midpoint_substep(field, x_new, w * dt)
+                    x_new, ok = _midpoint_substep(field, x_new, w * dt,
+                                                  cache)
                     good = good & ok
                 blown = ~np.isfinite(x_new).all(axis=1)
                 far = np.sqrt((x_new ** 2).sum(axis=1)) > escape_radius
@@ -241,6 +290,7 @@ def _integrate_batch(field, X0, dt, steps, escape_radius):
                         blown[bad], "non-finite",
                         np.where(good[bad], "radius", "fixed-point-stall"))
                     live = live[~bad]
+                    cache.keep(~bad)
             traj[:, k + 1] = x
     return traj, escape_step, escape_reason
 
@@ -337,6 +387,19 @@ def _orbit_records(field, X0, dt, steps, escape_radius):
         escape_reason=reason[i]) for i in range(len(X0))]
 
 
+def check_finite_positive(**values):
+    """Raise ValueError unless every named value is finite and positive.
+
+    A step, radius or escape factor that is zero, negative or NaN does
+    not fail inside the integrator; it comes back as wrong frequencies,
+    undecided orbits or a "non-finite" escape, i.e. as dynamics.
+    """
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, "
+                             f"got {value!r}")
+
+
 def _check_step(field, X0, dt):
     """Reject dt |X_H(x0)| > 1 at any start: a step that coarse does not
     resolve the flow, yet the midpoint solve may still converge on it."""
@@ -361,8 +424,9 @@ def integrate(H, x0, dt, steps, *, escape_radius=None):
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (field.d,):
         raise ValueError(f"x0 must have {field.d} components")
-    if dt <= 0 or steps < 1:
-        raise ValueError("need dt > 0 and steps >= 1")
+    check_finite_positive(dt=dt)
+    if steps < 1:
+        raise ValueError("need steps >= 1")
     _check_step(field, x0[None, :], dt)
     if escape_radius is None:
         escape_radius = 10.0 * (1.0 + float(np.sqrt((x0 ** 2).sum())))
@@ -603,11 +667,19 @@ def torus_scan(H, r, samples, seed=0, *, dt=0.02, steps=8192, windows=4,
     uniform in the ball with a counter-based generator, so a (seed, r,
     samples) triple reproduces the same report bit for bit.  The step
     size must pass integrate's sanity check at every sampled start.
+    A scan whose trajectories would exceed _SCAN_BYTES_LIMIT raises
+    BudgetExceededError before anything is sampled.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    if r <= 0:
-        raise ValueError("need a positive radius")
+    check_finite_positive(r=r, dt=dt, escape_factor=escape_factor)
+    need = samples * (steps + 1) * H.num_vars * 8
+    if need > _SCAN_BYTES_LIMIT:
+        raise BudgetExceededError(
+            f"{samples} samples x {steps + 1} points x {H.num_vars} "
+            f"coordinates need {need / 2 ** 30:.3g} GiB of trajectory, over "
+            f"the {_SCAN_BYTES_LIMIT / 2 ** 30:g} GiB limit; scan fewer "
+            "samples or steps")
     eh = EllipticHamiltonian(H, coordinate_mode=REAL_ELLIPTIC)
     field = _VectorField(H)
     rng = np.random.Generator(np.random.Philox(seed))

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from kamtori import arithmetic
+from kamtori import arithmetic, torusverify
 from kamtori.cli import main
 
 
@@ -242,6 +242,44 @@ def test_torus_scan_summary_and_csv(capsys, tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0].split(",")[:4] == ["x0_0", "x0_1", "x0_2", "x0_3"]
     assert len(lines) == 5
+
+
+def write_golden_jet(tmp_path):
+    path = tmp_path / "H2.jet"
+    path.write_text(json.dumps(
+        {"n": 2, "trunc_degree": 4,
+         "coeffs": {"2,0,0,0": "0.5", "0,0,2,0": "0.5",
+                    "0,2,0,0": "0.809", "0,0,0,2": "0.809"}}))
+    return str(path)
+
+
+def no_integration(*args, **kwargs):
+    raise AssertionError("the scan integrated before checking its config")
+
+
+@pytest.mark.parametrize("option", [
+    "--dt=-0.02", "--dt=0", "--dt=nan", "--r=nan", "--r=-0.3",
+    "--escape-factor=0", "--escape-factor=-1", "--escape-factor=inf"])
+def test_torus_scan_nonsense_parameters_exit_two(capsys, tmp_path,
+                                                 monkeypatch, option):
+    monkeypatch.setattr(torusverify, "_integrate_batch", no_integration)
+    argv = ["torus", "scan", "--H", write_golden_jet(tmp_path), "--r", "0.3",
+            "--samples", "4", "--steps", "256", option]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "schema"
+    assert "finite and positive" in error["message"]
+
+
+def test_torus_scan_over_memory_budget_exits_one(capsys, tmp_path,
+                                                 monkeypatch):
+    monkeypatch.setattr(torusverify, "_integrate_batch", no_integration)
+    argv = ["torus", "scan", "--H", write_golden_jet(tmp_path), "--r", "0.3",
+            "--samples", "100000", "--steps", "8192"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == "BudgetExceededError"
 
 
 def test_report_digests_prior_artifacts(capsys, tmp_path):

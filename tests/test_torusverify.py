@@ -8,13 +8,14 @@ import pytest
 import sympy
 
 from kamtori import torusverify
-from kamtori.errors import NotEllipticError
+from kamtori.errors import BudgetExceededError, NotEllipticError
 from kamtori.poisson import SymplecticLayout
-from kamtori.torusverify import (_FIXED_POINT_CAP, _FIXED_POINT_TOL, _W1,
-                                 FREQ_CONVENTION, SCHEME, OrbitRecord,
+from kamtori.torusverify import (_FIXED_POINT_CAP, _FIXED_POINT_TOL, _W0,
+                                 _W1, FREQ_CONVENTION, SCHEME, OrbitRecord,
                                  _integrate_batch, _midpoint_substep,
-                                 _Monomials, _VectorField, classify_orbit,
-                                 frequency_analysis, integrate, torus_scan)
+                                 _Monomials, _NewtonCache, _VectorField,
+                                 classify_orbit, frequency_analysis,
+                                 integrate, torus_scan)
 
 LAY1 = SymplecticLayout(1)
 LAY2 = SymplecticLayout(2)
@@ -28,6 +29,28 @@ def harmonic(a=0.5):
 
 def perturbed(c):
     return harmonic() + LAY1.monomial(c, qexp=(3,), trunc_degree=4)
+
+
+def quartic_well():
+    """H = p^2/2 + q^4/4."""
+    return (LAY1.monomial(0.5, pexp=(2,), trunc_degree=4)
+            + LAY1.monomial(0.25, qexp=(4,), trunc_degree=4))
+
+
+def two_dof(freqs, cubic=(0.0, 0.0), coupling=0.0):
+    """sum_k a_k (q_k^2 + p_k^2) + c_k q_k^3 + coupling q_1^2 q_2^2."""
+    H = LAY2.zero(4, mode="float")
+    for k, (a, c) in enumerate(zip(freqs, cubic)):
+        e = [0, 0]
+        e[k] = 2
+        H = H + LAY2.monomial(a, qexp=tuple(e), trunc_degree=4)
+        H = H + LAY2.monomial(a, pexp=tuple(e), trunc_degree=4)
+        if c:
+            e[k] = 3
+            H = H + LAY2.monomial(c, qexp=tuple(e), trunc_degree=4)
+    if coupling:
+        H = H + LAY2.monomial(coupling, qexp=(2, 2), trunc_degree=4)
+    return H
 
 
 def synthetic_record(z, dt, x0=None):
@@ -70,6 +93,33 @@ def reference_substep(field, x, s):
         if ok.all():
             break
     return 2.0 * m - x, ok
+
+
+def reference_integrate(field, X0, dt, steps, escape_radius):
+    """_integrate_batch's step and escape rules over reference_substep:
+    full Newton on every substep, nothing kept from one to the next."""
+    x = X0.copy()
+    traj = [x.copy()]
+    esc = np.full(len(x), -1)
+    why = [None] * len(x)
+    live = np.arange(len(x))
+    for k in range(steps):
+        xa = x[live]
+        good = np.ones(len(live), dtype=bool)
+        for w in (_W1, _W0, _W1):
+            xa, ok = reference_substep(field, xa, w * dt)
+            good &= ok
+        blown = ~np.isfinite(xa).all(axis=1)
+        far = np.sqrt((xa ** 2).sum(axis=1)) > escape_radius
+        bad = blown | ~good | far
+        x[live[~bad]] = xa[~bad]
+        for j in np.flatnonzero(bad):
+            esc[live[j]] = k
+            why[live[j]] = ("non-finite" if blown[j] else
+                            "radius" if good[j] else "fixed-point-stall")
+        live = live[~bad]
+        traj.append(x.copy())
+    return np.stack(traj, axis=1), esc, why
 
 
 class CountingField(_VectorField):
@@ -176,6 +226,93 @@ def test_refresh_when_the_frozen_inverse_does_not_contract():
     field.jacobians = 0
     _midpoint_substep(field, np.array([[0.5, 0.0]]), 0.1)
     assert field.jacobians == 1
+
+
+def test_stale_kept_inverse_is_refreshed():
+    # an inverse kept from (0.5, 0) no longer contracts at (2, 1) with
+    # s = 2: the solve evaluates the Jacobian again, keeps the fresh
+    # inverse in place of the stale one, and still lands on the midpoint
+    field = CountingField(quartic_well())
+    s = 2.0
+    cache = _NewtonCache(1)
+    _midpoint_substep(field, np.array([[0.5, 0.0]]), s, cache)
+    stale = cache.inverses[s]
+    field.jacobians = 0
+    x = np.array([[2.0, 1.0]])
+    x_new, ok = _midpoint_substep(field, x, s, cache)
+    assert ok.all() and field.jacobians >= 1
+    assert cache.inverses[s] is not stale
+    assert not np.allclose(cache.inverses[s], stale)
+    # the midpoint is within the solve's scaled tolerance of the root:
+    # the full Newton correction there is that small (the residual itself
+    # is up to |I - (s/2) DX_H| times larger, 2.9e-14 here)
+    m = 0.5 * (x + x_new)
+    f, df = field(m)
+    correction = np.linalg.solve(np.eye(2) - 0.5 * s * df,
+                                 (x + 0.5 * s * f - m)[:, :, None])
+    assert (np.abs(correction[:, :, 0]).max(axis=1)
+            <= _FIXED_POINT_TOL * (1.0 + np.abs(m).max(axis=1))).all()
+    # an inverse kept at a nearby point still contracts: no Jacobian
+    field.jacobians = 0
+    cache = _NewtonCache(1)
+    _midpoint_substep(field, np.array([[0.5, 0.0]]), 0.1, cache)
+    x_new, ok = _midpoint_substep(field, np.array([[0.5, 0.01]]), 0.1, cache)
+    assert ok.all() and field.jacobians == 1
+
+
+def test_kept_inverses_match_full_newton_with_escapes():
+    # decoupled cubic oscillators: orbits leave the escape ball at many
+    # different steps, so the kept inverses lose rows along the way; the
+    # trajectories, escape steps and reasons match full Newton on every
+    # substep
+    field = _VectorField(two_dof((0.5, 0.8), cubic=(0.5, 0.4)))
+    for seed in range(3):
+        X0 = np.random.default_rng(seed).uniform(-0.6, 0.6, size=(10, 4))
+        traj, esc, why = _integrate_batch(field, X0, 0.05, 200, 3.0)
+        want, want_esc, want_why = reference_integrate(field, X0, 0.05,
+                                                       200, 3.0)
+        assert len(set(esc[esc >= 0])) >= 4 and (esc < 0).any()
+        assert list(esc) == list(want_esc) and list(why) == want_why
+        assert np.abs(traj - want).max() <= 1e-12
+
+
+def test_scan_inherits_nothing_from_an_earlier_scan():
+    # the kept inverses live in one batch integration, never on the field
+    H = two_dof((1.0, PHI), coupling=0.05)
+    alone = torus_scan(H, 0.25, 6, seed=4, steps=512, windows=2)
+    torus_scan(H, 0.5, 9, seed=5, steps=512, windows=2)
+    after = torus_scan(H, 0.25, 6, seed=4, steps=512, windows=2)
+    for a, b in zip(alone.records, after.records):
+        assert (a.trajectory == b.trajectory).all()
+        assert a.to_json_dict() == b.to_json_dict()
+    # nor does a batch integration inherit from an earlier one on the
+    # same field: each starts by evaluating its own two Jacobians
+    field = CountingField(two_dof((1.0, PHI), coupling=1.0))
+    X0 = np.array([[0.6, -0.3, 0.2, 0.4], [0.3, 0.5, -0.6, 0.0]])
+    first = _integrate_batch(field, X0, 0.02, 300, np.inf)[0]
+    _integrate_batch(field, -1.5 * X0, 0.02, 300, np.inf)
+    field.jacobians = 0
+    assert (_integrate_batch(field, X0, 0.02, 300, np.inf)[0]
+            == first).all()
+    assert field.jacobians == 2
+
+
+def test_scan_inverts_once_per_substep_size(monkeypatch):
+    # the triple jump has two substep sizes; on a smooth scan no kept
+    # inverse needs a refresh, so the whole scan inverts twice
+    calls = []
+    real = torusverify._invert_rows
+
+    def counting(A):
+        calls.append(len(A))
+        return real(A)
+
+    monkeypatch.setattr(torusverify, "_invert_rows", counting)
+    for H in (two_dof((1.0, PHI)), two_dof((1.0, PHI), coupling=0.05)):
+        calls.clear()
+        rep = torus_scan(H, 0.25, 16, seed=2, steps=1024, windows=2)
+        assert rep.fraction == 1.0
+        assert calls == [16, 16]
 
 
 def test_singular_newton_system_spoils_only_its_own_orbit():
@@ -303,6 +440,8 @@ def test_integrate_validation():
         integrate(harmonic(), (1.0, 0.0, 0.0), 1e-3, 10)
     with pytest.raises(ValueError):
         integrate(harmonic(), (1.0, 0.0), -1e-3, 10)
+    with pytest.raises(ValueError, match="finite and positive"):
+        integrate(harmonic(), (1.0, 0.0), float("nan"), 10)
     with pytest.raises(ValueError):
         # complex coefficients are not a real Hamiltonian
         H = LAY1.monomial(1j, qexp=(2,), trunc_degree=4)
@@ -397,6 +536,39 @@ def test_scan_validation():
         torus_scan(harmonic(), -0.5, 4)
     with pytest.raises(NotEllipticError):
         torus_scan(LAY1.monomial(1.0, qexp=(3,), trunc_degree=4), 0.5, 4)
+
+
+def no_integration(*args, **kwargs):
+    raise AssertionError("the scan integrated before checking its inputs")
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"dt": -0.02}, {"dt": 0.0}, {"dt": float("nan")}, {"dt": float("inf")},
+    {"r": float("nan")}, {"r": 0.0}, {"escape_factor": 0.0},
+    {"escape_factor": -10.0}, {"escape_factor": float("nan")}])
+def test_scan_rejects_nonsense_parameters(monkeypatch, kwargs):
+    # each of these used to come back as dynamics: a negative step gave
+    # omega ~ -1.752 for -1, a zero step undecided orbits, NaN a
+    # "non-finite" escape, escape_factor <= 0 an escape at step 0
+    monkeypatch.setattr(torusverify, "_integrate_batch", no_integration)
+    kwargs = dict(kwargs)
+    r = kwargs.pop("r", 0.5)
+    with pytest.raises(ValueError, match="finite and positive"):
+        torus_scan(harmonic(), r, 4, steps=256, **kwargs)
+
+
+def test_scan_memory_is_bounded_before_sampling(monkeypatch):
+    # 100 000 orbits of 8193 points in 4 coordinates would take 26 GB
+    monkeypatch.setattr(torusverify, "_integrate_batch", no_integration)
+    monkeypatch.setattr(torusverify, "_sample_ball", no_integration)
+    with pytest.raises(BudgetExceededError, match="GiB"):
+        torus_scan(two_dof((1.0, PHI)), 0.5, 100_000, steps=8192)
+    monkeypatch.undo()
+    # the limit is inclusive: 3 orbits of 1025 points in 2 coordinates
+    monkeypatch.setattr(torusverify, "_SCAN_BYTES_LIMIT", 3 * 1025 * 2 * 8)
+    assert torus_scan(harmonic(), 0.3, 3, steps=1024).fraction == 1.0
+    with pytest.raises(BudgetExceededError):
+        torus_scan(harmonic(), 0.3, 4, steps=1024)
 
 
 def test_report_serialization():
