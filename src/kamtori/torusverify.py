@@ -487,11 +487,11 @@ def _dominant_freq(z, dt):
     return float(omega)
 
 
-def _window_length(orbit, windows):
+def _window_length(samples, windows):
     """Samples per window; at least 2 windows of at least 64 samples."""
     if windows < 2:
         raise ValueError("need at least 2 windows")
-    L = len(orbit.trajectory) // windows
+    L = samples // windows
     if L < 64:
         raise ValueError(
             f"window length {L} below 64 samples; integrate longer or "
@@ -535,7 +535,7 @@ def frequency_analysis(orbit, windows=4):
     """
     traj = orbit.trajectory
     n = traj.shape[1] // 2
-    L = _window_length(orbit, windows)
+    L = _window_length(len(traj), windows)
     freqs = []
     for w in range(windows):
         seg = traj[w * L:(w + 1) * L]
@@ -572,7 +572,7 @@ def classify_orbit(orbit, *, windows=4, tol_energy=1e-6, tol_freq=1e-4):
     for window_frequencies and stability.
     """
     if orbit.escaped:
-        _window_length(orbit, windows)
+        _window_length(len(orbit.trajectory), windows)
         return dataclasses.replace(
             orbit, window_frequencies=None, stability=None,
             classification="chaotic/escaping")
@@ -668,7 +668,8 @@ def torus_scan(H, r, samples, seed=0, *, dt=0.02, steps=8192, windows=4,
     samples) triple reproduces the same report bit for bit.  The step
     size must pass integrate's sanity check at every sampled start.
     A scan whose trajectories would exceed _SCAN_BYTES_LIMIT raises
-    BudgetExceededError before anything is sampled.
+    BudgetExceededError before anything is sampled; the windows are
+    checked before anything is integrated.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -685,6 +686,7 @@ def torus_scan(H, r, samples, seed=0, *, dt=0.02, steps=8192, windows=4,
     rng = np.random.Generator(np.random.Philox(seed))
     X0 = _sample_ball(rng, samples, field.d, r)
     _check_step(field, X0, dt)
+    _window_length(steps + 1, windows)
     escape_radius = escape_factor * r
     records = [classify_orbit(rec, windows=windows, tol_energy=tol_energy,
                               tol_freq=tol_freq)

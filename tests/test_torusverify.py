@@ -557,6 +557,15 @@ def test_scan_rejects_nonsense_parameters(monkeypatch, kwargs):
         torus_scan(harmonic(), r, 4, steps=256, **kwargs)
 
 
+@pytest.mark.parametrize("windows,match", [(1, "2 windows"), (20, "64")])
+def test_scan_checks_windows_before_integrating(monkeypatch, windows, match):
+    # classify_orbit would refuse these windows only after the whole
+    # batch was integrated
+    monkeypatch.setattr(torusverify, "_integrate_batch", no_integration)
+    with pytest.raises(ValueError, match=match):
+        torus_scan(harmonic(), 0.5, 4, steps=1024, windows=windows)
+
+
 def test_scan_memory_is_bounded_before_sampling(monkeypatch):
     # 100 000 orbits of 8193 points in 4 coordinates would take 26 GB
     monkeypatch.setattr(torusverify, "_integrate_batch", no_integration)
