@@ -251,9 +251,9 @@ def _integrate_batch(field, X0, dt, steps, escape_radius):
     (w1 dt, w0 dt, w1 dt), all drawing on one _NewtonCache that lives as
     long as this call.  Escaped orbits are frozen at their last point,
     and their kept inverse rows dropped, so the rest of the batch keeps
-    integrating.  Returns the trajectory
-    array (S, steps+1, d), the per-orbit escape step (-1 if the orbit
-    stayed in) and the per-orbit escape reason (None if it stayed in):
+    integrating.  Returns the trajectory array (S, steps+1, d), the
+    per-orbit escape step (-1 if the orbit stayed in) and the per-orbit
+    escape reason (None if it stayed in):
     "non-finite" for a step with non-finite values, else
     "fixed-point-stall" for a substep solve that did not settle, else
     "radius" for a step past escape_radius.
