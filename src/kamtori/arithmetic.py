@@ -11,6 +11,7 @@ Index-vector norms are Euclidean by default (sup-norm behind a flag).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,6 +37,7 @@ __all__ = [
     "LatticeBasis",
     "DensityReport",
     "StripRecord",
+    "StripTable",
     "SmoothMap",
     "sigma",
     "bruno_diagnostic",
@@ -286,19 +288,21 @@ class DecaySequence:
 # sigma and class membership
 # ---------------------------------------------------------------------------
 
-def _half_ball(n, radius, norm, budget):
-    """One index per +-i pair of nonzero integer vectors with ||i|| <= radius.
+def _ball_rows(n, radius, norm, budget):
+    """The half ball of radius `radius` in Z^n, as rows: one index per
+    +-i pair of nonzero integer vectors with ||i|| <= radius.
 
     Every quantity built on the indices (|<alpha,i>|, ||i||, e(i)) is even
     in i, so of each pair only the index whose first nonzero component is
-    positive is kept.  The ball is built row by row: the half box i_1 >= 0
-    of the first n - 1 coordinates gives the heads, the heads inside the
-    ball are kept, and each head is followed by every last coordinate
-    that keeps it in the ball, |i_n| <= isqrt(R^2 - |head|^2) (the sup
-    ball is the box, so there every head takes |i_n| <= R).  Returns the
-    (M, n) indices in lexicographic order and their rank: the squared
-    Euclidean norm, or the squared sup norm, so ||i|| <= 2^k iff
-    rank <= 4^k.  The budget counts the whole (2 radius + 1)^n box.
+    positive is kept.  A row is a head (i_1..i_{n-1}) inside the ball
+    followed by the range start <= i_n <= top of last coordinates that
+    keeps it there: |i_n| <= isqrt(R^2 - |head|^2), or |i_n| <= R for the
+    sup ball, which is the box.  Returns (head, head_rank, start, top):
+    the (H, n - 1) heads in lexicographic order, the zero head first (it
+    takes only i_n >= 1, the others start at -top), and each head's
+    rank, the squared Euclidean or squared sup norm, so that
+    ||i|| <= 2^k iff rank <= 4^k.  The budget counts the whole
+    (2 radius + 1)^n box.
     """
     if n < 1:
         raise ShapeMismatchError("dimension must be >= 1")
@@ -329,12 +333,23 @@ def _half_ball(n, radius, norm, budget):
         head_rank = np.abs(head).max(axis=1, initial=0) ** 2
         top = np.full(len(head), radius, dtype=np.int64)
     # the heads are in lexicographic order, so those before the zero head
-    # lead with a negative component; the zero head takes only i_n > 0
+    # lead with a negative component
     zero = int(np.flatnonzero(head_rank == 0)[0])
     head, head_rank, top = head[zero:], head_rank[zero:], top[zero:]
     start = -top
     start[0] = 1
-    counts = top - start + 1
+    return head, head_rank, start, top
+
+
+def _expand(head, head_rank, start, top, norm):
+    """The (M, n) indices of rows and their ranks, in lexicographic order.
+
+    Each head is followed by its last coordinates start..top (none when
+    start > top); a rank is the head's rank plus i_n^2, or the larger of
+    the two for the sup norm.
+    """
+    n = head.shape[1] + 1
+    counts = np.maximum(top - start + 1, 0)
     first_row = np.cumsum(counts) - counts
     last = np.repeat(start - first_row, counts)
     last += np.arange(len(last))
@@ -351,41 +366,110 @@ def _half_ball(n, radius, norm, budget):
     return pts, rank
 
 
-def _exact_dots(pts, alpha_fracs):
-    """|<alpha, i>| exactly, as (numerators array, common denominator)."""
+def _half_ball(n, radius, norm, budget):
+    """Every index of the `_ball_rows` half ball, with its rank."""
+    return _expand(*_ball_rows(n, radius, norm, budget), norm)
+
+
+def _exact_scale(alpha_fracs, radius):
+    """alpha as integer numerators over one common denominator.
+
+    Returns (numerators, den): an int64 array while every |<alpha,i>|
+    with sup |i| <= radius, as a numerator, stays below 2^62, else an
+    object array of Python ints.
+    """
     den = 1
     for c in alpha_fracs:
         den = den * c.denominator // math.gcd(den, c.denominator)
     scaled = [int(c * den) for c in alpha_fracs]
-    bound = sum(abs(s) for s in scaled) * int(np.abs(pts).max(initial=1))
-    if bound < 2 ** 62:
-        nums = pts @ np.array(scaled, dtype=np.int64)
-    else:
-        obj = pts.astype(object)
-        nums = obj @ np.array(scaled, dtype=object)
-    return np.abs(nums), den
+    small = sum(abs(s) for s in scaled) * radius < 2 ** 62
+    return np.array(scaled, dtype=np.int64 if small else object), den
+
+
+def _row_minima_exact(head, start, top, scaled):
+    """min |<alpha,i>| numerator of each row, alpha given by `scaled`.
+
+    |c + a t| is convex in t, so the minimum over start <= t <= top lies
+    at the clamped floor or ceiling of -c/a, found by integer division.
+    """
+    c = head @ scaled[:-1]
+    a = scaled[-1]
+    if a == 0:
+        return np.abs(c)
+    t = np.maximum(np.minimum(-c // a, top), start)
+    return np.minimum(np.abs(c + a * t),
+                      np.abs(c + a * np.minimum(t + 1, top)))
+
+
+def _row_minima_float(head, start, top, alpha, reach):
+    """min |<alpha,i>| of each row, as `pts @ alpha` computes it.
+
+    The candidates are the clamped floor of -c/a and the `reach` last
+    coordinates on either side of it: enough that every point of the row
+    left out lies further from the real minimum than the rounding of two
+    products, so the float minimum is the one over the whole row.
+    """
+    c = head @ alpha[:-1]
+    a = alpha[-1]
+    centre = start
+    if a != 0:
+        with np.errstate(over="ignore"):
+            t = np.clip(-c / a, start - 1, top + 1)
+        centre = np.clip(np.floor(t).astype(np.int64), start, top)
+    last = np.clip(centre[:, None] + np.arange(-reach, reach + 2),
+                   start[:, None], top[:, None])
+    width = last.shape[1]
+    pts = np.empty((last.size, head.shape[1] + 1), dtype=np.int64)
+    pts[:, :-1] = np.repeat(head, width, axis=0)
+    pts[:, -1] = last.ravel()
+    return np.abs(pts @ alpha).reshape(-1, width).min(axis=1)
 
 
 def sigma(alpha, k_max, norm="euclidean", budget=DEFAULT_ENUM_BUDGET):
     """sigma(alpha)_k = min |<alpha,i>| over 0 != i in Z^n, ||i|| <= 2^k.
 
     Exact Fractions when alpha is rational, floats otherwise.  |<alpha,i>|
-    is even in i, so the minima are taken over `_half_ball`, one index
-    per +-i pair, with one masked pass per k.
+    is even in i, so the minima are taken over the `_ball_rows` half ball
+    of each radius 2^k, row by row: per head only the last coordinates
+    next to the real minimizer of |c + alpha_n t| are evaluated, so the
+    cost is O(R^(n-1)), not O(R^n).  Exact mode works on int64
+    numerators (Python ints past 2^62); float mode evaluates its
+    candidates with the same `pts @ alpha` product as the whole ball, so
+    every value is the one the whole ball gives, bit for bit.  The
+    budget still counts the (2^(k_max+1) + 1)^n box.
     """
     alpha = _as_freq(alpha)
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    pts, rank = _half_ball(alpha.dim, 2 ** k_max, norm, budget)
+    radius = 2 ** k_max
     exact = alpha.is_exact
     if exact:
-        absdot, den = _exact_dots(pts, alpha.as_fractions())
+        scaled, den = _exact_scale(alpha.as_fractions(), radius)
     else:
-        absdot = np.abs(pts @ alpha.as_floats())
-    # radius >= 1 keeps e_1 in every ball, so no mask is empty
-    minima = [absdot[rank <= 4 ** k].min() for k in range(k_max + 1)]
-    values = [Fraction(int(m), den) if exact else float(m) for m in minima]
-    return DecaySequence(values, allow_zero=True)
+        af = alpha.as_floats()
+        # a float product of an index with |i_j| <= radius is off by at
+        # most `error`; a last coordinate `reach` steps past the rounded
+        # minimizer is |alpha_n| reach further from the real minimum; with
+        # alpha_n = 0 a row takes one value throughout
+        error = alpha.dim * 2.0 ** -52 * radius * np.abs(af).sum()
+        slope = abs(af[-1])
+        if slope == 0:
+            reach = 0
+        elif 4 * error < 2 * radius * slope:
+            reach = 2 + math.ceil(4 * error / slope)
+        else:
+            reach = 2 * radius + 1      # the whole row
+    minima = []
+    # k_max first, so an over-budget call fails before any work
+    for k in range(k_max, -1, -1):
+        head, _, start, top = _ball_rows(alpha.dim, 2 ** k, norm, budget)
+        if exact:
+            minima.append(Fraction(int(_row_minima_exact(
+                head, start, top, scaled).min()), den))
+        else:
+            minima.append(float(_row_minima_float(
+                head, start, top, af, reach).min()))
+    return DecaySequence(minima[::-1], allow_zero=True)
 
 
 class BrunoReport(tuple):
@@ -520,6 +604,45 @@ def _uniform_ball(rng, center, radius, samples):
 _BLOCK, _CHUNK = 256, 256
 
 
+def _rows_near(head, start, top, y, reach, radius):
+    """Rows cut to the last coordinates t with |<head, y'> + y_n t| < reach.
+
+    y' is y without its last component.  The cut is widened by the
+    rounding of the float products (|i_j| <= radius) and by one last
+    coordinate on either side, so no index of the row that comes closer
+    than `reach` in floats is left out.  Returns the new (start, top); a
+    row with start > top is empty.
+    """
+    c = head @ y[:-1]
+    a = y[-1]
+    error = len(y) * 2.0 ** -52 * radius * np.abs(y).sum()
+    reach = (reach + 4 * error) * (1 + 1e-9)
+    if a == 0:
+        near = np.abs(c) < reach
+        return np.where(near, start, 1), np.where(near, top, 0)
+    with np.errstate(over="ignore"):
+        ends = np.clip((-c[:, None] + np.array([-reach, reach])) / a,
+                       -radius - 2, radius + 2)
+    lo = np.floor(ends.min(axis=1)).astype(np.int64) - 1
+    hi = np.ceil(ends.max(axis=1)).astype(np.int64) + 1
+    return np.maximum(start, lo), np.minimum(top, hi)
+
+
+def _cell_blocks(Y):
+    """Index arrays of at most _BLOCK rows of Y, each from one cell of a
+    grid over Y's bounding box with about _BLOCK rows per cell."""
+    d = Y.shape[1]
+    lo, hi = Y.min(axis=0), Y.max(axis=0)
+    side = max(1, math.ceil((len(Y) / _BLOCK) ** (1 / d)))
+    span = np.where(hi > lo, hi - lo, 1.0)
+    cell = np.minimum(((Y - lo) / span * side).astype(np.int64), side - 1)
+    key = np.ravel_multi_index(tuple(cell.T), (side,) * d)
+    order = np.argsort(key, kind="stable")
+    for members in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+        for start in range(0, len(members), _BLOCK):
+            yield members[start:start + _BLOCK]
+
+
 def density_estimate(f, x0, a: DecaySequence, rho: DecaySequence, r,
                      samples, k_max, seed, norm="euclidean",
                      budget=DEFAULT_ENUM_BUDGET) -> DensityReport:
@@ -528,10 +651,20 @@ def density_estimate(f, x0, a: DecaySequence, rho: DecaySequence, r,
     Membership of y = f(x) is tested up to k_max: |<y,i>| >= (rho*a)_{e(i)}
     for every nonzero i with e(i) <= k_max, where e(i) is the smallest k
     with ||i|| <= 2^k.  Counter-based RNG keyed by seed, so reports are
-    reproducible sample-for-sample.  Indices that cannot fail anywhere in
-    the sampled image are screened out first; the rest are tested in
-    blocks of _BLOCK samples by _CHUNK indices, so the temporaries stay
-    within one block by one chunk whatever `samples` is.
+    reproducible sample-for-sample.
+
+    Indices that cannot fail anywhere in the sampled image are screened
+    out first: i stays active only if |<y0,i>| < t_i + R_img ||i||, y0 =
+    f(x0), R_img the largest sampled |y - y0|.  The screen never lists
+    the ball: `_rows_near` keeps, per `_ball_rows` row, the last
+    coordinates that come within the largest such bound, and only those
+    are expanded and screened, in lexicographic order.  The samples are
+    then taken in blocks of at most _BLOCK from one grid cell each; per
+    block the active indices are screened again against the block's own
+    centre and radius (plus the rounding of the two products compared),
+    and the rest are tested by _CHUNK indices at a time, so the
+    temporaries stay within one block by one chunk whatever `samples`
+    is.  The fraction counts samples, so it does not depend on the order.
     """
     if samples <= 0:
         raise ValueError("samples must be positive")
@@ -548,42 +681,54 @@ def density_estimate(f, x0, a: DecaySequence, rho: DecaySequence, r,
     if b.k_max < k_max:
         raise ValueError("sequences shorter than k_max")
     n = f.dim_out
-    pts, rank = _half_ball(n, 2 ** k_max, norm, budget)
-    # e(i) = smallest k with ||i|| <= 2^k, via rank <= 4^k
-    e_of_i = np.searchsorted(4 ** np.arange(k_max + 1), rank)
-    t_i = np.array([float(b[k]) for k in range(k_max + 1)])[e_of_i]
-
-    # thresholds equal to zero are vacuous
-    live = t_i > 0
-    pts, t_i = pts[live], t_i[live]
+    radius = 2 ** k_max
+    head, head_rank, start, top = _ball_rows(n, radius, norm, budget)
+    levels = np.array([float(b[k]) for k in range(k_max + 1)])
 
     rng = np.random.Generator(np.random.Philox(seed))
     X = _uniform_ball(rng, x0, float(r), samples)
     Y = X if f.is_identity else f(X)
-    y0 = x0[None, :] if f.is_identity else f(x0[None, :])
+    y0 = x0 if f.is_identity else f(x0[None, :])[0]
     y0 = np.asarray(y0, dtype=float)
-
-    # screening: an index i can only fail somewhere in the sampled image if
-    # |<y0,i>| < t_i + R_img*||i||, R_img covering every sampled image point
     r_img = float(np.sqrt(((Y - y0) ** 2).sum(axis=1)).max(initial=0.0))
-    base = np.abs(pts @ y0[0])
-    margin = t_i + r_img * np.sqrt((pts ** 2).sum(axis=1)) * (1 + 1e-12) + 1e-15
-    active = base < margin
-    pts_a, t_a = pts[active], t_i[active]
+
+    # thresholds equal to zero are vacuous; the rest are at most `worst`
+    # and ||i|| is at most `longest`
+    worst = levels[levels > 0].max(initial=0.0)
+    longest = radius if norm == "euclidean" else radius * math.sqrt(n)
+    reach = worst + r_img * longest * (1 + 1e-12) + 1e-15
+    pts, rank = _expand(head, head_rank,
+                        *_rows_near(head, start, top, y0, reach, radius),
+                        norm)
+    # e(i) = smallest k with ||i|| <= 2^k, via rank <= 4^k
+    t_i = levels[np.searchsorted(4 ** np.arange(k_max + 1), rank)]
+    live = t_i > 0
+    pts, t_i = pts[live], t_i[live]
+    base = np.abs(pts @ y0)
+    norms = np.sqrt((pts ** 2).sum(axis=1))
+    active = base < t_i + r_img * norms * (1 + 1e-12) + 1e-15
+    pts_a, t_a, norms_a = pts[active], t_i[active], norms[active]
+    spread = np.abs(pts_a).sum(axis=1) * (n * 2.0 ** -50)
 
     # a sample drops out at its first failed chunk
     alive_total = 0
-    for start in range(0, samples, _BLOCK):
-        Yb = Y[start:start + _BLOCK]
-        for cstart in range(0, pts_a.shape[0], _CHUNK):
-            P = pts_a[cstart:cstart + _CHUNK]
-            T = t_a[cstart:cstart + _CHUNK]
+    for block in _cell_blocks(Y):
+        Yb = Y[block]
+        centre = 0.5 * (Yb.min(axis=0) + Yb.max(axis=0))
+        r_b = np.sqrt(((Yb - centre) ** 2).sum(axis=1)).max()
+        # the screen on the block's own ball, plus the rounding of the two
+        # products it compares: coordinates are within max|centre_j| + r_b
+        near = np.abs(pts_a @ centre) < (
+            t_a + r_b * norms_a * (1 + 1e-12) + 1e-15
+            + (np.abs(centre).max() + r_b) * spread)
+        P_b, T_b = pts_a[near], t_a[near]
+        for cstart in range(0, len(P_b), _CHUNK):
+            P = P_b[cstart:cstart + _CHUNK]
+            T = T_b[cstart:cstart + _CHUNK]
             Yb = Yb[(np.abs(Yb @ P.T) >= T).all(axis=1)]
             if not len(Yb):
                 break
         alive_total += len(Yb)
-
-    center_ok = bool((base >= t_i).all())
 
     return DensityReport(
         radius=float(r),
@@ -591,7 +736,7 @@ def density_estimate(f, x0, a: DecaySequence, rho: DecaySequence, r,
         k_max=int(k_max),
         fraction_in_class=alive_total / samples,
         rng_seed=int(seed),
-        center_passes=center_ok,
+        center_passes=bool((base >= t_i).all()),
         active_constraints=int(pts_a.shape[0]),
         map_name=f.name,
     )
@@ -712,14 +857,50 @@ class StripRecord:
     intersects_ball: bool
 
 
+class StripTable(Sequence):
+    """The strips of `strip_analysis` as read-only columns in rank order.
+
+    index is the (M, n) int64 array of indices, k (e(i)), width and
+    intersects_ball are length-M arrays.  len, indexing and iteration
+    give StripRecords built from Python ints, floats and bools.
+    """
+
+    __slots__ = ("index", "k", "width", "intersects_ball")
+
+    def __init__(self, index, k, width, intersects_ball):
+        for name, column in zip(self.__slots__,
+                                (index, k, width, intersects_ball)):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("StripTable is read-only")
+
+    def __len__(self):
+        return len(self.k)
+
+    def __getitem__(self, j):
+        return StripRecord(tuple(self.index[j].tolist()), int(self.k[j]),
+                           float(self.width[j]),
+                           bool(self.intersects_ball[j]))
+
+    def __iter__(self):
+        for index, k, width, hit in zip(
+                self.index.tolist(), self.k.tolist(), self.width.tolist(),
+                self.intersects_ball.tolist()):
+            yield StripRecord(tuple(index), k, width, hit)
+
+
 def strip_analysis(alpha, a: DecaySequence, rho: DecaySequence, r, k_max,
                    norm="euclidean", budget=DEFAULT_ENUM_BUDGET):
     """Strips M_i = {x : |<x,i>| <= rho_k a_k}, k = e(i), near the ball B(alpha,r).
 
-    Enumerates one representative per +-i pair (first nonzero component
-    positive), reports the width rho_k a_k / ||i|| and whether the strip
-    meets the ball: distance (|<alpha,i>| - rho_k a_k)/||i|| < r.  Requires
-    alpha in D_a up to k_max.
+    Lists the `_half_ball` once, one representative per +-i pair (first
+    nonzero component positive), and reports the width rho_k a_k / ||i||
+    and whether the strip meets the ball: distance
+    (|<alpha,i>| - rho_k a_k)/||i|| < r.  Requires alpha in D_a up to
+    k_max, which `in_class` checks by rows.  Returns a StripTable in
+    order of rank, ties in lexicographic order.
     """
     alpha = _as_freq(alpha)
     a.require_positive()
@@ -736,8 +917,6 @@ def strip_analysis(alpha, a: DecaySequence, rho: DecaySequence, r, k_max,
     norms = np.sqrt((pts.astype(float) ** 2).sum(axis=1))
     width = half / norms
     dist = np.maximum(0.0, (np.abs(pts @ alpha.as_floats()) - half) / norms)
-    hits = dist < float(r)
-    order = np.lexsort((np.arange(len(pts)), rank))
-    return [StripRecord(tuple(i), k, w, h) for i, k, w, h in zip(
-        pts[order].tolist(), e_of_i[order].tolist(), width[order].tolist(),
-        hits[order].tolist())]
+    order = np.argsort(rank, kind="stable")
+    return StripTable(pts[order], e_of_i[order], width[order],
+                      dist[order] < float(r))

@@ -297,25 +297,25 @@ def _cmd_strips(args):
     a = arithmetic.sigma(alpha, args.kmax, norm=args.norm)
     rho = _decay_from_args(args, args.kmax)
     r = _parse_number(args.r, args.mode)
-    records = arithmetic.strip_analysis(alpha, a, rho, r, args.kmax,
-                                        norm=args.norm)
-    hits = [rec for rec in records if rec.intersects_ball]
+    strips = arithmetic.strip_analysis(alpha, a, rho, r, args.kmax,
+                                       norm=args.norm)
+    hit = strips.intersects_ball
     artifact = {
         "config": _config_of(args, ["alpha", "kmax", "r", "rho_exp",
                                     "rho_shift", "norm", "mode"]),
-        "strip_count": len(records),
+        "strip_count": len(strips),
         "ball_intersections": [
-            {"index": list(rec.index), "k": rec.k,
-             "width": float(rec.width)} for rec in hits],
-        "min_width": float(min(rec.width for rec in records))
-        if records else None,
+            {"index": index, "k": k, "width": width}
+            for index, k, width in zip(strips.index[hit].tolist(),
+                                       strips.k[hit].tolist(),
+                                       strips.width[hit].tolist())],
+        "min_width": float(strips.width.min()) if len(strips) else None,
     }
     _emit(artifact, args)
     if args.csv:
         _write_csv(args.csv, ["index", "k", "width", "intersects_ball"],
-                   [[" ".join(str(c) for c in rec.index), rec.k,
-                     float(rec.width), int(rec.intersects_ball)]
-                    for rec in records], args)
+                   [[" ".join(map(str, rec.index)), rec.k, rec.width,
+                     int(rec.intersects_ball)] for rec in strips], args)
     return 0
 
 

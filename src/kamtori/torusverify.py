@@ -208,9 +208,12 @@ def _midpoint_substep(field, x, s, cache=None):
     Jacobian is re-evaluated at the current m and inverted again, so a
     hard solve (or a stale inverse) falls back to full Newton.  The
     inverse last used goes back into cache (a _NewtonCache whose rows are
-    the rows of x; without one, nothing is kept).  Returns (x_new, ok):
-    ok is False where the update failed to settle within the cap (the
-    orbit has left the scheme's regime).
+    the rows of x; without one, nothing is kept).  A row is accepted on
+    the size of its last update, at most _FIXED_POINT_TOL times its
+    scale 1 + max |m_j|, not on the residual of m = x + (s/2) X_H(m):
+    after a refresh mid-solve that residual can exceed the tolerance
+    slightly.  Returns (x_new, ok): ok is False where the update failed
+    to settle within the cap (the orbit has left the scheme's regime).
     """
     if cache is None:
         cache = _NewtonCache(len(x))
@@ -418,7 +421,8 @@ def integrate(H, x0, dt, steps, *, escape_radius=None):
     midpoint rule.  A step-size sanity check rejects dt |X_H(x0)| > 1
     (a step that coarse does not resolve the flow).  Escape past
     escape_radius (default 10 (1 + |x0|)) is reported on the record,
-    not raised.
+    not raised; np.inf never escapes by radius, and a radius that is
+    NaN, zero or negative raises ValueError.
     """
     field = _VectorField(H)
     x0 = np.asarray(x0, dtype=float)
@@ -430,6 +434,10 @@ def integrate(H, x0, dt, steps, *, escape_radius=None):
     _check_step(field, x0[None, :], dt)
     if escape_radius is None:
         escape_radius = 10.0 * (1.0 + float(np.sqrt((x0 ** 2).sum())))
+    elif not escape_radius > 0:
+        # NaN would never escape, zero or less would escape at step 0
+        raise ValueError(f"escape_radius must be positive or np.inf, "
+                         f"got {escape_radius!r}")
     return _orbit_records(field, x0[None, :], dt, steps, escape_radius)[0]
 
 

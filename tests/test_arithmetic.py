@@ -18,6 +18,8 @@ from kamtori.arithmetic import (
     GeometricTail,
     PowerTail,
     SmoothMap,
+    StripTable,
+    _exact_scale,
     _half_ball,
     _uniform_ball,
     bruno_diagnostic,
@@ -110,29 +112,47 @@ def box_rank(pts, norm):
     return np.abs(pts).max(axis=1) ** 2
 
 
+# numerators past 2^62: 2^61 (1, 1 + 2^-61) at radius 2 or more
+HUGE = [1, Fraction(2 ** 61 + 1, 2 ** 61)]
+
 SIGMA_CASES = [
     ([Fraction(-3, 7)], 6), ([0.25], 6), ([Fraction(5)], 3),
     ([1, PHI_EXACT], 5), ([1.0, PHI], 5), ([1, 1], 3),
     ([Fraction(-3, 5), Fraction(7, 11)], 4), ([-1.25, 0.5], 4),
     ([1, Fraction(7, 5), Fraction(-26, 15)], 3), ([1.0, 1.41421356, -1.7320508], 3),
+    # alpha_n = 0, a tiny last component and more negative components
+    ([Fraction(2, 3), 0], 4), ([-0.75, 0.0], 4), ([1.0, 3e-17], 4),
+    ([1, Fraction(-5, 7), 0], 3), ([-2.5, 1.7, 0.0], 3),
+    ([Fraction(-1, 3), -1, Fraction(8, 5)], 3), ([-1.1, -0.3, 2.9e-9], 3),
+    ([1, Fraction(-7, 5), Fraction(3, 11), Fraction(-13, 17)], 2),
+    ([0.5, -1.3, 0.7071, 0.0], 2), ([1.0, PHI, -1.41421356, 0.318], 3),
+    (HUGE, 4),
 ]
 
 
 @pytest.mark.parametrize("norm", ["euclidean", "sup"])
 def test_sigma_matches_full_box_oracle(norm):
+    # exact minima equal as Fractions, float minima bit for bit: the row
+    # candidates give what the product over the whole box gives
+    assert _exact_scale(HUGE, 2)[0].dtype == object
     for alpha, k_max in SIGMA_CASES:
         pts = full_box(len(alpha), 2 ** k_max)
         rank = box_rank(pts, norm)
         keep = rank <= 4 ** k_max if norm == "euclidean" else rank > 0
         pts, rank = pts[keep], rank[keep]
+        got = list(sigma(alpha, k_max, norm=norm))
         if all(isinstance(c, (int, Fraction)) for c in alpha):
             dots = np.array([abs(sum(Fraction(a) * int(c)
                                      for a, c in zip(alpha, row)))
                              for row in pts], dtype=object)
+            assert all(type(v) is Fraction for v in got), alpha
         else:
             dots = np.abs(pts @ np.array(alpha, dtype=float))
+            got = [v.hex() for v in got]
         want = [dots[rank <= 4 ** k].min() for k in range(k_max + 1)]
-        assert list(sigma(alpha, k_max, norm=norm)) == want, alpha
+        if not isinstance(want[0], Fraction):
+            want = [float(v).hex() for v in want]
+        assert got == want, alpha
 
 
 @pytest.mark.parametrize("norm", ["euclidean", "sup"])
@@ -367,14 +387,16 @@ def test_density_shifted_rho_saturates():
     assert rep.fraction_in_class == 1.0
 
 
-def density_oracle(f, x0, a, rho, r, samples, k_max, seed):
+def density_oracle(f, x0, a, rho, r, samples, k_max, seed,
+                   norm="euclidean"):
     """(fraction_in_class, active_constraints, center_passes) by brute
     force: every index of the box-and-mask half ball with t_i > 0 against
-    every sample, with no screen and no blocks.  The active count is the
-    screen's definition: indices with |<y0,i>| < t_i + R_img ||i||, up to
-    the screen's rounding slack, R_img the largest sampled |y - y0|."""
+    every sample, with no screen, no rows and no blocks.  The active
+    count is the screen's definition: indices with |<y0,i>| < t_i +
+    R_img ||i||, up to the screen's rounding slack, R_img the largest
+    sampled |y - y0|."""
     x0 = np.array([float(c) for c in x0])
-    pts, rank = box_half_ball(len(x0), 2 ** k_max, "euclidean")
+    pts, rank = box_half_ball(len(x0), 2 ** k_max, norm)
     level = [min(k for k in range(k_max + 1) if q <= 4 ** k) for q in rank]
     t = np.array([float(a[k] * rho[k]) for k in level])
     pts, t = pts[t > 0], t[t > 0]
@@ -415,6 +437,43 @@ def test_density_matches_brute_force_oracle():
             seen.add((rep.active_constraints > 2 * _CHUNK,
                       0 < rep.fraction_in_class < 1))
     assert samples % _BLOCK and (True, True) in seen
+
+
+def test_density_rows_match_brute_force_oracle():
+    # off-alpha centres, both norms, the identity and a polynomial map:
+    # the row cut, the screen and the per-block screen drop no index that
+    # fails anywhere, and the active count is the screen's
+    k_max, samples = 5, 1500
+    alpha = [1, PHI_EXACT]
+    x, y = Jet.variable(0, 2, 3), Jet.variable(1, 2, 3)
+    fmap = SmoothMap.polynomial([x + (y * y).scale(Fraction(1, 8)),
+                                 y - (x * y).scale(Fraction(1, 16))])
+    seen = set()
+    for norm in ("euclidean", "sup"):
+        s = sigma(alpha, k_max, norm=norm)
+        for f in (None, fmap):
+            for x0, r, rho_0 in (((1.05, 1.5), 0.2, Fraction(1, 4)),
+                                 ((0.9, 1.7), 0.02, Fraction(1, 16)),
+                                 (alpha, 0.3, Fraction(1))):
+                rho = DecaySequence.constant(rho_0, k_max)
+                rep = density_estimate(f, x0, s, rho, r, samples, k_max,
+                                       seed=9, norm=norm)
+                got = (rep.fraction_in_class, rep.active_constraints,
+                       rep.center_passes)
+                assert got == density_oracle(f, x0, s, rho, r, samples,
+                                             k_max, seed=9, norm=norm)
+                seen.add((0 < rep.fraction_in_class < 1, rep.center_passes))
+    assert {(True, True), (True, False)} <= seen
+    # with one threshold at every level the cut has to reach the corners
+    # of the sup ball, where ||i|| is sqrt(2) 2^k_max
+    a = DecaySequence.constant(Fraction(1, 10), k_max)
+    rho = DecaySequence.constant(1, k_max)
+    rep = density_estimate(None, alpha, a, rho, 0.5, samples, k_max, seed=9,
+                           norm="sup")
+    assert (rep.fraction_in_class, rep.active_constraints,
+            rep.center_passes) == density_oracle(None, alpha, a, rho, 0.5,
+                                                 samples, k_max, seed=9,
+                                                 norm="sup")
 
 
 def test_density_rejects_bad_inputs():
@@ -602,6 +661,25 @@ def test_strip_records_match_per_record_loop():
     assert got == [(i, k, w.hex(), hit) for i, k, w, hit in want]
     hits = sum(rec.intersects_ball for rec in records)
     assert 0 < hits < len(records)
+
+
+def test_strip_table_is_a_read_only_sequence():
+    alpha, a, rho = strip_setup(3)
+    table = strip_analysis(alpha, a, rho, 0.1, 3)
+    assert isinstance(table, StripTable)
+    records = list(table)
+    assert len(table) == len(records) == len(table.k)
+    assert [table[j] for j in range(len(table))] == records
+    assert table[-1] == records[-1] and records[0] in table
+    first = table[0]
+    assert (type(first.index[0]), type(first.k), type(first.width),
+            type(first.intersects_ball)) == (int, int, float, bool)
+    with pytest.raises(IndexError):
+        table[len(table)]
+    with pytest.raises(ValueError):
+        table.width[0] = 0.0
+    with pytest.raises(AttributeError):
+        table.k = table.k[:1]
 
 
 def test_strip_widths_and_levels():

@@ -172,6 +172,40 @@ def test_strips_summary_and_csv(capsys, tmp_path):
     assert len(lines) == len(records) + 1
 
 
+@pytest.mark.parametrize("argv, whole, partial", [
+    (["sigma", "--alpha", "1,987/610", "--kmax", "8"], 0, 0),
+    (["sigma", "--alpha", "1,1.618,-0.7071", "--kmax", "5", "--mode",
+      "float"], 0, 0),
+    (["bruno", "--alpha", "1,987/610", "--kmax", "8", "--norm", "sup"],
+     0, 0),
+    (["density", "--alpha", "1,987/610", "--kmax", "6", "--radii",
+      "0.1,0.01", "--samples", "300"], 0, 2),
+    (["strips", "--alpha", "1,987/610", "--kmax", "6", "--r", "0.1"], 1, 0),
+])
+def test_ball_expansions_per_command(capsys, monkeypatch, argv, whole,
+                                     partial):
+    # every listed index goes through arithmetic._expand: sigma and
+    # bruno take their minima row by row, density lists only the rows'
+    # near indices once per radius, strips lists the ball once
+    kmax = int(argv[argv.index("--kmax") + 1])
+    n = argv[argv.index("--alpha") + 1].count(",") + 1
+    norm = "sup" if "sup" in argv else "euclidean"
+    ball = len(arithmetic._half_ball(n, 2 ** kmax, norm, 10 ** 9)[0])
+    sizes = []
+    expand = arithmetic._expand
+
+    def counting(*args):
+        pts, rank = expand(*args)
+        sizes.append(len(pts))
+        return pts, rank
+
+    monkeypatch.setattr(arithmetic, "_expand", counting)
+    code, _, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert sizes.count(ball) == whole
+    assert len(sizes) == whole + partial and max(sizes, default=0) <= ball
+
+
 def test_birkhoff_quartic_oscillator(capsys, tmp_path):
     jet_path = tmp_path / "H.jet"
     jet_path.write_text(json.dumps(

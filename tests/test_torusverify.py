@@ -435,6 +435,21 @@ def test_escaped_orbit_is_not_frequency_analysed(monkeypatch):
         classify_orbit(rec, windows=16)
 
 
+def test_integrate_escape_radius():
+    # H = qp grows like e^t from (0.5, 0.5): radius 3 is passed at step
+    # 179; np.inf never escapes by radius; NaN, zero and negative radii
+    # are refused instead of never escaping or escaping at step 0
+    H = LAY1.monomial(1.0, qexp=(1,), pexp=(1,), trunc_degree=4)
+    rec = integrate(H, (0.5, 0.5), 0.01, 400, escape_radius=3.0)
+    assert (rec.escape_step, rec.escape_reason) == (179, "radius")
+    rec = integrate(H, (0.5, 0.5), 0.01, 400, escape_radius=np.inf)
+    assert not rec.escaped and rec.escape_reason is None
+    assert np.sqrt((rec.trajectory[-1] ** 2).sum()) > 27
+    for bad in (float("nan"), -1.0, 0.0):
+        with pytest.raises(ValueError, match="escape_radius"):
+            integrate(H, (0.5, 0.5), 0.01, 400, escape_radius=bad)
+
+
 def test_integrate_validation():
     with pytest.raises(ValueError):
         integrate(harmonic(), (1.0, 0.0, 0.0), 1e-3, 10)

@@ -8,10 +8,12 @@ Runs the checkout this script lives in (its ``src/``) and writes:
   strips, density, lattice, birkhoff at n=1 and n=2, kam run on a real
   and on a complex alpha, each in both modes; the ``small-divisors``
   benchmark's sizes: density on (1, phi) at k=8 with 50 000 samples and
-  both rho shifts, strips at k=8 and sigma at n=3, k=6; one torus scan
-  and one report), run one at a time in that directory.  Per command
-  NAME it keeps ``NAME.stdout``, ``NAME.stderr`` and ``NAME.exit``, next
-  to the files the command wrote.  The checkout's path is replaced by
+  both rho shifts, strips at k=8 and sigma at n=3, k=6; sigma, strips
+  and density in the sup norm, a float sigma at n=3 and a density ball
+  centred away from alpha; one torus scan and one report), run one at a
+  time in that directory.  Per command NAME it keeps ``NAME.stdout``,
+  ``NAME.stderr`` and ``NAME.exit``, next to the files the command
+  wrote.  The checkout's path is replaced by
   ``<root>`` in stderr, so tracebacks from two checkouts compare.
 - ``DIR/engine/``: one text file per engine case, in exact and float
   mode: every generator with its mu-coefficients, the per-stage
@@ -129,6 +131,25 @@ def cli_commands():
                        "--csv", "strips-k8.csv"]),
         ("sigma-n3-k6", ["sigma", "--alpha", "1,1.618,-0.7071",
                          "--kmax", "6"]),
+    ]
+    # the small-divisor row paths in the sup norm, float sigma at n = 3
+    # and a density ball centred away from alpha
+    sup = ["--norm", "sup"]
+    cmds += [
+        ("sigma-sup", ["sigma", *ALPHA, "--kmax", "6", *sup]),
+        ("sigma-sup-float", ["sigma", *ALPHA, "--kmax", "6", *sup,
+                             "--mode", "float"]),
+        ("strips-sup", ["strips", *ALPHA, "--kmax", "5", "--r", "0.05",
+                        *sup, "--csv", "strips-sup.csv"]),
+        ("density-sup", ["density", *ALPHA, "--kmax", "6", "--radii",
+                         "0.1,0.01", "--samples", "5000", "--seed", "3",
+                         *sup, "--mode", "float"]),
+        ("sigma-n3-float", ["sigma", "--alpha", "1,1.618,-0.7071",
+                            "--kmax", "6", "--mode", "float"]),
+        ("density-off-center", ["density", *ALPHA, "--kmax", "6",
+                                "--radii", "0.2,0.02", "--samples", "5000",
+                                "--seed", "4", "--center", "1.05,1.5",
+                                "--mode", "float"]),
     ]
     cmds += [
         ("torus-scan", ["torus", "scan", "--H", "h2.json", "--r", "0.05",
