@@ -668,8 +668,8 @@ def density_estimate(f, x0, a: DecaySequence, rho: DecaySequence, r,
     """
     if samples <= 0:
         raise ValueError("samples must be positive")
-    if not float(r) > 0:
-        raise ValueError("radius must be positive")
+    if not (math.isfinite(float(r)) and float(r) > 0):
+        raise ValueError("radius must be finite and positive")
     x0 = np.asarray([float(c) for c in _as_freq(x0).components], dtype=float)
     if f is None:
         f = SmoothMap.identity(x0.shape[0])

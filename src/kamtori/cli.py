@@ -29,6 +29,7 @@ exactly in rational mode, as floats in float mode; {"re": ..., "im":
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -228,8 +229,9 @@ def _cmd_bruno(args):
 def _cmd_density(args):
     alpha = _parse_alpha(args)
     radii = _parse_vector(args.radii, FLOAT)
-    if not all(r > 0 for r in radii):
-        raise SchemaError(f"--radii entries must be positive: {args.radii!r}")
+    if not all(math.isfinite(r) and r > 0 for r in radii):
+        raise SchemaError(f"--radii entries must be finite and positive: "
+                          f"{args.radii!r}")
     center = (_parse_vector(args.center, FLOAT) if args.center
               else [float(c) for c in alpha])
     if len(center) != alpha.dim:

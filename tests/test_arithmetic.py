@@ -483,6 +483,9 @@ def test_density_rejects_bad_inputs():
         density_estimate(None, [1, PHI_EXACT], s, rho, 0.1, 0, 3, seed=1)
     with pytest.raises(ValueError):
         density_estimate(None, [1, PHI_EXACT], s, rho, -1.0, 10, 3, seed=1)
+    for r in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            density_estimate(None, [1, PHI_EXACT], s, rho, r, 10, 3, seed=1)
 
 
 # --- the two series ---------------------------------------------------------------

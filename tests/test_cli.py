@@ -395,7 +395,8 @@ def test_malformed_density_vector_exits_two(capsys, flag, value):
     assert json.loads(err)["error"]["type"] == "schema"
 
 
-@pytest.mark.parametrize("radii", ["-0.1", "0", "0.1,-0.05"])
+@pytest.mark.parametrize("radii", ["-0.1", "0", "0.1,-0.05", "inf",
+                                   "0.1,nan"])
 def test_non_positive_radii_exit_two(capsys, radii):
     argv = ["density", "--alpha", "1,987/610", "--kmax", "3",
             "--radii", radii, "--samples", "10"]
