@@ -12,12 +12,13 @@ One executable, one subcommand per experiment family:
     torus     orbit scans (CSV per orbit, JSON summary)
     report    digest of previously produced artifacts
 
-Every run prints a single JSON artifact to stdout whose "config" block
-records the resolved parameters: re-running the same config reproduces
-the artifact byte for byte (float results subject to platform
-rounding).  Bulk tables go to CSV files, summaries to stdout.  Exit
-codes: 0 success, 1 module/domain error (machine-readable JSON on
-stderr), 2 config/schema violation.
+Each option is declared once, in OPTIONS, and checked before any work:
+a value outside its rule exits 2.  Every run prints a single JSON
+artifact to stdout whose "config" block records the options as given:
+re-running the same config reproduces the artifact byte for byte (float
+results subject to platform rounding).  Bulk tables go to CSV files,
+summaries to stdout.  Exit codes: 0 success, 1 module/domain error
+(machine-readable JSON on stderr), 2 config/schema violation.
 
 Jet files are JSON: {"n": 1, "trunc_degree": 8, "coeffs": {"3,0": "1"}}
 with exponent keys "q_1..q_n,p_1..p_n" and string coefficients (parsed
@@ -41,7 +42,7 @@ from .errors import KamtoriError
 from .jets import ComplexRational, Jet, to_jsonable
 from .kamengine import KamProblem, kam_iterate
 from .poisson import SymplecticLayout
-from .torusverify import check_finite_positive, torus_scan
+from .torusverify import torus_scan
 
 RATIONAL, FLOAT = "rational", "float"
 
@@ -86,20 +87,11 @@ def _parse_vector(text, mode):
     return [_parse_number(p.strip(), mode) for p in parts]
 
 
-def _parse_alpha(args):
-    """--alpha as a FrequencyVector; a non-finite entry is a schema error."""
-    comps = _parse_vector(args.alpha, args.mode)
-    try:
-        return arithmetic.FrequencyVector(comps)
-    except ValueError as exc:
-        raise SchemaError(f"bad --alpha {args.alpha!r}: {exc}") from None
-
-
-def _decay_from_args(args, k_max):
-    base = Fraction(2) ** Fraction(args.rho_exp)
-    vals = [base ** (k + args.rho_shift) for k in range(k_max + 1)]
-    if args.mode == FLOAT:
-        vals = [float(v) for v in vals]
+def _decay(v):
+    base = Fraction(2) ** Fraction(v.rho_exp)
+    vals = [base ** (k + v.rho_shift) for k in range(v.kmax + 1)]
+    if v.mode == FLOAT:
+        vals = [float(x) for x in vals]
     return arithmetic.DecaySequence(vals)
 
 
@@ -165,12 +157,172 @@ def _jet_from_dict(data, mode, *, what="jet"):
     return jet, lay
 
 
+# -------------------------------------------------------------------- checks
+#
+# A check takes an option's argparse value and the options resolved so
+# far (earlier rows of its table), and returns the value a command uses;
+# a ValueError from a check is a config violation.
+
+def _rule(text, ok):
+    """Pass a value when ok(value) holds, or when it is None (unset)."""
+    def check(value, v):
+        if value is not None and not ok(value):
+            raise ValueError(f"must be {text}, got {value}")
+        return value
+    return check
+
+
+def _finite(x):
+    return not isinstance(x, float) or math.isfinite(x)  # exact ones are
+
+
+_NONNEG = _rule("nonnegative", lambda x: x >= 0)
+_POSITIVE = _rule("positive", lambda x: x > 0)
+_FINITE = _rule("finite", _finite)
+_FINITE_POSITIVE = _rule("finite and positive", lambda x: _finite(x) and x > 0)
+_FINITE_NONNEG = _rule("finite and nonnegative",
+                       lambda x: _finite(x) and x >= 0)
+
+
+def _in_mode(rule):
+    """A number parsed in the run's --mode, then checked by RULE."""
+    return lambda text, v: rule(
+        None if text is None else _parse_number(text, v.mode), v)
+
+
+def _each(rule):
+    """A comma-separated list of floats, each checked by RULE."""
+    return lambda text, v: [rule(x, v) for x in _parse_vector(text, FLOAT)]
+
+
+def _alpha(text, v):
+    return arithmetic.FrequencyVector(_parse_vector(text, v.mode))
+
+
+def _center(text, v):
+    """The ball center: --alpha itself unless given, of --alpha's length."""
+    if not text:
+        return [float(c) for c in v.alpha]
+    center = _each(_FINITE)(text, v)
+    if len(center) != v.alpha.dim:
+        raise ValueError(f"has {len(center)} entries, not {v.alpha.dim}")
+    return center
+
+
+def _t_values(text, v):
+    """The flow times: --t-grid start:stop:count, else --t alone."""
+    if not text:
+        if v.t is None:
+            raise ValueError("lattice needs --t or --t-grid")
+        return [v.t]
+    try:
+        start, stop, count = (float(x) for x in text.split(":"))
+    except ValueError:
+        raise ValueError("needs start:stop:count") from None
+    if not (math.isfinite(start) and math.isfinite(stop)
+            and count.is_integer() and count >= 1):
+        raise ValueError(f"needs finite ends and a whole count >= 1, "
+                         f"got {text}")
+    count = int(count)
+    return [start + (stop - start) * i / (count - 1) if count > 1 else start
+            for i in range(count)]
+
+
+# --------------------------------------------------------------- the options
+#
+# OPTIONS[command] holds (flag, kind, default, check[, help]) per option:
+# kind is an argparse type, a list of choices, or `list` for one or more
+# strings.  Every option but those in _NOT_IN_CONFIG enters the config
+# block as given.
+
+REQUIRED = object()
+_NOT_IN_CONFIG = {"--out", "--out-dir", "--csv", "--center"}
+
+_ALPHA = ("--alpha", str, REQUIRED, _alpha,
+          "comma-separated frequency components")
+_KMAX = ("--kmax", int, REQUIRED, _NONNEG)
+_NORM = ("--norm", ["euclidean", "sup"], "euclidean", None)
+_RHO = [("--rho-exp", int, -6, None, "rho_k = 2^(rho-exp (k + rho-shift))"),
+        ("--rho-shift", int, 0, None)]
+_MODE = ("--mode", [RATIONAL, FLOAT], RATIONAL, None)
+_SEED = ("--seed", int, 0, _NONNEG)
+_OUT = [("--out", str, None, None,
+         "also write the JSON artifact to this file"),
+        ("--out-dir", str, None, None,
+         "base directory for relative outputs (default: env KAMTORI_OUT)")]
+_CSV = ("--csv", str, None, None, "write the bulk table to this CSV file")
+
+OPTIONS = {
+    "sigma": [_ALPHA, _KMAX, _NORM, *_OUT, _MODE],
+    "bruno": [_ALPHA, _KMAX, _NORM, *_OUT, _MODE],
+    "density": [
+        _ALPHA, _KMAX,
+        ("--radii", str, REQUIRED, _each(_FINITE_POSITIVE),
+         "comma-separated ball radii"),
+        ("--samples", int, REQUIRED, _POSITIVE), *_RHO,
+        ("--center", str, None, _center,
+         "ball center (default: alpha itself)"),
+        _NORM, *_OUT, _MODE, _SEED, _CSV],
+    "lattice": [
+        _ALPHA, ("--t", float, None, _FINITE),
+        ("--t-grid", str, None, _t_values, "start:stop:count"),
+        ("--coeff-bound", int, 64, _POSITIVE), *_OUT, _MODE, _CSV],
+    "strips": [
+        _ALPHA, _KMAX,
+        ("--r", str, REQUIRED, _in_mode(_FINITE_POSITIVE), "ball radius"),
+        *_RHO, _NORM, *_OUT, _MODE, _CSV],
+    "birkhoff": [
+        ("--H", str, REQUIRED, None, "Hamiltonian jet JSON file"),
+        ("--l", int, REQUIRED, _POSITIVE,
+         "action degree: normalize to order 2l"),
+        ("--coordinates", ["real", "morse"], "real", None),
+        ("--strategy", ["per-degree", "per-monomial"], "per-degree", None),
+        ("--divisor-floor", str, None, _in_mode(_FINITE_NONNEG)),
+        *_OUT, _MODE],
+    "kam run": [
+        ("--problem", str, REQUIRED, None),
+        ("--stages", int, None, _NONNEG,
+         "stage budget (default: engine choice)"),
+        *_OUT, _MODE],
+    "torus scan": [
+        ("--H", str, REQUIRED, None, "Hamiltonian jet JSON file"),
+        ("--r", float, REQUIRED, _FINITE_POSITIVE),
+        ("--samples", int, REQUIRED, _POSITIVE),
+        ("--dt", float, 0.02, _FINITE_POSITIVE),
+        ("--steps", int, 8192, None),
+        ("--windows", int, 4, _rule("at least 2", lambda x: x >= 2)),
+        ("--tol-energy", float, 1e-6, _FINITE_POSITIVE),
+        ("--tol-freq", float, 1e-4, _FINITE_POSITIVE),
+        ("--escape-factor", float, 10.0, _FINITE_POSITIVE),
+        *_OUT, _SEED, _CSV],
+    "report": [("--inputs", list, REQUIRED, None), *_OUT],
+}
+
+
+def _resolve(args):
+    """Every option of ARGS' command through its check, in table order,
+    plus the artifact's config block; raises SchemaError on the first
+    value outside its rule, before any work is done."""
+    v = argparse.Namespace(**vars(args))
+    v.config = {"command": args.name}
+    for flag, _, _, check, *_ in OPTIONS[args.name]:
+        dest = flag[2:].replace("-", "_")
+        if flag not in _NOT_IN_CONFIG:
+            v.config[flag[2:]] = getattr(args, dest)
+        if check is not None:
+            try:
+                setattr(v, dest, check(getattr(args, dest), v))
+            except ValueError as exc:
+                raise SchemaError(f"{flag}: {exc}") from None
+    return v
+
+
 # --------------------------------------------------------------------- output
 
 def _resolve_out(path, args):
     if path is None or os.path.isabs(path):
         return path
-    base = getattr(args, "out_dir", None) or os.environ.get("KAMTORI_OUT")
+    base = args.out_dir or os.environ.get("KAMTORI_OUT")
     return os.path.join(base, path) if base else path
 
 
@@ -183,11 +335,6 @@ def _write_text(text, args):
             fh.write(text + "\n")
 
 
-def _emit(artifact, args):
-    _write_text(json.dumps(to_jsonable(artifact), sort_keys=True, indent=2),
-                args)
-
-
 def _write_csv(path, header, rows, args):
     path = _resolve_out(path, args)
     with open(path, "w", newline="") as fh:
@@ -196,115 +343,50 @@ def _write_csv(path, header, rows, args):
         writer.writerows(rows)
 
 
-def _config_of(args, names):
-    command = args.command
-    for nested in ("kam_command", "torus_command"):
-        if getattr(args, nested, None):
-            command += " " + getattr(args, nested)
-    cfg = {"command": command}
-    for name in names:
-        cfg[name.replace("_", "-")] = getattr(args, name)
-    return cfg
-
-
 # ----------------------------------------------------------------- commands
+#
+# A command takes the resolved options and returns its artifact body, or
+# (body, CSV header, CSV rows) when it has a bulk table for --csv.
 
-def _cmd_sigma(args):
-    alpha = _parse_alpha(args)
-    seq = arithmetic.sigma(alpha, args.kmax, norm=args.norm)
-    _emit({"config": _config_of(args, ["alpha", "kmax", "norm", "mode"]),
-           "sigma": seq}, args)
-    return 0
-
-
-def _cmd_bruno(args):
-    alpha = _parse_alpha(args)
-    seq = arithmetic.sigma(alpha, args.kmax, norm=args.norm)
-    rep = arithmetic.bruno_diagnostic(seq, args.kmax)
-    _emit({"config": _config_of(args, ["alpha", "kmax", "norm", "mode"]),
-           "sigma": seq, "bruno": rep}, args)
-    return 0
+def _cmd_sigma(v):
+    return {"sigma": arithmetic.sigma(v.alpha, v.kmax, norm=v.norm)}
 
 
-def _cmd_density(args):
-    alpha = _parse_alpha(args)
-    radii = _parse_vector(args.radii, FLOAT)
-    if not all(math.isfinite(r) and r > 0 for r in radii):
-        raise SchemaError(f"--radii entries must be finite and positive: "
-                          f"{args.radii!r}")
-    center = (_parse_vector(args.center, FLOAT) if args.center
-              else [float(c) for c in alpha])
-    if len(center) != alpha.dim:
-        raise SchemaError(f"--center has {len(center)} entries, --alpha "
-                          f"has {alpha.dim}")
-    a = arithmetic.sigma(alpha, args.kmax, norm=args.norm)
-    rho = _decay_from_args(args, args.kmax)
-    ident = arithmetic.SmoothMap.identity(len(center))
-    sweep = []
-    for r in radii:
-        rep = arithmetic.density_estimate(
-            ident, tuple(center), a, rho, r, args.samples, args.kmax,
-            seed=args.seed, norm=args.norm)
-        sweep.append(rep.to_json_dict())
-    artifact = {
-        "config": _config_of(args, ["alpha", "kmax", "radii", "samples",
-                                    "seed", "rho_exp", "rho_shift", "norm",
-                                    "mode"]),
-        "center": center,
-        "sweep": sweep,
-    }
-    _emit(artifact, args)
-    if args.csv:
-        header = ["radius", "fraction_in_class", "sample_count", "rng_seed"]
-        rows = [[rep["radius"], rep["fraction_in_class"],
-                 rep["sample_count"], rep["rng_seed"]] for rep in sweep]
-        _write_csv(args.csv, header, rows, args)
-    return 0
+def _cmd_bruno(v):
+    body = _cmd_sigma(v)
+    body["bruno"] = arithmetic.bruno_diagnostic(body["sigma"], v.kmax)
+    return body
 
 
-def _cmd_lattice(args):
-    alpha = _parse_alpha(args)
-    basis = arithmetic.lattice_basis(alpha)
-    if args.t_grid:
-        try:
-            start, stop, count = (float(x) for x in args.t_grid.split(":"))
-            count = int(count)
-        except ValueError:
-            raise SchemaError("--t-grid needs start:stop:count") from None
-        ts = [start + (stop - start) * i / (count - 1) if count > 1
-              else start for i in range(count)]
-    elif args.t is None:
-        raise SchemaError("lattice needs --t or --t-grid")
-    else:
-        ts = [float(args.t)]
+def _cmd_density(v):
+    a = arithmetic.sigma(v.alpha, v.kmax, norm=v.norm)
+    rho = _decay(v)
+    ident = arithmetic.SmoothMap.identity(len(v.center))
+    sweep = [arithmetic.density_estimate(
+        ident, tuple(v.center), a, rho, r, v.samples, v.kmax, seed=v.seed,
+        norm=v.norm).to_json_dict() for r in v.radii]
+    header = ["radius", "fraction_in_class", "sample_count", "rng_seed"]
+    return ({"center": v.center, "sweep": sweep}, header,
+            [[rep[key] for key in header] for rep in sweep])
+
+
+def _cmd_lattice(v):
+    basis = arithmetic.lattice_basis(v.alpha)
     rows = []
-    for t in ts:
-        delta, short = arithmetic.flow_and_shortest(
-            basis, t, args.coeff_bound)
-        rows.append({"t": t, "delta": float(delta),
-                     "shortest": list(short)})
-    _emit({"config": _config_of(args, ["alpha", "t", "t_grid", "coeff_bound",
-                                       "mode"]),
-           "rows": rows}, args)
-    if args.csv:
-        _write_csv(args.csv, ["t", "delta", "shortest"],
-                   [[r["t"], r["delta"],
-                     " ".join(str(c) for c in r["shortest"])]
-                    for r in rows], args)
-    return 0
+    for t in v.t_grid:
+        delta, short = arithmetic.flow_and_shortest(basis, t, v.coeff_bound)
+        rows.append({"t": t, "delta": float(delta), "shortest": list(short)})
+    return ({"rows": rows}, ["t", "delta", "shortest"],
+            [[r["t"], r["delta"], " ".join(str(c) for c in r["shortest"])]
+             for r in rows])
 
 
-def _cmd_strips(args):
-    alpha = _parse_alpha(args)
-    a = arithmetic.sigma(alpha, args.kmax, norm=args.norm)
-    rho = _decay_from_args(args, args.kmax)
-    r = _parse_number(args.r, args.mode)
-    strips = arithmetic.strip_analysis(alpha, a, rho, r, args.kmax,
-                                       norm=args.norm)
+def _cmd_strips(v):
+    a = arithmetic.sigma(v.alpha, v.kmax, norm=v.norm)
+    strips = arithmetic.strip_analysis(v.alpha, a, _decay(v), v.r, v.kmax,
+                                       norm=v.norm)
     hit = strips.intersects_ball
-    artifact = {
-        "config": _config_of(args, ["alpha", "kmax", "r", "rho_exp",
-                                    "rho_shift", "norm", "mode"]),
+    body = {
         "strip_count": len(strips),
         "ball_intersections": [
             {"index": index, "k": k, "width": width}
@@ -313,38 +395,32 @@ def _cmd_strips(args):
                                        strips.width[hit].tolist())],
         "min_width": float(strips.width.min()) if len(strips) else None,
     }
-    _emit(artifact, args)
-    if args.csv:
-        _write_csv(args.csv, ["index", "k", "width", "intersects_ball"],
-                   [[" ".join(map(str, rec.index)), rec.k, rec.width,
-                     int(rec.intersects_ball)] for rec in strips], args)
-    return 0
+    # a generator: one record per strip is built only when --csv asks
+    rows = ([" ".join(map(str, rec.index)), rec.k, rec.width,
+             int(rec.intersects_ball)] for rec in strips)
+    return body, ["index", "k", "width", "intersects_ball"], rows
 
 
-def _cmd_birkhoff(args):
-    data = _load_json_file(args.H)
-    jet, _ = _jet_from_dict(data, args.mode, what="Hamiltonian jet")
-    coordinate_mode = (REAL_ELLIPTIC if args.coordinates == "real"
-                       else COMPLEX_MORSE)
-    eh = EllipticHamiltonian(jet, coordinate_mode=coordinate_mode)
-    floor = (_parse_number(args.divisor_floor, args.mode)
-             if args.divisor_floor is not None else None)
-    res = birkhoff_normalize(eh, args.l, divisor_floor=floor,
-                             strategy=args.strategy)
-    _emit({"config": _config_of(args, ["H", "l", "coordinates", "strategy",
-                                       "divisor_floor", "mode"]),
-           "result": res}, args)
-    return 0
+def _cmd_birkhoff(v):
+    jet, _ = _jet_from_dict(_load_json_file(v.H), v.mode,
+                            what="Hamiltonian jet")
+    eh = EllipticHamiltonian(jet, coordinate_mode={
+        "real": REAL_ELLIPTIC, "morse": COMPLEX_MORSE}[v.coordinates])
+    return {"result": birkhoff_normalize(eh, v.l,
+                                         divisor_floor=v.divisor_floor,
+                                         strategy=v.strategy)}
 
 
-def _cmd_kam_run(args):
-    data = _load_json_file(args.problem)
+def _cmd_kam_run(v):
+    """Writes its own JSON lines, one per stage and the artifact last, and
+    returns the exit code: 1 when the run does not succeed."""
+    data = _load_json_file(v.problem)
     try:
         n = int(data["n"])
         trunc = int(data["trunc_degree"])
         # FrequencyVector refuses complex entries with a TypeError
         alpha = arithmetic.FrequencyVector(
-            _parse_number(x, args.mode) for x in data["alpha"])
+            _parse_number(x, v.mode) for x in data["alpha"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(
             f"problem file needs n, trunc_degree and a real alpha: "
@@ -354,55 +430,42 @@ def _cmd_kam_run(args):
     lay = SymplecticLayout(n)
     b, _ = _jet_from_dict(
         {"n": n, "trunc_degree": trunc, "coeffs": data["b"]},
-        args.mode, what="perturbation b")
+        v.mode, what="perturbation b")
     if "a" in data:
         a, _ = _jet_from_dict(
             {"n": n, "trunc_degree": trunc, "coeffs": data["a"]},
-            args.mode, what="model a")
+            v.mode, what="model a")
     else:
         a = lay.quadratic_model(alpha, trunc)
-    floor = (_parse_number(data["divisor_floor"], args.mode)
+    floor = (_parse_number(data["divisor_floor"], v.mode)
              if "divisor_floor" in data else None)
     problem = KamProblem(
         layout=lay, a=a, b=b, alpha=alpha,
-        max_stage=args.stages,
+        max_stage=v.stages,
         base_degree=int(data.get("base_degree", 3)),
         k_offset=int(data.get("k_offset", 0)),
         divisor_floor=floor)
     final, trace = kam_iterate(problem)
     lines = [json.dumps(to_jsonable(st), sort_keys=True) for st in trace]
     lines.append(json.dumps(to_jsonable(
-        {"config": _config_of(args, ["problem", "stages", "mode"]),
-         "final": final}), sort_keys=True))
-    _write_text("\n".join(lines), args)
+        {"config": v.config, "final": final}), sort_keys=True))
+    _write_text("\n".join(lines), v)
     return 0 if final.success else 1
 
 
-def _cmd_torus_scan(args):
-    try:
-        check_finite_positive(r=args.r, dt=args.dt,
-                              escape_factor=args.escape_factor)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
-    data = _load_json_file(args.H)
-    jet, _ = _jet_from_dict(data, FLOAT, what="Hamiltonian jet")
-    rep = torus_scan(jet, args.r, args.samples, seed=args.seed, dt=args.dt,
-                     steps=args.steps, windows=args.windows,
-                     tol_energy=args.tol_energy, tol_freq=args.tol_freq,
-                     escape_factor=args.escape_factor)
-    _emit({"config": _config_of(args, ["H", "r", "samples", "seed", "dt",
-                                       "steps", "windows", "tol_energy",
-                                       "tol_freq", "escape_factor"]),
-           "report": rep}, args)
-    if args.csv:
-        header, rows = rep.csv_rows()
-        _write_csv(args.csv, header, rows, args)
-    return 0
+def _cmd_torus_scan(v):
+    jet, _ = _jet_from_dict(_load_json_file(v.H), FLOAT,
+                            what="Hamiltonian jet")
+    rep = torus_scan(jet, v.r, v.samples, seed=v.seed, dt=v.dt,
+                     steps=v.steps, windows=v.windows,
+                     tol_energy=v.tol_energy, tol_freq=v.tol_freq,
+                     escape_factor=v.escape_factor)
+    return ({"report": rep}, *rep.csv_rows())
 
 
-def _cmd_report(args):
+def _cmd_report(v):
     sections = []
-    for path in args.inputs:
+    for path in v.inputs:
         data = _load_artifact(path)
         cfg = data.get("config", {})
         headline = {}
@@ -413,128 +476,45 @@ def _cmd_report(args):
         sections.append({"path": path,
                          "command": cfg.get("command", "unknown"),
                          "config": cfg, "headline": headline})
-    _emit({"config": {"command": "report", "inputs": list(args.inputs)},
-           "sections": sections}, args)
-    return 0
+    return {"sections": sections}
 
 
-# -------------------------------------------------------------------- parser
-
-def _add_common(sub, *, mode=True, seed=False, csv_flag=False):
-    sub.add_argument("--out", default=None,
-                     help="also write the JSON artifact to this file")
-    sub.add_argument("--out-dir", default=None,
-                     help="base directory for relative outputs "
-                          "(default: env KAMTORI_OUT)")
-    if mode:
-        sub.add_argument("--mode", choices=[RATIONAL, FLOAT],
-                         default=RATIONAL)
-    if seed:
-        sub.add_argument("--seed", type=int, default=0)
-    if csv_flag:
-        sub.add_argument("--csv", default=None,
-                         help="write the bulk table to this CSV file")
+# command (nested ones as "group leaf") -> (function, help); a group
+# itself has no function and comes before its leaves
+COMMANDS = {
+    "sigma": (_cmd_sigma, "smallest small-divisor sequence"),
+    "bruno": (_cmd_bruno, "sigma + summability diagnostic"),
+    "density": (_cmd_density,
+                "class-membership fraction over a radius sweep"),
+    "lattice": (_cmd_lattice, "diagonal-flow shortest vectors"),
+    "strips": (_cmd_strips, "resonance strip decomposition"),
+    "birkhoff": (_cmd_birkhoff, "normal form of an elliptic jet"),
+    "kam": (None, "stage recurrence"),
+    "kam run": (_cmd_kam_run, "run a problem file"),
+    "torus": (None, "orbit scans"),
+    "torus scan": (_cmd_torus_scan, "sample a ball and classify"),
+    "report": (_cmd_report, "digest earlier artifacts"),
+}
 
 
 def build_parser():
     parser = _Parser(prog="kamtori",
                      description="small divisors, normal forms, torus scans")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("sigma", help="smallest small-divisor sequence")
-    p.add_argument("--alpha", required=True,
-                   help="comma-separated frequency components")
-    p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--norm", choices=["euclidean", "sup"],
-                   default="euclidean")
-    _add_common(p)
-    p.set_defaults(func=_cmd_sigma)
-
-    p = subs.add_parser("bruno", help="sigma + summability diagnostic")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--norm", choices=["euclidean", "sup"],
-                   default="euclidean")
-    _add_common(p)
-    p.set_defaults(func=_cmd_bruno)
-
-    p = subs.add_parser("density",
-                        help="class-membership fraction over a radius sweep")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--radii", required=True,
-                   help="comma-separated ball radii")
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--rho-exp", type=int, default=-6,
-                   help="rho_k = 2^(rho-exp (k + rho-shift))")
-    p.add_argument("--rho-shift", type=int, default=0)
-    p.add_argument("--center", default=None,
-                   help="ball center (default: alpha itself)")
-    p.add_argument("--norm", choices=["euclidean", "sup"],
-                   default="euclidean")
-    _add_common(p, seed=True, csv_flag=True)
-    p.set_defaults(func=_cmd_density)
-
-    p = subs.add_parser("lattice", help="diagonal-flow shortest vectors")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--t-grid", default=None, help="start:stop:count")
-    p.add_argument("--coeff-bound", type=int, default=64)
-    _add_common(p, csv_flag=True)
-    p.set_defaults(func=_cmd_lattice)
-
-    p = subs.add_parser("strips", help="resonance strip decomposition")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--r", required=True, help="ball radius")
-    p.add_argument("--rho-exp", type=int, default=-6)
-    p.add_argument("--rho-shift", type=int, default=0)
-    p.add_argument("--norm", choices=["euclidean", "sup"],
-                   default="euclidean")
-    _add_common(p, csv_flag=True)
-    p.set_defaults(func=_cmd_strips)
-
-    p = subs.add_parser("birkhoff", help="normal form of an elliptic jet")
-    p.add_argument("--H", required=True, help="Hamiltonian jet JSON file")
-    p.add_argument("--l", type=int, required=True,
-                   help="action degree: normalize to order 2l")
-    p.add_argument("--coordinates", choices=["real", "morse"],
-                   default="real")
-    p.add_argument("--strategy", choices=["per-degree", "per-monomial"],
-                   default="per-degree")
-    p.add_argument("--divisor-floor", default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_birkhoff)
-
-    p = subs.add_parser("kam", help="stage recurrence")
-    kam_subs = p.add_subparsers(dest="kam_command", required=True)
-    pr = kam_subs.add_parser("run", help="run a problem file")
-    pr.add_argument("--problem", required=True)
-    pr.add_argument("--stages", type=int, default=None,
-                    help="stage budget (default: engine choice)")
-    _add_common(pr)
-    pr.set_defaults(func=_cmd_kam_run)
-
-    p = subs.add_parser("torus", help="orbit scans")
-    torus_subs = p.add_subparsers(dest="torus_command", required=True)
-    ps = torus_subs.add_parser("scan", help="sample a ball and classify")
-    ps.add_argument("--H", required=True, help="Hamiltonian jet JSON file")
-    ps.add_argument("--r", type=float, required=True)
-    ps.add_argument("--samples", type=int, required=True)
-    ps.add_argument("--dt", type=float, default=0.02)
-    ps.add_argument("--steps", type=int, default=8192)
-    ps.add_argument("--windows", type=int, default=4)
-    ps.add_argument("--tol-energy", type=float, default=1e-6)
-    ps.add_argument("--tol-freq", type=float, default=1e-4)
-    ps.add_argument("--escape-factor", type=float, default=10.0)
-    _add_common(ps, mode=False, seed=True, csv_flag=True)
-    ps.set_defaults(func=_cmd_torus_scan)
-
-    p = subs.add_parser("report", help="digest earlier artifacts")
-    p.add_argument("--inputs", nargs="+", required=True)
-    _add_common(p, mode=False)
-    p.set_defaults(func=_cmd_report)
-
+    subs = {"": parser.add_subparsers(dest="command", required=True)}
+    for command, (run, text) in COMMANDS.items():
+        group, _, leaf = command.rpartition(" ")
+        p = subs[group].add_parser(leaf, help=text)
+        if run is None:
+            subs[command] = p.add_subparsers(dest=f"{command}_command",
+                                             required=True)
+            continue
+        for flag, kind, default, _, *help_text in OPTIONS[command]:
+            kw = ({"nargs": "+"} if kind is list else {"choices": kind}
+                  if isinstance(kind, list) else {"type": kind})
+            p.add_argument(flag, required=default is REQUIRED,
+                           default=None if default is REQUIRED else default,
+                           help=help_text[0] if help_text else None, **kw)
+        p.set_defaults(run=run, name=command)
     return parser
 
 
@@ -545,7 +525,16 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code
     try:
-        return args.func(args)
+        v = _resolve(args)
+        result = args.run(v)
+        if isinstance(result, int):     # kam run printed its JSON lines
+            return result
+        body, *table = result if isinstance(result, tuple) else (result,)
+        _write_text(json.dumps(to_jsonable({"config": v.config, **body}),
+                               sort_keys=True, indent=2), v)
+        if table and v.csv:
+            _write_csv(v.csv, *table, v)
+        return 0
     except SchemaError as exc:
         _print_error("schema", exc)
         return 2

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from kamtori import arithmetic, torusverify
+from kamtori import arithmetic, cli, torusverify
 from kamtori.cli import main
 
 
@@ -34,10 +34,46 @@ def test_sigma_artifact_shape(capsys):
         json.dumps(expected.to_json_dict()))
 
 
-def test_rerun_is_byte_identical(capsys):
-    argv = ["sigma", "--alpha", "1,987/610", "--kmax", "8"]
-    code1, out1, _ = run_cli(capsys, argv)
-    code2, out2, _ = run_cli(capsys, argv)
+def write_inputs(tmp_path):
+    """The jet and problem files the commands below read, in tmp_path."""
+    (tmp_path / "H.json").write_text(json.dumps(
+        {"n": 1, "trunc_degree": 8,
+         "coeffs": {"2,0": "1/2", "0,2": "1/2", "4,0": "1"}}))
+    (tmp_path / "problem.json").write_text(json.dumps(
+        {"n": 2, "trunc_degree": 8, "alpha": ["1", "987/610"],
+         "b": {"2,1,0,0": "1", "0,0,3,0": "1"}}))
+    (tmp_path / "H2.json").write_text(json.dumps(
+        {"n": 2, "trunc_degree": 4,
+         "coeffs": {"2,0,0,0": "0.5", "0,0,2,0": "0.5",
+                    "0,2,0,0": "0.809", "0,0,0,2": "0.809"}}))
+
+
+# one config per subcommand, run from a directory holding write_inputs
+RERUN_ARGV = {
+    "sigma": ["sigma", "--alpha", "1,987/610", "--kmax", "8"],
+    "bruno": ["bruno", "--alpha", "1,987/610", "--kmax", "6"],
+    "density": ["density", "--alpha", "1,1.618", "--mode", "float",
+                "--kmax", "4", "--radii", "0.1,0.01", "--samples", "200",
+                "--seed", "3"],
+    "lattice": ["lattice", "--alpha", "1,987/610", "--t-grid", "0:2:3"],
+    "strips": ["strips", "--alpha", "1,987/610", "--kmax", "4",
+               "--r", "1/10"],
+    "birkhoff": ["birkhoff", "--H", "H.json", "--l", "4"],
+    "kam run": ["kam", "run", "--problem", "problem.json"],
+    "torus scan": ["torus", "scan", "--H", "H2.json", "--r", "0.3",
+                   "--samples", "4", "--steps", "1024", "--seed", "5"],
+    "report": ["report", "--inputs", "sigma.json"],
+}
+
+
+@pytest.mark.parametrize("command", list(RERUN_ARGV))
+def test_rerun_is_byte_identical(command, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    assert main(RERUN_ARGV["sigma"] + ["--out", "sigma.json"]) == 0
+    capsys.readouterr()
+    code1, out1, _ = run_cli(capsys, RERUN_ARGV[command])
+    code2, out2, _ = run_cli(capsys, RERUN_ARGV[command])
     assert code1 == code2 == 0
     assert out1 == out2
 
@@ -64,12 +100,7 @@ def test_stdout_matches_recorded_digest(command, capsys, tmp_path,
                                         monkeypatch):
     # the config block records the input paths, so run from tmp_path
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "H.json").write_text(json.dumps(
-        {"n": 1, "trunc_degree": 8,
-         "coeffs": {"2,0": "1/2", "0,2": "1/2", "4,0": "1"}}))
-    (tmp_path / "problem.json").write_text(json.dumps(
-        {"n": 2, "trunc_degree": 8, "alpha": ["1", "987/610"],
-         "b": {"2,1,0,0": "1", "0,0,3,0": "1"}}))
+    write_inputs(tmp_path)
     argv, digest = RECORDED_STDOUT_SHA256[command]
     code, out, err = run_cli(capsys, argv + ["--mode", "rational"])
     assert code == 0 and err == ""
@@ -279,12 +310,8 @@ def test_torus_scan_summary_and_csv(capsys, tmp_path):
 
 
 def write_golden_jet(tmp_path):
-    path = tmp_path / "H2.jet"
-    path.write_text(json.dumps(
-        {"n": 2, "trunc_degree": 4,
-         "coeffs": {"2,0,0,0": "0.5", "0,0,2,0": "0.5",
-                    "0,2,0,0": "0.809", "0,0,0,2": "0.809"}}))
-    return str(path)
+    write_inputs(tmp_path)
+    return str(tmp_path / "H2.json")
 
 
 def no_integration(*args, **kwargs):
@@ -293,7 +320,9 @@ def no_integration(*args, **kwargs):
 
 @pytest.mark.parametrize("option", [
     "--dt=-0.02", "--dt=0", "--dt=nan", "--r=nan", "--r=-0.3",
-    "--escape-factor=0", "--escape-factor=-1", "--escape-factor=inf"])
+    "--escape-factor=0", "--escape-factor=-1", "--escape-factor=inf",
+    "--tol-energy=-1", "--tol-energy=0", "--tol-freq=nan",
+    "--tol-freq=-1e-4"])
 def test_torus_scan_nonsense_parameters_exit_two(capsys, tmp_path,
                                                  monkeypatch, option):
     monkeypatch.setattr(torusverify, "_integrate_batch", no_integration)
@@ -304,6 +333,56 @@ def test_torus_scan_nonsense_parameters_exit_two(capsys, tmp_path,
     error = json.loads(err)["error"]
     assert error["type"] == "schema"
     assert "finite and positive" in error["message"]
+
+
+def no_library_call(*args, **kwargs):
+    raise AssertionError("the library ran before the config was checked")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sigma", "--alpha", "1,987/610", "--kmax", "-1"],
+    ["bruno", "--alpha", "1,987/610", "--kmax", "-1"],
+    ["density", "--alpha", "1,987/610", "--kmax", "3", "--radii", "0.1",
+     "--samples", "0"],
+    ["density", "--alpha", "1,987/610", "--kmax", "3", "--radii", "0.1",
+     "--samples", "10", "--seed", "-1"],
+    ["density", "--alpha", "1,987/610", "--kmax", "3", "--radii", "0.1",
+     "--samples", "10", "--center", "1,nan"],
+    ["strips", "--alpha", "1,1.618", "--kmax", "3", "--mode", "float",
+     "--r", "nan"],
+    ["strips", "--alpha", "1,1.618", "--kmax", "3", "--mode", "float",
+     "--r", "-1"],
+    ["strips", "--alpha", "1,987/610", "--kmax", "3", "--r", "-0.5"],
+    ["lattice", "--alpha", "1,987/610", "--t", "nan"],
+    ["lattice", "--alpha", "1,987/610", "--t-grid", "0:1:0"],
+    ["lattice", "--alpha", "1,987/610", "--t-grid", "0:1:2.7"],
+    ["lattice", "--alpha", "1,987/610", "--t-grid", "nan:1:3"],
+    ["lattice", "--alpha", "1,987/610", "--t", "1", "--coeff-bound", "0"],
+    ["birkhoff", "--H", "H.json", "--l", "0"],
+    ["birkhoff", "--H", "H.json", "--l", "4", "--divisor-floor", "-1"],
+    ["birkhoff", "--H", "H.json", "--l", "4", "--mode", "float",
+     "--divisor-floor", "nan"],
+    ["kam", "run", "--problem", "problem.json", "--stages", "-1"],
+    ["torus", "scan", "--H", "H2.json", "--r", "0.3", "--samples", "0"],
+    ["torus", "scan", "--H", "H2.json", "--r", "0.3", "--samples", "4",
+     "--steps", "256", "--windows", "1"],
+    ["torus", "scan", "--H", "H2.json", "--r", "0.3", "--samples", "4",
+     "--steps", "256", "--seed", "-1"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_option_outside_its_rule_exits_two(capsys, tmp_path, monkeypatch,
+                                          argv):
+    # every option is checked before the command calls into the library
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    for module, name in [(arithmetic, "sigma"), (arithmetic, "lattice_basis"),
+                         (cli, "birkhoff_normalize"), (cli, "kam_iterate"),
+                         (cli, "torus_scan")]:
+        monkeypatch.setattr(module, name, no_library_call)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "schema"
+    assert error["message"].startswith(argv[-2] + ":")
 
 
 def test_torus_scan_over_memory_budget_exits_one(capsys, tmp_path,

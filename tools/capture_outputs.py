@@ -10,7 +10,8 @@ Runs the checkout this script lives in (its ``src/``) and writes:
   benchmark's sizes: density on (1, phi) at k=8 with 50 000 samples and
   both rho shifts, strips at k=8 and sigma at n=3, k=6; sigma, strips
   and density in the sup norm, a float sigma at n=3 and a density ball
-  centred away from alpha; one torus scan and one report), run one at a
+  centred away from alpha; one torus scan and one report; and one
+  config per option check that the command must refuse), run one at a
   time in that directory.  Per command NAME it keeps ``NAME.stdout``,
   ``NAME.stderr`` and ``NAME.exit``, next to the files the command
   wrote.  The checkout's path is replaced by
@@ -158,6 +159,38 @@ def cli_commands():
         ("report", ["report", "--inputs", "sigma-rational.json",
                     "kam-run-rational.jsonl", "kam-run-float.jsonl"]),
     ]
+    # one value outside each option's rule; each should exit 2
+    density = ["density", *ALPHA, "--kmax", "3", "--radii", "0.1"]
+    scan = ["torus", "scan", "--H", "h2.json", "--r", "0.05",
+            "--samples", "4", "--steps", "512"]
+    cmds += [(f"reject-{name}", argv) for name, argv in [
+        ("sigma-kmax", ["sigma", *ALPHA, "--kmax", "-1"]),
+        ("density-samples", [*density, "--samples", "0"]),
+        ("density-seed", [*density, "--samples", "10", "--seed", "-1"]),
+        ("density-center", [*density, "--samples", "10", "--center",
+                            "1,nan"]),
+        ("strips-r-nan", ["strips", *ALPHA, "--kmax", "3", "--mode",
+                          "float", "--r", "nan"]),
+        ("strips-r-negative", ["strips", *ALPHA, "--kmax", "3", "--r",
+                               "-1"]),
+        ("lattice-t", ["lattice", *ALPHA, "--t", "nan"]),
+        ("lattice-t-grid-empty", ["lattice", *ALPHA, "--t-grid", "0:1:0"]),
+        ("lattice-t-grid-count", ["lattice", *ALPHA, "--t-grid",
+                                  "0:1:2.7"]),
+        ("lattice-coeff-bound", ["lattice", *ALPHA, "--t", "1",
+                                 "--coeff-bound", "0"]),
+        ("birkhoff-l", ["birkhoff", "--H", "h1.json", "--l", "0"]),
+        ("birkhoff-divisor-floor", ["birkhoff", "--H", "h1.json", "--l",
+                                    "3", "--divisor-floor", "-1"]),
+        ("kam-run-stages", ["kam", "run", "--problem", "problem.json",
+                            "--stages", "-1"]),
+        ("torus-scan-samples", ["torus", "scan", "--H", "h2.json", "--r",
+                                "0.05", "--samples", "0"]),
+        ("torus-scan-windows", [*scan, "--windows", "1"]),
+        ("torus-scan-tol-energy", [*scan, "--tol-energy", "-1"]),
+        ("torus-scan-tol-freq", [*scan, "--tol-freq", "nan"]),
+        ("torus-scan-seed", [*scan, "--seed", "-1"]),
+    ]]
     return cmds
 
 
