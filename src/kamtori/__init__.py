@@ -8,7 +8,7 @@ Submodules:
   scalednorms  empirical fits of scaled operator norms and growth diagnostics
   birkhoff     Birkhoff normal form at an elliptic equilibrium
   kamengine    quasi-inverse of the homological operator and the iterative
-               normal-form scheme, including the parametric (fibered) version
+               normal-form scheme on the (q, p) fiber
   torusverify  numeric orbit integration and invariant-torus classification
   cli          command-line entry points
 """

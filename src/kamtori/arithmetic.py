@@ -43,7 +43,6 @@ __all__ = [
     "bruno_diagnostic",
     "in_class",
     "density_estimate",
-    "theorem1_bound",
     "lattice_basis",
     "flow_and_shortest",
     "lemma_eps_t",
@@ -740,47 +739,6 @@ def density_estimate(f, x0, a: DecaySequence, rho: DecaySequence, r,
         active_constraints=int(pts_a.shape[0]),
         map_name=f.name,
     )
-
-
-# ---------------------------------------------------------------------------
-# the two series of the density theorem
-# ---------------------------------------------------------------------------
-
-def _exact_sqrt(x):
-    """Exact square root of a Fraction if it is a perfect square, else None."""
-    if not isinstance(x, Fraction):
-        return None
-    rn = math.isqrt(x.numerator)
-    rd = math.isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
-def theorem1_bound(rho: DecaySequence, n: int, K: int):
-    """Partial sums of both series attached to the density statement:
-
-      hypothesis_sum = sum_{k<=K} 2^((k+1)n + 1) sqrt(rho_k)
-      proof_sum      = sum_{k<=K} 2^((k+1)n + k) sqrt(rho_k)
-
-    The exponents differ (+1 versus +k); both are reported and the caller
-    compares.  Exact Fractions when every rho_k is a perfect square.
-    """
-    rho.require_positive()
-    if n < 1 or K < 0:
-        raise ValueError("need n >= 1 and K >= 0")
-    exact_roots = [_exact_sqrt(rho[k]) for k in range(K + 1)]
-    if all(root is not None for root in exact_roots):
-        hyp = sum(Fraction(2) ** ((k + 1) * n + 1) * exact_roots[k]
-                  for k in range(K + 1))
-        prf = sum(Fraction(2) ** ((k + 1) * n + k) * exact_roots[k]
-                  for k in range(K + 1))
-        return hyp, prf
-    hyp = sum(2.0 ** ((k + 1) * n + 1) * math.sqrt(float(rho[k]))
-              for k in range(K + 1))
-    prf = sum(2.0 ** ((k + 1) * n + k) * math.sqrt(float(rho[k]))
-              for k in range(K + 1))
-    return hyp, prf
 
 
 # ---------------------------------------------------------------------------

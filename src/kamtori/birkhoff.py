@@ -39,7 +39,6 @@ from .jets import EXACT, ComplexRational, Jet, graded_lex_key, to_jsonable
 from .poisson import (
     HamiltonianDerivation,
     SymplecticLayout,
-    _rref,
     ad_eigenvalue,
     exp_product,
     lie_exp,
@@ -99,7 +98,7 @@ def _extract_frequencies(H, n, mode):
     quad = H.degree_slice(2)
     alpha = [None] * n
     for idx, c in quad.terms():
-        qe, pe, _, _ = lay.split(idx)
+        qe, pe = lay.split(idx)
         if mode == REAL_ELLIPTIC:
             if sum(qe) == 2 and max(qe) == 2:
                 k, kind = qe.index(2), "q"
@@ -215,20 +214,6 @@ class BirkhoffResult:
             coords = [z.to_float() for z in coords]
         return [exp_product(self.generators, z) for z in coords]
 
-    def action_jets(self):
-        """The Morse action monomials Y_k = Q_k P_k."""
-        lay, t = self.layout, self.input_morse.trunc_degree
-        out = [lay.q(k, t) * lay.p(k, t) for k in range(lay.n)]
-        if self.input_morse.mode != EXACT:
-            out = [y.to_float() for y in out]
-        return out
-
-    def conjugacy_defect(self):
-        """H_morse o (transform images) - a_morse(actions); ord > 2l on success."""
-        transformed = self.input_morse.compose(self.coordinate_images())
-        normal = self.a_morse.compose(self.action_jets())
-        return transformed - normal
-
     def to_json_dict(self):
         return to_jsonable({
             "achieved_order": self.achieved_order,
@@ -283,7 +268,7 @@ def birkhoff_normalize(H, l, divisor_floor=None, strategy="per-degree"):
     for d in range(3, 2 * l + 1):
         solvable = []
         for idx, c in hm.degree_slice(d).terms():
-            qe, pe, _, _ = lay.split(idx)
+            qe, pe = lay.split(idx)
             if qe != pe:
                 solvable.append((idx, c))
         chi_terms, _ = _solve_terms(solvable, lay, alphat, divisor_floor,
@@ -300,7 +285,7 @@ def birkhoff_normalize(H, l, divisor_floor=None, strategy="per-degree"):
             gens.append(u)
         if exact:
             for idx, _ in hm.drop_below(3).truncate(d).terms():
-                qe, pe, _, _ = lay.split(idx)
+                qe, pe = lay.split(idx)
                 if qe != pe:
                     raise CertificateError(
                         f"normalization left non-resonant exponent {idx} "
@@ -310,13 +295,13 @@ def birkhoff_normalize(H, l, divisor_floor=None, strategy="per-degree"):
             # by construction; what float arithmetic leaves there is
             # roundoff, so project it out (no magnitude threshold)
             def keep(idx):
-                qe, pe, _, _ = lay.split(idx)
+                qe, pe = lay.split(idx)
                 return sum(idx) != d or qe == pe
             hm = hm.project(keep)
 
     resonant = {}
     for idx, c in hm.terms():
-        qe, pe, _, _ = lay.split(idx)
+        qe, pe = lay.split(idx)
         if qe == pe and sum(idx) <= 2 * l:
             resonant[idx] = c
     a_morse = Jet(lay.n, l,
@@ -351,7 +336,7 @@ def birkhoff_normalize(H, l, divisor_floor=None, strategy="per-degree"):
 
 
 # ---------------------------------------------------------------------------
-# frequency map and frequency space
+# frequency map
 # ---------------------------------------------------------------------------
 
 def frequency_map(A):
@@ -359,43 +344,8 @@ def frequency_map(A):
     return tuple(A.derivative(k) for k in range(A.num_vars))
 
 
-@dataclass(frozen=True)
-class FrequencySpace:
-    """Affine span of the image of the frequency map: base + span(basis)."""
-
-    base: tuple
-    basis: tuple
-    dim: int
-    order: int
-
-    def to_json_dict(self):
-        return to_jsonable(vars(self))
-
-
-def frequency_space(H, l, divisor_floor=None):
-    """Smallest affine space containing the image of the order-l frequency map.
-
-    Computed as grad A(0) plus the span of the coefficient vectors of the
-    nonconstant part of grad A, with the basis in reduced echelon form.
-    """
-    res = birkhoff_normalize(H, l, divisor_floor=divisor_floor)
-    grads = frequency_map(res.A)
-    n = res.A.num_vars
-    zero = (0,) * n
-    base = tuple(g.coeffs.get(zero, Fraction(0) if g.mode == EXACT else 0.0)
-                 for g in grads)
-    monomials = sorted({m for g in grads for m in g.coeffs if sum(m) > 0},
-                       key=graded_lex_key)
-    rows = []
-    for m in monomials:
-        zero_c = Fraction(0) if res.A.mode == EXACT else 0.0
-        rows.append([g.coeffs.get(m, zero_c) for g in grads])
-    basis = tuple(_rref(rows))
-    return FrequencySpace(base=base, basis=basis, dim=len(basis), order=l)
-
-
 # ---------------------------------------------------------------------------
-# prenormal form: H = quadratic + R with R in the square of the action ideal
+# the action-ideal certificate: R in the square of the action ideal
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -420,8 +370,8 @@ def action_ideal_certificate(H, layout=None):
     """Check that every monomial beyond sum a_k p_kq_k has two action factors."""
     lay = layout or SymplecticLayout(H.num_vars // 2)
     for idx in sorted(H.coeffs, key=graded_lex_key):
-        qe, pe, le, me = lay.split(idx)
-        if qe == pe and sum(qe) == 1 and not any(le) and not any(me):
+        qe, pe = lay.split(idx)
+        if qe == pe and sum(qe) == 1:
             continue    # the quadratic model itself
         if not _in_action_square(qe, pe):
             name = _monomial_name(idx, lay)
@@ -494,7 +444,7 @@ def _solve_terms(terms, layout, freqs, floor, exact):
     out = {}
     min_div = None
     for idx, c in terms:
-        qe, pe, _, _ = layout.split(idx)
+        qe, pe = layout.split(idx)
         if qe == pe:
             raise ResonanceError(
                 f"monomial {_monomial_name(idx, layout)} is resonant and "
@@ -505,25 +455,3 @@ def _solve_terms(terms, layout, freqs, floor, exact):
             min_div = mag
         out[idx] = c / lam
     return out, min_div
-
-
-def prenormal_form(H, k, divisor_floor=None):
-    """Normalize to order 2k, then push the non-action tail into the ideal square.
-
-    Returns (H', certificate) where H' = sum alphat_k P_kQ_k + R in Morse
-    coordinates with R certified inside the square of the action ideal up
-    to the jet truncation: the Birkhoff stage makes R start with resonant
-    (hence action-squared) terms up to order 2k, and the fiber stage of
-    `kamengine` removes the remaining transverse tail degree by degree.
-    k should be large enough that the frequency map already spans the
-    frequency space.
-    """
-    from .kamengine import fiber_normalize
-
-    res = birkhoff_normalize(H, k, divisor_floor=divisor_floor)
-    fib = fiber_normalize(res.normal_morse, res.alpha, res.coordinate_mode,
-                          divisor_floor=divisor_floor)
-    cert = action_ideal_certificate(fib.normalized, res.layout)
-    if not cert.ok:
-        raise CertificateError(cert.message)
-    return fib.normalized, cert

@@ -42,7 +42,7 @@ from .errors import KamtoriError
 from .jets import ComplexRational, Jet, to_jsonable
 from .kamengine import KamProblem, kam_iterate
 from .poisson import SymplecticLayout
-from .torusverify import torus_scan
+from .torusverify import _window_length, torus_scan
 
 RATIONAL, FLOAT = "rational", "float"
 
@@ -195,6 +195,15 @@ def _each(rule):
     return lambda text, v: [rule(x, v) for x in _parse_vector(text, FLOAT)]
 
 
+_AT_LEAST_TWO = _rule("at least 2", lambda x: x >= 2)
+
+
+def _windows(windows, v):
+    """At least 2 windows, each of at least 64 of the --steps + 1 samples."""
+    _window_length(v.steps + 1, _AT_LEAST_TWO(windows, v))
+    return windows
+
+
 def _alpha(text, v):
     return arithmetic.FrequencyVector(_parse_vector(text, v.mode))
 
@@ -290,7 +299,7 @@ OPTIONS = {
         ("--samples", int, REQUIRED, _POSITIVE),
         ("--dt", float, 0.02, _FINITE_POSITIVE),
         ("--steps", int, 8192, None),
-        ("--windows", int, 4, _rule("at least 2", lambda x: x >= 2)),
+        ("--windows", int, 4, _windows),
         ("--tol-energy", float, 1e-6, _FINITE_POSITIVE),
         ("--tol-freq", float, 1e-4, _FINITE_POSITIVE),
         ("--escape-factor", float, 10.0, _FINITE_POSITIVE),

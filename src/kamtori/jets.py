@@ -6,7 +6,7 @@ a sparse map from exponent tuples to coefficients.  Two numeric modes exist:
 (float / complex).  A computation never mixes modes; converting is explicit
 via to_float().
 
-Variables may carry block labels (e.g. q/p/lam/mu) so that callers working
+Variables may carry block labels (e.g. q/p) so that callers working
 with symplectic coordinates can keep track of which slot is which; the ring
 operations themselves never look inside the blocks beyond checking equality.
 """
@@ -313,15 +313,6 @@ class Jet:
         return cls(num_vars, trunc_degree, {idx: one}, blocks=blocks, mode=mode)
 
     @classmethod
-    def ones(cls, num_vars, trunc_degree, blocks=None, mode=EXACT):
-        """All coefficients 1 up to the truncation degree (Hadamard unit)."""
-        one = 1 if mode == EXACT else 1.0
-        coeffs = {
-            idx: one for idx in _all_indices(num_vars, trunc_degree)
-        }
-        return cls(num_vars, trunc_degree, coeffs, blocks=blocks, mode=mode)
-
-    @classmethod
     def from_terms(cls, num_vars, trunc_degree, terms, blocks=None, mode=None):
         """terms: iterable of (exponent tuple, coefficient)."""
         acc = {}
@@ -474,17 +465,6 @@ class Jet:
             base = base * base if k > 1 else base
             k >>= 1
         return out
-
-    def hadamard(self, other):
-        """Coefficient-wise product: (f ⋆ g)_i = f_i · g_i."""
-        trunc, blocks, mode = self._join(other)
-        small, big = (self, other) if len(self) <= len(other) else (other, self)
-        acc = {}
-        for idx, value in small._coeffs.items():
-            w = big._coeffs.get(idx)
-            if w is not None and sum(idx) <= trunc:
-                acc[idx] = value * w
-        return Jet(self.num_vars, trunc, acc, blocks=blocks, mode=mode)
 
     # --- filtration / selection ----------------------------------------------
 
@@ -649,33 +629,6 @@ class Jet:
         for idx, value in self._coeffs.items():
             total += _abs_float(value) * sf ** sum(idx)
         return total
-
-    def l2_norm(self, s):
-        """Exact L2 norm over the polydisc of radius s, by monomial
-        orthogonality: sqrt(sum |a_i|^2 w_i(s)) with
-        w_i(s) = prod_j pi * s^(2(i_j+1)) / (i_j+1).
-        """
-        s = _check_radius(s)
-        if self.mode == EXACT and isinstance(s, Fraction):
-            q = Fraction(0)
-            for idx, value in self._coeffs.items():
-                a2 = value.abs2() if isinstance(value, ComplexRational) \
-                    else value * value
-                w = Fraction(1)
-                for e in idx:
-                    w *= s ** (2 * (e + 1)) / (e + 1)
-                q += a2 * w
-            return math.sqrt(float(q) * math.pi ** self.num_vars)
-        sf = float(s)
-        q = 0.0
-        for idx, value in self._coeffs.items():
-            a2 = abs(complex(value)) ** 2 if isinstance(value, (complex, ComplexRational)) \
-                else float(value) ** 2
-            w = 1.0
-            for e in idx:
-                w *= sf ** (2 * (e + 1)) / (e + 1)
-            q += a2 * w
-        return math.sqrt(q * math.pi ** self.num_vars)
 
     # --- serialization -------------------------------------------------------
 

@@ -13,32 +13,26 @@ one degree per stage, realizing the ultraviolet cutoff of the
 quasi-inverse), alpha_n collects the absorbable part (the set F), c_n
 the overflow (its complement), and j_n is the quasi-inverse built by
 dividing each solvable monomial by its eigenvalue under the quadratic
-model.  F is fixed: the monomials with two action factors p_kq_k, or,
-in the parametric scenario, what is left of the jet once the
-non-resonant monomials and the reduced resonant classes are taken out.
+model.  F is fixed: the monomials with two action factors p_kq_k.
 `_split` is the one place that draws this line, for the stage solution,
 the stage absorption and the certificate alike.
 
 Conventions.  A derivation acts by u_h(f) = {f, h}, so the quasi-inverse
 returns the generator with bracket(model, generator) = target modulo F
 and degrees beyond the window; stage transforms apply e^{-u_n}, first
-stage first.  In the parametric scenario the lambda/mu variables stand
-for actions and carry weight 2 in all degree bookkeeping, and the
-frequency corrections are read on the zero section mu = 0.
+stage first.
 
 Truncation.  Every derivation the engine builds keeps the truncation
-degree N of the jet it acts on: generators have order >= 3, and the
-mu-shift coefficients are constant-free lambda-polynomials, for which
-HamiltonianDerivation certifies a_i(lambda) d/dmu_i f up to f's own
-degree.  The stage flows e^{-u_n}, the products u_n(a_n) and the
-replay certificate are therefore plain lie_exp and derivation calls,
-exact in every degree <= N.
+degree N of the jet it acts on, because its generator has order >= 3.
+The stage flows e^{-u_n}, the products u_n(a_n) and the replay
+certificate are therefore plain lie_exp and derivation calls, exact in
+every degree <= N.
 
 Replay certificate.  In exact mode the conjugated jet is recomputed on
 a second route.  Each e^{-u_n} is an algebra automorphism (u_n is a
-derivation, its d/dmu terms included), so it acts on any jet as
-composition with the images of the bare coordinates under e^{-u_n}
-alone, and the whole transform is the chain of those per-stage maps.
+derivation), so it acts on any jet as composition with the images of
+the bare coordinates under e^{-u_n} alone, and the whole transform is
+the chain of those per-stage maps.
 The replay composes the starting jet with them, stage by stage, and
 must reproduce the iterated conjugation exactly.  It checks the same
 equality as pushing every coordinate through all the stages, at the
@@ -50,37 +44,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arithmetic import FrequencyVector, bruno_diagnostic, sigma
-from .birkhoff import (COMPLEX_MORSE, REAL_ELLIPTIC, EllipticHamiltonian,
-                       _abs_mag, _extract_frequencies, _in_action_square,
-                       _monomial_name, _solve_terms,
-                       action_ideal_certificate, to_complex_morse)
-from .errors import (BudgetExceededError, CertificateError,
-                     ClassMembershipError, ConvergenceError, ModeMixError,
-                     OrderTooLowError, ResonanceError, ShapeMismatchError)
-from .jets import EXACT, ComplexRational, Jet, _product, to_jsonable
-from .poisson import HamiltonianDerivation, SymplecticLayout, _rref, lie_exp
+from .birkhoff import (COMPLEX_MORSE, REAL_ELLIPTIC, _abs_mag,
+                       _extract_frequencies, _in_action_square, _solve_terms,
+                       action_ideal_certificate)
+from .errors import (BudgetExceededError, CertificateError, ConvergenceError,
+                     OrderTooLowError, ShapeMismatchError)
+from .jets import EXACT, ComplexRational, Jet, to_jsonable
+from .poisson import HamiltonianDerivation, SymplecticLayout, lie_exp
 
 _I = ComplexRational(0, 1)
 
 
-# ---------------------------------------------------------------------------
-# weighted degree: lambda and mu stand for actions, weight 2
-# ---------------------------------------------------------------------------
-
-def _wdeg(idx, layout):
-    qe, pe, le, me = layout.split(idx)
-    return sum(qe) + sum(pe) + 2 * (sum(le) + sum(me))
-
-
-def _wtruncate(jet, layout, w):
-    return jet.project(lambda idx: _wdeg(idx, layout) <= w)
-
-
-def _word(jet, layout):
-    """Weighted order; None for the zero jet."""
-    if not jet:
-        return None
-    return min(_wdeg(idx, layout) for idx in jet.coeffs)
+def _window(jet, w):
+    """The part of degree <= w; unlike Jet.truncate it keeps the jet's
+    truncation degree."""
+    return jet.project(lambda idx: sum(idx) <= w)
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +85,8 @@ def hadamard_quasi_inverse(alpha, n, target, layout, *, alpha_acc=None,
     if n < 0:
         raise ValueError("stage index must be >= 0")
     freqs = _effective_freqs(alpha, eigen_freqs)
-    terms, _, _ = _stage_solution(target, layout, freqs, divisor_floor,
-                                  target.mode == EXACT, alpha_acc, math.inf,
-                                  None)
+    terms, _ = _stage_solution(target, layout, freqs, divisor_floor,
+                               target.mode == EXACT, alpha_acc, math.inf)
     gen = Jet(target.num_vars, target.trunc_degree, terms,
               blocks=layout.blocks, mode=target.mode)
     return HamiltonianDerivation(gen, layout)
@@ -125,149 +102,19 @@ def _effective_freqs(alpha, eigen_freqs):
     return tuple(alpha)
 
 
-# ---------------------------------------------------------------------------
-# parametric (lambda, mu) reduction data
-# ---------------------------------------------------------------------------
-
-def _poly_power_product(forms, exps, d):
-    """Product over k of forms[k]**exps[k]; forms are lambda-polynomials."""
-    out = {(0,) * d: 1}
-    for f, e in zip(forms, exps):
-        for _ in range(e):
-            out = {k: v for k, v in _product(out, f, math.inf).items() if v}
-    return out
-
-
-class _Parametric:
-    """Reduction data for the (lambda, mu) scenario.
-
-    w_forms[k] is the lambda-linear polynomial identified with the action
-    p_kq_k on the zero section; columns[k][i] the coefficient of the i-th
-    deformation direction on the k-th action.
-    """
-
-    __slots__ = ("w_forms", "columns", "d", "n")
-
-    def __init__(self, w_forms, columns, d, n):
-        self.w_forms = w_forms
-        self.columns = columns
-        self.d = d
-        self.n = n
-
-    def solve_direction(self, vec, idx, layout):
-        """Exact coordinates of vec in the deformation directions."""
-        out = [0] * self.d
-        for row in _rref([list(self.columns[k]) + [vec[k]]
-                          for k in range(self.n)]):
-            col = next(i for i, x in enumerate(row) if x)
-            if col == self.d:
-                raise ResonanceError(
-                    f"resonant class of {_monomial_name(idx, layout)} lies "
-                    "outside the deformation directions; the frequency "
-                    "space does not absorb it")
-            out[col] = row[self.d]
-        return out
-
-
-def _split(jet, layout, par):
+def _split(jet, layout):
     """Split a jet into what a stage solves and what F absorbs.
 
-    Returns (solvable, gamma, overflow, absorbable): ``absorbable`` is the
-    part of ``jet`` in F and ``overflow`` = jet - absorbable the rest.
-    Without parametric data (``par`` None), F is the monomials with two
-    action factors p_kq_k, the whole overflow is solvable (a resonant
-    monomial in it raises when solved) and ``gamma`` is None.  With
-    ``par``, ``solvable`` carries the monomials with q-exponent !=
-    p-exponent; ``gamma[k]`` accumulates, as a lambda-polynomial, the
-    coefficient of the class of p_kq_k produced by reducing the resonant
-    monomials modulo the square of the shifted-action ideal on the zero
-    section; the overflow is the solvable part plus the plain-monomial
-    representatives of those classes.
+    Returns (overflow, absorbable): ``absorbable`` is the part of ``jet``
+    in F, the monomials with two action factors p_kq_k, and ``overflow``
+    = jet - absorbable the rest.  The whole overflow is solvable; a
+    resonant monomial in it raises when solved.
     """
-    if par is None:
-        def in_f(idx):
-            qe, pe, _, _ = layout.split(idx)
-            return _in_action_square(qe, pe)
-        absorbable = jet.project(in_f)
-        overflow = jet - absorbable
-        return overflow, None, overflow, absorbable
-    d = layout.lambda_dim
-    nonres = {}
-    rep = {}
-    gamma = [dict() for _ in range(layout.n)]
-    for idx, c in jet.coeffs.items():
-        qe, pe, le, me = layout.split(idx)
-        if qe != pe:
-            nonres[idx] = c
-            continue
-        if sum(qe) == 0:
-            continue                    # pure parameter term: absorbable
-        if any(me):
-            raise ClassMembershipError(
-                f"resonant term {_monomial_name(idx, layout)} carries mu; "
-                "the zero-section reduction does not flow it (outside the "
-                "computable scenario)")
-        m = qe
-        for k, mk in enumerate(m):
-            if not mk:
-                continue
-            exps = list(m)
-            exps[k] -= 1
-            poly = _poly_power_product(par.w_forms, exps, d)
-            for a, v in poly.items():
-                coeff = c * mk * v
-                if not coeff:
-                    continue
-                new = [0] * len(idx)
-                new[layout.q_index(k)] = 1
-                new[layout.p_index(k)] = 1
-                for i, ai in enumerate(a):
-                    new[layout.lam_index(i)] = ai + le[i]
-                new_idx = tuple(new)
-                gkey = tuple(ai + lei for ai, lei in zip(a, le))
-                bucket = gamma[k]
-                w = bucket.get(gkey, 0) + coeff
-                if w:
-                    bucket[gkey] = w
-                elif gkey in bucket:
-                    del bucket[gkey]
-                rep[new_idx] = rep.get(new_idx, 0) + coeff
-                if not rep[new_idx]:
-                    del rep[new_idx]
-    nonres_jet = Jet(jet.num_vars, jet.trunc_degree, nonres,
-                     blocks=layout.blocks, mode=jet.mode)
-    overflow = nonres_jet + Jet(jet.num_vars, jet.trunc_degree, rep,
-                                blocks=layout.blocks, mode=jet.mode)
-    return nonres_jet, gamma, overflow, jet - overflow
-
-
-def _gamma_to_mu_coeffs(gamma, layout, par, jet_like):
-    """Solve the class coefficients into per-direction lambda-jets."""
-    keys = set()
-    for bucket in gamma:
-        keys.update(bucket)
-    if not keys:
-        return None
-    coeffs = [dict() for _ in range(par.d)]
-    zero = Fraction(0) if jet_like.mode == EXACT else 0.0
-    for a in sorted(keys):
-        if not any(a):
-            # Would shift mu by a constant, i.e. move the model's
-            # quadratic part itself; b never has degree-2 content.
-            raise CertificateError(
-                "resonant class at lambda-degree zero: the perturbation "
-                "holds quadratic content")
-        vec = [bucket.get(a, zero) for bucket in gamma]
-        idx = [0] * layout.num_vars
-        for i, ai in enumerate(a):
-            idx[layout.lam_index(i)] = ai
-        sol = par.solve_direction(vec, tuple(idx), layout)
-        for i, s in enumerate(sol):
-            if s:
-                coeffs[i][tuple(idx)] = s
-    jets = [Jet(jet_like.num_vars, jet_like.trunc_degree, c,
-                blocks=layout.blocks, mode=jet_like.mode) for c in coeffs]
-    return jets
+    def in_f(idx):
+        qe, pe = layout.split(idx)
+        return _in_action_square(qe, pe)
+    absorbable = jet.project(in_f)
+    return jet - absorbable, absorbable
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +125,10 @@ def _gamma_to_mu_coeffs(gamma, layout, par, jet_like):
 class KamProblem:
     """One normalization run: model ``a``, perturbation ``b``, descriptors.
 
-    The absorbable set F is fixed by the scenario (see `_split`): the
-    monomials with two action factors, or with ``parametric`` the
-    remainder of the (lambda, mu) class reduction; the overflow c_n is
-    its complement.  ``eigen_freqs`` are the scalars entering the
-    divisors (alpha itself when omitted).  The restriction r_n truncates
-    to weighted degree base_degree + n.  ``parametric`` carries the
-    (lambda, mu) reduction data and is installed by extended_scenario.
-    The norm ledger is read at the stage radii s_n = s (1 + 3^-n) / 2
+    The absorbable set F is the monomials with two action factors (see
+    `_split`); the overflow c_n is its complement.  ``eigen_freqs`` are
+    the scalars entering the divisors (alpha itself when omitted).  The
+    restriction r_n truncates to degree base_degree + n.  The norm ledger is read at the stage radii s_n = s (1 + 3^-n) / 2
     with s = 1/2.
     """
 
@@ -298,7 +141,6 @@ class KamProblem:
     k_offset: int = 0
     base_degree: int = 3
     divisor_floor: object = None
-    parametric: object = None
     verify: bool = True
 
     def __post_init__(self):
@@ -339,9 +181,7 @@ class KamState:
             "ord_b": self.ord_b,
             "min_divisor": self.min_divisor,
             "solved_monomials": 0 if gen is None else len(gen.coeffs),
-            "mu_corrections": 0 if self.u_n is None
-            or self.u_n.mu_coeffs is None else
-            sum(1 for a in self.u_n.mu_coeffs if a),
+            "mu_corrections": 0,    # always 0; keeps `kam run` bytes fixed
             "norms": self.norm_ledger,
             "success": self.success,
         })
@@ -366,27 +206,23 @@ def _norm_ledger(stage, jets, exact):
 # the iteration
 # ---------------------------------------------------------------------------
 
-def _stage_solution(target, layout, freqs, floor, exact, alpha_acc, window,
-                    par):
-    """Build the stage derivation: generator terms and mu-shift jets."""
-    solvable, gamma, _, _ = _split(target, layout, par)
+def _stage_solution(target, layout, freqs, floor, exact, alpha_acc, window):
+    """Build the stage generator's terms and the smallest divisor."""
+    solvable, _ = _split(target, layout)
     quotients, min_div = _solve_terms(solvable.terms(), layout, freqs, floor,
                                       exact)
     # the generator holds -coeff/eigenvalue (0 - v: no float -0.0)
     terms = {idx: 0 - v for idx, v in quotients.items()}
-    mu_jets = None
-    if gamma is not None:
-        mu_jets = _gamma_to_mu_coeffs(gamma, layout, par, target)
 
     if alpha_acc and terms:
         gen = Jet(target.num_vars, target.trunc_degree, terms,
                   blocks=layout.blocks, mode=target.mode)
 
         def in_window(idx):
-            qe, pe, _, _ = layout.split(idx)
-            return qe != pe and _wdeg(idx, layout) <= window
+            qe, pe = layout.split(idx)
+            return qe != pe and sum(idx) <= window
         err = HamiltonianDerivation(gen, layout)(alpha_acc).project(in_window)
-        corr_src, _, _, _ = _split(err, layout, par)
+        corr_src, _ = _split(err, layout)
         corr, corr_div = _solve_terms(corr_src.terms(), layout, freqs, floor,
                                       exact)
         for idx, c in corr.items():
@@ -397,7 +233,7 @@ def _stage_solution(target, layout, freqs, floor, exact, alpha_acc, window,
                 del terms[idx]
         if corr_div is not None and (min_div is None or corr_div < min_div):
             min_div = corr_div
-    return terms, mu_jets, min_div
+    return terms, min_div
 
 
 def _clean_float(jet, tol):
@@ -418,9 +254,9 @@ def kam_iterate(problem: KamProblem):
     (u_n = 0), overflows nothing (c_n = 0), and whose absorption alpha_n
     accounts exactly for the whole conjugated jet is final -- or until
     max_stage, whichever comes first.  Each stage solves the
-    non-absorbable part of b_n inside the window (weighted degree
-    base_degree + n) via the quasi-inverse, absorbs the F-part into the
-    model with the next restriction, and conjugates by e^{-u_n}.  On
+    non-absorbable part of b_n inside the window (degree base_degree + n)
+    via the quasi-inverse, absorbs the F-part into the model with the
+    next restriction, and conjugates by e^{-u_n}.  On
     success the residual of the conjugated jet over the final model is
     verified to lie in F, and (exact mode, when problem.verify) the whole
     conjugation is replayed as an independent check: a + b is composed
@@ -433,14 +269,12 @@ def kam_iterate(problem: KamProblem):
     lay = problem.layout
     exact = problem.a.mode == EXACT and problem.b.mode == EXACT
     freqs = _effective_freqs(problem.alpha, problem.eigen_freqs)
-    par = problem.parametric
     N = min(problem.a.trunc_degree, problem.b.trunc_degree)
-    wmax = N if lay.lambda_dim == 0 and lay.mu_dim == 0 else 2 * N
     base = problem.base_degree
-    # Default stage budget: the window walks to wmax in wmax - base steps
-    # and the order of b climbs by at least one per solving stage, so wmax
-    # stages always reach the truncation degree.
-    max_stage = problem.max_stage if problem.max_stage is not None else wmax
+    # Default stage budget: the window walks to N in N - base steps and
+    # the order of b climbs by at least one per solving stage, so N stages
+    # always reach the truncation degree.
+    max_stage = problem.max_stage if problem.max_stage is not None else N
 
     a0 = problem.a
     T = a0 + problem.b
@@ -462,8 +296,8 @@ def kam_iterate(problem: KamProblem):
         if n == 0:
             b_n = problem.b
         else:
-            b_n = _clean_float(_wtruncate(T, lay, w) - a_cur, tol())
-        ord_b = _word(b_n, lay)
+            b_n = _clean_float(_window(T, w) - a_cur, tol())
+        ord_b = b_n.ord() if b_n else None
 
         if prev_solved_ord is not None and ord_b is not None \
                 and ord_b <= prev_solved_ord:
@@ -472,17 +306,15 @@ def kam_iterate(problem: KamProblem):
                 f"({prev_solved_ord} -> {ord_b}); the quasi-inverse is "
                 "inconsistent with the F/G split")
 
-        target = _wtruncate(b_n, lay, w)
+        target = _window(b_n, w)
         alpha_acc = a_cur - a0 if n > 0 else None
-        terms, mu_jets, min_div = _stage_solution(
-            target, lay, freqs, problem.divisor_floor, exact, alpha_acc, w,
-            par)
+        terms, min_div = _stage_solution(
+            target, lay, freqs, problem.divisor_floor, exact, alpha_acc, w)
 
         gen = Jet(b_n.num_vars, N, terms, blocks=lay.blocks, mode=b_n.mode)
-        u_n = HamiltonianDerivation(gen, lay, mu_jets) \
-            if (gen or mu_jets) else None
-        if u_n is not None and gen:
-            gord = _word(gen, lay)
+        u_n = HamiltonianDerivation(gen, lay) if gen else None
+        if u_n is not None:
+            gord = gen.ord()
             if gord < n - problem.k_offset:
                 raise ConvergenceError(
                     f"stage {n} generator has order {gord} < "
@@ -490,7 +322,7 @@ def kam_iterate(problem: KamProblem):
 
         rhs = b_n - u_n(a_cur) if u_n is not None else b_n
         rhs = _clean_float(rhs, tol())
-        _, _, c_n, alpha_n = _split(rhs, lay, par)
+        c_n, alpha_n = _split(rhs, lay)
 
         done = False
         if u_n is None:
@@ -509,21 +341,12 @@ def kam_iterate(problem: KamProblem):
             break
 
         if u_n is not None:
-            split_mu = mu_jets is not None and u_n.generator_touches_mu()
-            if split_mu:
-                u_gen = HamiltonianDerivation(gen, lay)
-                u_mu = HamiltonianDerivation(
-                    Jet.zero(b_n.num_vars, N, blocks=lay.blocks,
-                             mode=b_n.mode), lay, mu_jets)
-                T = lie_exp(-u_mu, lie_exp(-u_gen, T))
-                gens.extend([u_gen, u_mu])
-            else:
-                T = lie_exp(-u_n, T)
-                gens.append(u_n)
-            T = _clean_float(T, tol())
-            if gen and ord_b is not None:
+            T = lie_exp(-u_n, T)
+            T = _clean_float(T, tol())     # tol() reads the new T
+            gens.append(u_n)
+            if ord_b is not None:
                 prev_solved_ord = ord_b
-        a_cur = _wtruncate(a_cur + alpha_n, lay, base + n + 1)
+        a_cur = _window(a_cur + alpha_n, base + n + 1)
         n += 1
 
     if final.success:
@@ -538,8 +361,7 @@ def _normal_form_of(final):
 
 def _check_postconditions(problem, final, T, gens, exact):
     lay = problem.layout
-    _, _, bad, _ = _split(T - _normal_form_of(final), lay,
-                          problem.parametric)
+    bad, _ = _split(T - _normal_form_of(final), lay)
     if bad:
         raise CertificateError(
             "conjugacy residual escapes the absorbable set F at "
@@ -561,17 +383,15 @@ def _replay(H, gens, lay):
     """e^{-u_m} ... e^{-u_1} H (gens[0] acts first), by composition.
 
     e^{-u} f = f o Phi_u, where Phi_u holds the images of the bare
-    coordinates under e^{-u} (u is a derivation, its d/dmu terms
-    included, so e^{-u} is an algebra automorphism).  The stages chain
+    coordinates under e^{-u} (u is a derivation, so e^{-u} is an algebra
+    automorphism).  The stages chain
     as H o Phi_1 o ... o Phi_m: one Lie series per coordinate and one
     compose per stage.  Each Phi_u has order 1 and is exact to H's
     truncation degree, so every compose is as well.
     """
     N = H.trunc_degree
     coords = [lay.q(k, N) for k in range(lay.n)] \
-        + [lay.p(k, N) for k in range(lay.n)] \
-        + [lay.lam(i, N) for i in range(lay.lambda_dim)] \
-        + [lay.mu(i, N) for i in range(lay.mu_dim)]
+        + [lay.p(k, N) for k in range(lay.n)]
     for u in gens:
         H = H.compose([lie_exp(-u, z) for z in coords])
     return H
@@ -674,211 +494,6 @@ def fiber_normalize(H, alpha=None, coordinate_mode=COMPLEX_MORSE, N=None, *,
         normalized=normalized, certificate=cert,
         transform=tuple(final.transform), alpha=alpha, eigen_freqs=eigen,
         bruno=bruno, final=final, trace=tuple(trace), layout=lay)
-
-
-# ---------------------------------------------------------------------------
-# the parametric scenario: deformation directions and frequency corrections
-# ---------------------------------------------------------------------------
-
-def _extend_jet(jet, layout_ext):
-    pad = (0,) * (layout_ext.lambda_dim + layout_ext.mu_dim)
-    coeffs = {idx + pad: c for idx, c in jet.coeffs.items()}
-    return Jet(layout_ext.num_vars, jet.trunc_degree, coeffs,
-               blocks=layout_ext.blocks, mode=jet.mode)
-
-
-def _lambda_jet(jet, layout):
-    """Re-read a lambda-only jet in the lambda variables alone."""
-    d = layout.lambda_dim
-    coeffs = {}
-    for idx, c in jet.coeffs.items():
-        qe, pe, le, me = layout.split(idx)
-        if any(qe) or any(pe) or any(me):
-            raise ShapeMismatchError("jet is not a function of lambda only")
-        coeffs[le] = c
-    return Jet(d, jet.trunc_degree, coeffs, mode=jet.mode)
-
-
-def _demote_scalar(c, exact):
-    if exact and isinstance(c, ComplexRational):
-        return c.re if not c.im else c
-    if isinstance(c, complex):
-        scale = max(abs(c), 1.0)
-        return c.real if abs(c.imag) <= 1e-12 * scale else c
-    return c
-
-
-def _demote_jet(jet, exact):
-    return Jet(jet.num_vars, jet.trunc_degree,
-               {i: _demote_scalar(c, exact) for i, c in jet.coeffs.items()},
-               blocks=jet.blocks, mode=jet.mode)
-
-
-@dataclass(frozen=True, eq=False)
-class ExtendedResult:
-    """Normal form with deformation parameters and frequency corrections.
-
-    ``corrections[i]`` is the lambda-jet a_i with the transformed mu_i
-    coordinate equal to mu_i - a_i(lambda): on the zero section the model
-    frequencies move by sum_i a_i(lambda) e_i, and the Taylor data of that
-    correction reproduces the gradient of the Birkhoff polynomial.
-    """
-
-    corrections: tuple
-    corrected_frequencies: tuple
-    g0_model: Jet
-    normalized: Jet
-    residual: Jet
-    transform: tuple
-    final: object
-    trace: tuple
-    layout: SymplecticLayout
-    basis: tuple
-    reduced_to_fiber: bool = False
-    fiber: object = None
-
-    def to_json_dict(self):
-        return to_jsonable({
-            "directions": len(self.basis),
-            "reduced_to_fiber": self.reduced_to_fiber,
-            "stages": len(self.trace),
-            "corrections": [dict(corr.coeffs) for corr in self.corrections],
-            "success": True,
-        })
-
-
-def extended_scenario(H, basis, N=None, *, base_degree=3, divisor_floor=None,
-                      max_stage=None, verify=True):
-    """Normalize with deformation parameters along frequency directions.
-
-    ``H`` is an EllipticHamiltonian and ``basis`` a tuple of directions
-    e_1..e_d in frequency space (length-n vectors).  The model becomes
-    sum alphat_k p_kq_k + sum_i mu_i (f, e_i) on a layout extended by d
-    lambda and d mu variables; the stage recurrence then solves the
-    non-resonant classes by eigenvalue division and absorbs the resonant
-    classes into shifts of the mu variables, read on the zero section
-    where the action p_kq_k is identified with the lambda-linear form
-    sum_i lambda_i e_i[k].  Returns the corrections a_i(lambda), the
-    corrected frequency jets, and the normalized jet whose residual is
-    absorbable.  With d = 0 the scenario reduces to fiber_normalize.
-    """
-    if not isinstance(H, EllipticHamiltonian):
-        raise TypeError("extended_scenario needs an EllipticHamiltonian")
-    basis = tuple(tuple(v) for v in basis)
-    n = H.n
-    exact = H.H.mode == EXACT
-    # checked up front: a Fraction direction in a float run would only
-    # fail after the whole recurrence, when it scales the corrections
-    foreign = (float, complex) if exact else (Fraction, ComplexRational)
-    for v in basis:
-        if len(v) != n:
-            raise ShapeMismatchError(
-                f"direction {v} does not have {n} components")
-        if any(isinstance(c, foreign) for c in v):
-            raise ModeMixError(
-                f"direction {v} does not match the {H.H.mode} Hamiltonian")
-    d = len(basis)
-    hm = to_complex_morse(H.H, H.coordinate_mode)
-    if N is not None:
-        hm = hm.truncate(N)
-    N = hm.trunc_degree
-
-    if d == 0:
-        fib = fiber_normalize(hm, H.alpha, H.coordinate_mode,
-                              base_degree=base_degree,
-                              divisor_floor=divisor_floor,
-                              max_stage=max_stage, verify=verify)
-        base_freq = _base_frequencies(H, exact)
-        corrected = tuple(
-            Jet(0, N, {(): f}, mode=hm.mode) for f in base_freq)
-        return ExtendedResult(
-            corrections=(), corrected_frequencies=corrected,
-            g0_model=fib.normalized.degree_slice(2), normalized=fib.normalized,
-            residual=fib.normalized - fib.normalized.degree_slice(2),
-            transform=fib.transform, final=fib.final, trace=fib.trace,
-            layout=fib.layout, basis=basis, reduced_to_fiber=True, fiber=fib)
-
-    lay = SymplecticLayout(n, lambda_dim=d, mu_dim=d)
-    hm_ext = _extend_jet(hm, lay)
-    alphat = _extract_frequencies(hm, n, COMPLEX_MORSE)
-
-    if H.coordinate_mode == REAL_ELLIPTIC:
-        if exact:
-            act, model_scale = -_I, _I
-        else:
-            act, model_scale = -1j, 1j
-    else:
-        one = Fraction(1) if exact else 1.0
-        act = model_scale = one
-
-    w_forms = []
-    columns = []
-    for k in range(n):
-        form = {}
-        for i, e in enumerate(basis):
-            if e[k]:
-                key = tuple(1 if j == i else 0 for j in range(d))
-                form[key] = act * e[k]
-        w_forms.append(form)
-        columns.append(tuple(model_scale * e[k] for e in basis))
-    par = _Parametric(tuple(w_forms), tuple(columns), d, n)
-
-    mu_term = {}
-    for i, e in enumerate(basis):
-        for k, ek in enumerate(e):
-            if not ek:
-                continue
-            idx = [0] * lay.num_vars
-            idx[lay.q_index(k)] = 1
-            idx[lay.p_index(k)] = 1
-            idx[lay.mu_index(i)] = 1
-            mu_term[tuple(idx)] = model_scale * ek
-    model = hm_ext.degree_slice(2) + Jet(
-        lay.num_vars, N, mu_term, blocks=lay.blocks, mode=hm.mode)
-    b = hm_ext - hm_ext.degree_slice(2)
-
-    problem = KamProblem(
-        layout=lay, a=model, b=b, alpha=H.alpha, eigen_freqs=tuple(alphat),
-        base_degree=base_degree, max_stage=max_stage,
-        divisor_floor=divisor_floor, parametric=par, verify=verify)
-    final, trace = kam_iterate(problem)
-    if not final.success:
-        raise ConvergenceError(
-            f"stage budget exhausted at stage {final.stage} with "
-            f"ord(b) = {final.ord_b}")
-    normalized = _normal_form_of(final)
-
-    corrections = []
-    for i in range(d):
-        total = Jet(d, N, {}, mode=hm.mode)
-        for st in trace:
-            if st.u_n is not None and st.u_n.mu_coeffs is not None:
-                a_i = st.u_n.mu_coeffs[i]
-                if a_i:
-                    total = total + _lambda_jet(a_i, lay)
-        corrections.append(_demote_jet(total, exact))
-
-    base_freq = _base_frequencies(H, exact)
-    corrected = []
-    for k in range(n):
-        jet_k = Jet(d, N, {(0,) * d: base_freq[k]}, mode=hm.mode)
-        for i, e in enumerate(basis):
-            if e[k]:
-                jet_k = jet_k + corrections[i] * e[k]
-        corrected.append(_demote_jet(jet_k, exact))
-
-    return ExtendedResult(
-        corrections=tuple(corrections), corrected_frequencies=tuple(corrected),
-        g0_model=model, normalized=normalized, residual=normalized - model,
-        transform=tuple(final.transform), final=final, trace=tuple(trace),
-        layout=lay, basis=basis)
-
-
-def _base_frequencies(H, exact):
-    """Unperturbed frequencies in action units (real mode: d/dX_k at 0)."""
-    if H.coordinate_mode == REAL_ELLIPTIC:
-        return tuple(2 * a for a in H.alpha.components)
-    return tuple(H.alpha.components)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,6 @@ Sign conventions, fixed once:
 
 With these, u_{H2} for H2 = sum alpha_k p_k q_k acts diagonally on monomials:
 u_{H2}(q^i p^j) = <alpha, i-j> q^i p^j, which is what ad_eigenvalue returns.
-
-lambda and mu variables are bracket-inert (Casimir directions); derivations
-may carry extra a_i(lambda) d/d_mu_i terms on top of the bracket part.
 """
 
 from __future__ import annotations
@@ -39,34 +36,23 @@ __all__ = [
 
 
 class SymplecticLayout:
-    """Variable layout (q_1..q_n, p_1..p_n, lambda_1..lambda_d, mu_1..mu_d).
+    """Variable layout (q_1..q_n, p_1..p_n); the bracket couples q_k with
+    p_k only."""
 
-    The bracket couples q_k with p_k only; lambda and mu are spectators.
-    """
+    __slots__ = ("n",)
 
-    __slots__ = ("n", "lambda_dim", "mu_dim")
-
-    def __init__(self, n, lambda_dim=0, mu_dim=0):
+    def __init__(self, n):
         if n < 1:
             raise ShapeMismatchError("layout needs at least one (q,p) pair")
-        if lambda_dim < 0 or mu_dim < 0:
-            raise ShapeMismatchError("block sizes must be nonnegative")
         self.n = int(n)
-        self.lambda_dim = int(lambda_dim)
-        self.mu_dim = int(mu_dim)
 
     @property
     def num_vars(self):
-        return 2 * self.n + self.lambda_dim + self.mu_dim
+        return 2 * self.n
 
     @property
     def blocks(self):
-        out = [("q", self.n), ("p", self.n)]
-        if self.lambda_dim:
-            out.append(("lam", self.lambda_dim))
-        if self.mu_dim:
-            out.append(("mu", self.mu_dim))
-        return tuple(out)
+        return (("q", self.n), ("p", self.n))
 
     def q_index(self, k):
         return k
@@ -74,21 +60,13 @@ class SymplecticLayout:
     def p_index(self, k):
         return self.n + k
 
-    def lam_index(self, i):
-        return 2 * self.n + i
-
-    def mu_index(self, i):
-        return 2 * self.n + self.lambda_dim + i
-
     def __eq__(self, other):
         if isinstance(other, SymplecticLayout):
-            return (self.n, self.lambda_dim, self.mu_dim) == \
-                (other.n, other.lambda_dim, other.mu_dim)
+            return self.n == other.n
         return NotImplemented
 
     def __repr__(self):
-        return (f"SymplecticLayout(n={self.n}, lambda_dim={self.lambda_dim}, "
-                f"mu_dim={self.mu_dim})")
+        return f"SymplecticLayout(n={self.n})"
 
     def check(self, jet):
         if jet.num_vars != self.num_vars:
@@ -102,10 +80,8 @@ class SymplecticLayout:
         return jet
 
     def split(self, idx):
-        """Exponent tuple -> (q part, p part, lambda part, mu part)."""
-        n, dl = self.n, self.lambda_dim
-        return (idx[:n], idx[n:2 * n],
-                idx[2 * n:2 * n + dl], idx[2 * n + dl:])
+        """Exponent tuple -> (q part, p part)."""
+        return idx[:self.n], idx[self.n:]
 
     # --- jet factories ----------------------------------------------------
 
@@ -123,21 +99,10 @@ class SymplecticLayout:
         return Jet.variable(self.p_index(k), self.num_vars, trunc_degree,
                             blocks=self.blocks, mode=mode)
 
-    def lam(self, i, trunc_degree, mode="exact"):
-        return Jet.variable(self.lam_index(i), self.num_vars, trunc_degree,
-                            blocks=self.blocks, mode=mode)
-
-    def mu(self, i, trunc_degree, mode="exact"):
-        return Jet.variable(self.mu_index(i), self.num_vars, trunc_degree,
-                            blocks=self.blocks, mode=mode)
-
-    def monomial(self, coeff, qexp=(), pexp=(), lamexp=(), muexp=(),
-                 trunc_degree=8):
+    def monomial(self, coeff, qexp=(), pexp=(), trunc_degree=8):
         qexp = tuple(qexp) or (0,) * self.n
         pexp = tuple(pexp) or (0,) * self.n
-        lamexp = tuple(lamexp) or (0,) * self.lambda_dim
-        muexp = tuple(muexp) or (0,) * self.mu_dim
-        idx = qexp + pexp + lamexp + muexp
+        idx = qexp + pexp
         if len(idx) != self.num_vars:
             raise ShapeMismatchError("exponent blocks do not fill the layout")
         return Jet(self.num_vars, trunc_degree, {idx: coeff}, blocks=self.blocks)
@@ -245,110 +210,54 @@ def ad_eigenvalue(alpha, i, j):
 
 
 class HamiltonianDerivation:
-    """u(f) = {f, h} + sum_i a_i(lambda) d/d_mu_i f.
+    """u(f) = {f, h} for the generator h.
 
-    The mu-coefficients must depend on lambda only; that keeps exponentials
-    of mixed derivations terminating (each d/d_mu application strictly drops
-    the mu-degree, each bracket application strictly raises total degree).
-
-    The generator and the a_i are exact polynomials, so u(f) keeps f's
-    truncation degree when the generator has order >= 2 and every a_i is
-    constant-free; an a_i with a constant term costs one degree.
+    The generator is an exact polynomial, so u(f) keeps f's truncation
+    degree when the generator has order >= 2.
     """
 
-    __slots__ = ("generator", "layout", "mu_coeffs")
+    __slots__ = ("generator", "layout")
 
-    def __init__(self, generator, layout, mu_coeffs=None):
+    def __init__(self, generator, layout):
         layout.check(generator)
-        if mu_coeffs is not None:
-            mu_coeffs = list(mu_coeffs)
-            if len(mu_coeffs) != layout.mu_dim:
-                raise ShapeMismatchError(
-                    f"expected {layout.mu_dim} mu-coefficients, got {len(mu_coeffs)}"
-                )
-            for a in mu_coeffs:
-                layout.check(a)
-                for idx in a.coeffs:
-                    qe, pe, le, me = layout.split(idx)
-                    if any(qe) or any(pe) or any(me):
-                        raise ValueError(
-                            "mu-coefficients must be functions of lambda only"
-                        )
-            if all(not a for a in mu_coeffs):
-                mu_coeffs = None
         self.generator = generator
         self.layout = layout
-        self.mu_coeffs = mu_coeffs
-
-    @property
-    def is_zero(self):
-        return not self.generator and self.mu_coeffs is None
-
-    def generator_touches_mu(self):
-        lay = self.layout
-        for idx in self.generator.coeffs:
-            if any(lay.split(idx)[3]):
-                return True
-        return False
 
     def __call__(self, f):
         self.layout.check(f)
-        out = None
-        if self.generator:
-            # The generator is an exact polynomial (not a truncated unknown),
-            # so lift its truncation grade high enough that the bracket's
-            # certified range covers all of f's.  The action then preserves
-            # f's truncation degree.
-            h = self.generator.with_trunc(
-                max(self.generator.trunc_degree,
-                    f.trunc_degree + self.generator.max_degree()))
-            out = bracket(f, h, self.layout)
-            if out.trunc_degree > f.trunc_degree:
-                out = out.truncate(f.trunc_degree)
-        if self.mu_coeffs is not None:
-            for i, a in enumerate(self.mu_coeffs):
-                if not a:
-                    continue
-                df = f.derivative(self.layout.mu_index(i))
-                if not df:
-                    continue
-                # a is exact, so a * df is known up to deg(df) + ord(a)
-                t = min(f.trunc_degree, df.trunc_degree + a.ord())
-                term = a.with_trunc(t) * df.with_trunc(t)
-                out = term if out is None else out + term
-        if out is None:
+        if not self.generator:
             return Jet.zero(f.num_vars, f.trunc_degree, blocks=f.blocks,
                             mode=f.mode)
+        # The generator is an exact polynomial (not a truncated unknown),
+        # so lift its truncation grade high enough that the bracket's
+        # certified range covers all of f's.  The action then preserves
+        # f's truncation degree.
+        h = self.generator.with_trunc(
+            max(self.generator.trunc_degree,
+                f.trunc_degree + self.generator.max_degree()))
+        out = bracket(f, h, self.layout)
+        if out.trunc_degree > f.trunc_degree:
+            out = out.truncate(f.trunc_degree)
         return out
 
     def __neg__(self):
-        mu = None if self.mu_coeffs is None else [-a for a in self.mu_coeffs]
-        return HamiltonianDerivation(-self.generator, self.layout, mu)
+        return HamiltonianDerivation(-self.generator, self.layout)
 
     def __repr__(self):
-        extra = "" if self.mu_coeffs is None else \
-            f" + {len(self.mu_coeffs)} d/dmu terms"
-        return f"HamiltonianDerivation({self.generator!r}{extra})"
+        return f"HamiltonianDerivation({self.generator!r})"
 
 
 def lie_exp(u: HamiltonianDerivation, f: Jet) -> Jet:
     """e^u f = sum_j u^j(f)/j!, exact and finite on jets.
 
     Requires ord(generator) >= 3 (each bracket application then raises order,
-    so the series terminates at the truncation degree).  A generator touching
-    mu is rejected when d/dmu terms are present: that combination can cycle
-    and the series genuinely fails to terminate.
+    so the series terminates at the truncation degree).
     """
     h = u.generator
     if h and h.ord() <= 2:
         raise OrderTooLowError(
             f"generator has order {h.ord()} <= 2; the Lie series on jets "
             "does not terminate"
-        )
-    if u.mu_coeffs is not None and u.generator_touches_mu():
-        raise ValueError(
-            "generator depends on mu while the derivation carries d/dmu "
-            "terms; exponential would not terminate (split the transform)"
         )
     u.layout.check(f)
     total = f

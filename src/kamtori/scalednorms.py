@@ -11,14 +11,9 @@ of ``(s, sigma)`` pairs and a basis of monomial inputs; the report records
 the grid so every claim can be replayed.  Exact rational arithmetic is used
 whenever ``tau`` and the operator outputs are rational.
 
-``product_norm_check`` verifies the composition law
-
-    N(u_1 ... u_n)  <=  n^k * prod_i N_i,      k = sum_i k_i,
-
-on the same grid, and ``moderate_growth`` reports whether a sequence of
-fitted constants ``N_n`` has ``sum_n log(max(1, N_n)) / 2^n`` bounded,
-with the same three-valued verdict convention as
-``arithmetic.bruno_diagnostic``.
+``moderate_growth`` reports whether a sequence of fitted constants
+``N_n`` has ``sum_n log(max(1, N_n)) / 2^n`` bounded, with the same
+three-valued verdict convention as ``arithmetic.bruno_diagnostic``.
 """
 
 from __future__ import annotations
@@ -28,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arithmetic import DoubleExpTail, GeometricTail, PowerTail
-from .errors import NonPositiveTermError, ShapeMismatchError
+from .errors import NonPositiveTermError
 from .jets import EXACT, Jet, _all_indices, to_jsonable
 
 
@@ -129,68 +124,6 @@ def fit_bounded_constant(u, k, tau, basis_degree, grid_size,
         residuals=tuple(n_hat - b for b in best),
         max_point=(s, sigma, arg[g_max]),
         basis_degree=basis_degree, num_vars=num_vars)
-
-
-# ---------------------------------------------------------------------------
-# products of bounded operators
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ProductNormReport:
-    """Grid check of N(u_1...u_n) <= n^k * prod N_i with k = sum k_i."""
-
-    n: int
-    k_total: int
-    factor_fits: tuple
-    composed_fit: BoundednessFit
-    bound: object
-    margin: object
-    satisfied: bool
-
-    def to_json_dict(self):
-        return to_jsonable({
-            "n": self.n,
-            "k_total": self.k_total,
-            "factor_N_hats": [f.N_hat for f in self.factor_fits],
-            "composed_N_hat": self.composed_fit.N_hat,
-            "bound": self.bound,
-            "margin": self.margin,
-            "satisfied": self.satisfied,
-        })
-
-
-def product_norm_check(us, k_list, tau, basis_degree, grid_size,
-                       num_vars=1, blocks=None):
-    """Fit each factor and their composition, and compare with n^k prod N_i.
-
-    The composition applies the last operator in ``us`` first (mathematical
-    order u_1 o ... o u_n).  An empty list is the identity, whose fitted
-    constant is exactly 1.
-    """
-    if len(us) != len(k_list):
-        raise ShapeMismatchError("need one k per operator")
-    fits = tuple(
-        fit_bounded_constant(u, ki, tau, basis_degree, grid_size,
-                             num_vars=num_vars, blocks=blocks)
-        for u, ki in zip(us, k_list))
-    k_total = sum(k_list)
-    n = len(us)
-
-    def composed(x):
-        for u in reversed(us):
-            x = u(x)
-        return x
-
-    comp_fit = fit_bounded_constant(composed, k_total, tau, basis_degree,
-                                    grid_size, num_vars=num_vars,
-                                    blocks=blocks)
-    bound = Fraction(n) ** k_total   # 0^0 = 1: the empty product is the identity
-    for f in fits:
-        bound = bound * f.N_hat
-    margin = bound - comp_fit.N_hat
-    return ProductNormReport(
-        n=n, k_total=k_total, factor_fits=fits, composed_fit=comp_fit,
-        bound=bound, margin=margin, satisfied=margin >= 0)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from kamtori.arithmetic import (
     lemma_eps_t,
     sigma,
     strip_analysis,
-    theorem1_bound,
 )
 from kamtori.errors import (
     BudgetExceededError,
@@ -486,42 +485,6 @@ def test_density_rejects_bad_inputs():
     for r in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite and positive"):
             density_estimate(None, [1, PHI_EXACT], s, rho, r, 10, 3, seed=1)
-
-
-# --- the two series ---------------------------------------------------------------
-
-def test_theorem1_bound_critical_case_terms_all_one():
-    # rho_k = 4^{-(k+1)n-k}, n=2: proof terms are exactly 1 each
-    n = 2
-    rho = DecaySequence([Fraction(4) ** (-((k + 1) * n + k)) for k in range(7)])
-    for K in range(7):
-        hyp, prf = theorem1_bound(rho, n, K)
-        assert prf == K + 1
-    # hypothesis sum converges here: terms 2^{(k+1)n+1} 2^{-(k+1)n-k} = 2^{1-k}
-    hyp, _ = theorem1_bound(rho, n, 6)
-    assert hyp == sum(Fraction(2) ** (1 - k) for k in range(7))
-
-
-def test_theorem1_bound_exact_geometric_value():
-    # rho_k = 16^{-(k+1)n-k}, n=2 = 16^{-(3k+2)}: sqrt rho_k = 2^{-(6k+4)}
-    # proof terms 2^{3k+2}*2^{-(6k+4)} = 2^{-3k-2}: sum = (2/7)(1-8^{-(K+1)})
-    # hypothesis terms 2^{2k+3}*2^{-(6k+4)} = 2^{-4k-1}: sum = (8/15)(1-16^{-(K+1)})
-    n = 2
-    K = 5
-    rho = DecaySequence([Fraction(16) ** (-(3 * k + 2)) for k in range(K + 1)])
-    hyp, prf = theorem1_bound(rho, n, K)
-    assert prf == Fraction(2, 7) * (1 - Fraction(8) ** (-(K + 1)))
-    assert hyp == Fraction(8, 15) * (1 - Fraction(16) ** (-(K + 1)))
-    assert isinstance(prf, Fraction)
-
-
-def test_theorem1_bound_partial_sums_monotone():
-    rho = DecaySequence([Fraction(1, 4) ** (k + 1) for k in range(8)])
-    prev = (0, 0)
-    for K in range(8):
-        cur = theorem1_bound(rho, 2, K)
-        assert cur[0] >= prev[0] and cur[1] >= prev[1]
-        prev = cur
 
 
 # --- lattice -------------------------------------------------------------------

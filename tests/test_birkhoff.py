@@ -1,4 +1,4 @@
-"""Birkhoff normalization: Morse conversion, normal forms, frequency geometry."""
+"""Birkhoff normalization: Morse conversion, normal forms, frequency map."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from kamtori.birkhoff import (
     action_ideal_certificate,
     birkhoff_normalize,
     frequency_map,
-    frequency_space,
     inverse_morse_substitution,
     morse_substitution,
     to_complex_morse,
@@ -179,7 +178,9 @@ def test_normalize_conjugacy_and_symplectic_exact():
     H = (q * q + p * p).scale(Fraction(1, 2)) + q ** 3 + (q * q) * p
     ell = EllipticHamiltonian(H, REAL_ELLIPTIC)
     res = birkhoff_normalize(ell, 2)
-    defect = res.conjugacy_defect()
+    # H_morse o (transform images) - a_morse(Morse actions Q P)
+    transformed = res.input_morse.compose(res.coordinate_images())
+    defect = transformed - res.a_morse.compose([lay.q(0, 8) * lay.p(0, 8)])
     assert (not defect) or defect.ord() > 4
     assert check_symplectic(res.coordinate_images(), lay) == 0
 
@@ -274,7 +275,7 @@ def test_result_json_shape():
     assert d["generator_count"] == 0
 
 
-# --- frequency map and frequency space ---------------------------------------------
+# --- frequency map ----------------------------------------------------------------
 
 def test_frequency_map_examples():
     A = Jet(1, 2, {(1,): Fraction(3, 7)})
@@ -285,47 +286,6 @@ def test_frequency_map_examples():
     assert g2 == Jet(1, 1, {(0,): Fraction(1), (1,): Fraction(3)})
     (g3,) = frequency_map(Jet.constant(Fraction(5), 1, 2))
     assert not g3
-
-
-def test_frequency_space_linear_is_point():
-    lay = SymplecticLayout(1)
-    Y = lay.q(0, 4) * lay.p(0, 4)
-    ell = EllipticHamiltonian(Y.scale(Fraction(2, 3)), COMPLEX_MORSE)
-    fs = frequency_space(ell, 2)
-    assert fs.dim == 0 and fs.basis == ()
-    assert fs.base == (Fraction(2, 3),)
-
-
-def test_frequency_space_full_line():
-    lay = SymplecticLayout(1)
-    Y = lay.q(0, 6) * lay.p(0, 6)
-    ell = EllipticHamiltonian(Y.scale(Fraction(2, 3)) + Y * Y, COMPLEX_MORSE)
-    fs = frequency_space(ell, 2)
-    assert fs.dim == 1 and fs.basis == ((Fraction(1),),)
-
-
-def test_frequency_space_rank_one_direction_n2():
-    # A = (alpha, X) + (X1+X2)^2/2: gradient moves along the diagonal only
-    lay = SymplecticLayout(2)
-    N = 6
-    Y1 = lay.q(0, N) * lay.p(0, N)
-    Y2 = lay.q(1, N) * lay.p(1, N)
-    S = Y1 + Y2
-    H = Y1.scale(Fraction(1)) + Y2.scale(Fraction(3, 2)) + (S * S).scale(Fraction(1, 2))
-    ell = EllipticHamiltonian(H, COMPLEX_MORSE)
-    fs = frequency_space(ell, 2)
-    assert fs.dim == 1
-    assert fs.basis == ((Fraction(1), Fraction(1)),)
-    assert fs.base == (Fraction(1), Fraction(3, 2))
-
-
-def test_frequency_space_dimension_monotone_in_l():
-    lay = SymplecticLayout(1)
-    Y = lay.q(0, 6) * lay.p(0, 6)
-    ell = EllipticHamiltonian(Y.scale(Fraction(2, 3)) + Y * Y, COMPLEX_MORSE)
-    dims = [frequency_space(ell, l).dim for l in (1, 2, 3)]
-    assert dims == sorted(dims)
-    assert dims[0] == 0 and dims[1] == 1
 
 
 # --- action-ideal certificates ------------------------------------------------------

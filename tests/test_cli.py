@@ -385,6 +385,22 @@ def test_option_outside_its_rule_exits_two(capsys, tmp_path, monkeypatch,
     assert error["message"].startswith(argv[-2] + ":")
 
 
+@pytest.mark.parametrize("steps", ["100", "0", "-5"])
+def test_torus_scan_short_windows_exit_two(capsys, tmp_path, monkeypatch,
+                                           steps):
+    # --steps and --windows together fix the window length; under 64
+    # samples per window the config is refused before the scan runs
+    monkeypatch.setattr(cli, "torus_scan", no_library_call)
+    argv = ["torus", "scan", "--H", write_golden_jet(tmp_path), "--r", "0.3",
+            "--samples", "2", "--steps", steps]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "schema"
+    assert error["message"].startswith("--windows: window length")
+    assert "below 64 samples" in error["message"]
+
+
 def test_torus_scan_over_memory_budget_exits_one(capsys, tmp_path,
                                                  monkeypatch):
     monkeypatch.setattr(torusverify, "_integrate_batch", no_integration)

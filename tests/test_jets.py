@@ -1,9 +1,8 @@
-"""Jet ring, filtration, Hadamard product, norms, serialization."""
+"""Jet ring, filtration, composition, norms, serialization."""
 
 from __future__ import annotations
 
 import json
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -99,31 +98,6 @@ def test_ord_product_equality_when_leading_forms_multiply():
     f = z1 ** 2 + z2 ** 3
     g = z2 + z1 * z2
     assert (f * g).ord() == f.ord() + g.ord()
-
-
-# --- hadamard ---------------------------------------------------------------
-
-def test_hadamard_unit_and_zero():
-    rng = np.random.default_rng(11)
-    f = random_exact_jet(rng, 2, 4)
-    ones = Jet.ones(2, 4)
-    assert f.hadamard(ones) == f
-    assert f.hadamard(Jet.zero(2, 4)) == Jet.zero(2, 4)
-
-
-def test_hadamard_ones_pattern():
-    f = Jet.from_terms(1, 2, [((0,), 1), ((1,), 2), ((2,), 3)])
-    g = Jet.from_terms(1, 2, [((0,), 1), ((1,), 1), ((2,), 1)])
-    assert f.hadamard(g) == f
-
-
-def test_hadamard_commutative_associative():
-    rng = np.random.default_rng(12)
-    f = random_exact_jet(rng, 2, 5)
-    g = random_exact_jet(rng, 2, 5)
-    h = random_exact_jet(rng, 2, 5)
-    assert f.hadamard(g) == g.hadamard(f)
-    assert f.hadamard(g).hadamard(h) == f.hadamard(g.hadamard(h))
 
 
 # --- compose ----------------------------------------------------------------
@@ -420,47 +394,12 @@ def test_cauchy_estimate_for_derivatives():
         assert lhs <= rhs
 
 
-def test_l2_norm_monomial_values():
-    z = Jet.variable(0, 1, 3)
-    assert math.isclose(z.l2_norm(1), math.sqrt(math.pi / 2), rel_tol=1e-12)
-    one = Jet.constant(1, 1, 3)
-    for s in (Fraction(1, 2), Fraction(2), Fraction(3, 4)):
-        assert math.isclose(one.l2_norm(s), math.sqrt(math.pi) * float(s),
-                            rel_tol=1e-12)
-    assert Jet.zero(1, 3).l2_norm(1) == 0.0
-
-
-def test_l2_weights_match_monte_carlo_disc_integration():
-    # w_e(s) = pi s^(2e+2)/(e+1) should equal the integral of |z^e|^2
-    # over the disc of radius s; check by uniform Monte-Carlo sampling.
-    rng = np.random.default_rng(2024)
-    n = 400_000
-    s = 0.8
-    u = rng.random(n)
-    theta = rng.random(n) * 2 * math.pi
-    r = s * np.sqrt(u)
-    area = math.pi * s * s
-    for e in range(4):
-        mc = area * np.mean(r ** (2 * e))
-        exact = math.pi * s ** (2 * e + 2) / (e + 1)
-        assert abs(mc - exact) / exact < 0.01
-    # two variables: product structure of the weight
-    u2 = rng.random(n)
-    r2 = s * np.sqrt(u2)
-    mc2 = area * area * np.mean((r ** 2) * (r2 ** 4))
-    exact2 = (math.pi * s ** 4 / 2) * (math.pi * s ** 6 / 3)
-    assert abs(mc2 - exact2) / exact2 < 0.01
-    # and the jet-level norm of f = z1 * z2^2 agrees with the same product
-    f = Jet.variable(0, 2, 4) * Jet.variable(1, 2, 4) ** 2
-    assert math.isclose(f.l2_norm(s), math.sqrt(exact2), rel_tol=1e-9)
-
-
 def test_norms_reject_bad_radius():
     z = Jet.variable(0, 1, 3)
     with pytest.raises(ValueError):
         z.sup_norm_bound(0)
     with pytest.raises(ValueError):
-        z.l2_norm(-1)
+        z.sup_norm_bound(-1)
 
 
 # --- modes ------------------------------------------------------------------

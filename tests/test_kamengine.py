@@ -1,4 +1,4 @@
-"""Stage recurrence, quasi-inverses, fiber normalization, parameters."""
+"""Stage recurrence, quasi-inverses, fiber normalization, replay."""
 
 import dataclasses
 import json
@@ -10,16 +10,14 @@ from itertools import product
 import pytest
 
 from kamtori.birkhoff import (COMPLEX_MORSE, REAL_ELLIPTIC,
-                              EllipticHamiltonian, birkhoff_normalize,
-                              frequency_map, prenormal_form)
+                              EllipticHamiltonian, action_ideal_certificate,
+                              birkhoff_normalize)
 from kamtori import kamengine
-from kamtori.errors import (CertificateError, ClassMembershipError,
-                            ConvergenceError, ModeMixError, NotEllipticError,
-                            OrderTooLowError, ResonanceError,
-                            SmallDivisorError)
+from kamtori.errors import (CertificateError, ConvergenceError,
+                            NotEllipticError, OrderTooLowError,
+                            ResonanceError, SmallDivisorError)
 from kamtori.jets import ComplexRational, Jet
-from kamtori.kamengine import (ExtendedResult, FiberResult, KamProblem,
-                               KamState, extended_scenario, fiber_normalize,
+from kamtori.kamengine import (KamProblem, KamState, fiber_normalize,
                                hadamard_quasi_inverse, kam_iterate,
                                reste_inequalities_check)
 from kamtori.poisson import (HamiltonianDerivation, SymplecticLayout, bracket,
@@ -38,7 +36,7 @@ def mono(lay, c, qexp=(), pexp=(), N=8):
 
 def test_quasi_inverse_zero_target():
     u = hadamard_quasi_inverse([F1], 0, LAY1.zero(8), LAY1)
-    assert u.is_zero
+    assert not u.generator
 
 
 def test_quasi_inverse_single_monomial_bracket_back():
@@ -65,7 +63,7 @@ def test_quasi_inverse_absorbable_target_contributes_nothing():
     # (p1 q1)^2 has two action factors: it belongs to F and is skipped.
     target = mono(LAY1, F1, qexp=(2,), pexp=(2,))
     u = hadamard_quasi_inverse([F1], 0, target, LAY1)
-    assert u.is_zero
+    assert not u.generator
 
 
 def test_quasi_inverse_resonant_outside_f_raises():
@@ -276,6 +274,24 @@ def test_fiber_two_frequencies_golden_ratio_convergent():
     assert fib.bruno is not None
 
 
+def test_prenormal_form_round_trip():
+    # real-elliptic input through the full chain: complexification,
+    # per-degree elimination, stage recurrence, exponent certificate.
+    N = 6
+    H = (mono(LAY1, Fraction(3, 2), qexp=(2,), N=N) +
+         mono(LAY1, Fraction(3, 2), pexp=(2,), N=N) +
+         mono(LAY1, Fraction(1, 4), qexp=(3,), N=N))
+    res = birkhoff_normalize(EllipticHamiltonian(H, REAL_ELLIPTIC), 3)
+    fib = fiber_normalize(res.normal_morse, res.alpha, res.coordinate_mode)
+    assert fib.certificate.ok
+    assert action_ideal_certificate(fib.normalized, res.layout).ok
+    for idx in fib.normalized.coeffs:
+        qe, pe = idx[:1], idx[1:]
+        if qe == pe and sum(qe) == 1:
+            continue
+        assert sum(min(a, b) for a, b in zip(qe, pe)) >= 2
+
+
 def test_fiber_transform_conjugates_exactly():
     # Applying the recorded generators to H reproduces the normal form.
     N = 8
@@ -306,226 +322,6 @@ def test_fiber_small_divisor_floor():
         fiber_normalize(H, divisor_floor=5)
 
 
-def test_prenormal_form_round_trip():
-    # real-elliptic input through the full chain: complexification,
-    # per-degree elimination, stage recurrence, exponent certificate.
-    N = 6
-    H = (mono(LAY1, Fraction(3, 2), qexp=(2,), N=N) +
-         mono(LAY1, Fraction(3, 2), pexp=(2,), N=N) +
-         mono(LAY1, Fraction(1, 4), qexp=(3,), N=N))
-    eh = EllipticHamiltonian(H, coordinate_mode=REAL_ELLIPTIC)
-    normal, cert = prenormal_form(eh, 3)
-    assert cert.ok
-    for idx in normal.coeffs:
-        qe, pe = idx[:1], idx[1:]
-        if qe == pe and sum(qe) == 1:
-            continue
-        assert sum(min(a, b) for a, b in zip(qe, pe)) >= 2
-
-
-# ---------------------------------------------------------------- extended
-
-def elliptic_morse(terms, N=8, n=1):
-    lay = SymplecticLayout(n)
-    H = None
-    for c, qe, pe in terms:
-        m = lay.monomial(c, qexp=qe, pexp=pe, trunc_degree=N)
-        H = m if H is None else H + m
-    return EllipticHamiltonian(H, coordinate_mode=COMPLEX_MORSE)
-
-
-def test_extended_zero_perturbation_zero_corrections():
-    eh = elliptic_morse([(F1, (1,), (1,))])
-    res = extended_scenario(eh, [(F1,)])
-    assert all(not c for c in res.corrections)
-    assert dict(res.corrected_frequencies[0].coeffs) == {(0,): F1}
-
-
-def test_extended_no_directions_reduces_to_fiber():
-    eh = elliptic_morse([(F1, (1,), (1,)), (F1, (3,), (0,))])
-    res = extended_scenario(eh, [])
-    assert res.reduced_to_fiber
-    assert isinstance(res.fiber, FiberResult)
-    assert res.fiber.certificate.ok
-    assert res.corrections == ()
-
-
-def test_extended_single_resonant_action_square():
-    # R = c (pq)^2: the correction is a_1(lambda) = 2 c lambda, the
-    # action-derivative of the resonant content.
-    c = Fraction(1, 3)
-    eh = elliptic_morse([(Fraction(2), (1,), (1,)), (c, (2,), (2,))], N=6)
-    res = extended_scenario(eh, [(F1,)])
-    assert dict(res.corrections[0].coeffs) == {(1,): 2 * c}
-    fm = frequency_map(birkhoff_normalize(eh, 3).A)
-    assert dict(res.corrected_frequencies[0].coeffs) == dict(fm[0].coeffs)
-
-
-def test_extended_cubic_action_needs_two_windows():
-    # R = c (pq)^3 reduces on the zero section in two passes and ends at
-    # a_1(lambda) = 3 c lambda^2.
-    c = Fraction(1, 5)
-    eh = elliptic_morse([(F1, (1,), (1,)), (c, (3,), (3,))], N=6)
-    res = extended_scenario(eh, [(F1,)])
-    assert dict(res.corrections[0].coeffs) == {(2,): 3 * c}
-    fm = frequency_map(birkhoff_normalize(eh, 3).A)
-    assert dict(res.corrected_frequencies[0].coeffs) == dict(fm[0].coeffs)
-
-
-def test_extended_full_rank_two_frequencies():
-    # d = n = 2, resonant-only perturbation mixing both actions; the
-    # corrected frequency jets equal the gradient of the global normal
-    # form under action -> lambda.
-    N = 8
-    c1, c2, c3 = Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)
-    H = (LAY2.monomial(F1, qexp=(1, 0), pexp=(1, 0), trunc_degree=N) +
-         LAY2.monomial(Fraction(7, 3), qexp=(0, 1), pexp=(0, 1),
-                       trunc_degree=N) +
-         LAY2.monomial(c1, qexp=(2, 0), pexp=(2, 0), trunc_degree=N) +
-         LAY2.monomial(c2, qexp=(1, 1), pexp=(1, 1), trunc_degree=N) +
-         LAY2.monomial(c3, qexp=(0, 3), pexp=(0, 3), trunc_degree=N))
-    eh = EllipticHamiltonian(H, coordinate_mode=COMPLEX_MORSE)
-    basis = [(F1, Fraction(0)), (Fraction(0), F1)]
-    res = extended_scenario(eh, basis)
-    fm = frequency_map(birkhoff_normalize(eh, 4).A)
-    for k in range(2):
-        assert dict(res.corrected_frequencies[k].coeffs) == \
-            dict(fm[k].coeffs)
-
-
-def test_extended_real_elliptic_mode():
-    # H = a (q^2 + p^2) + c X^2 with X = (q^2 + p^2)/2: correction c' =
-    # dX(c X^2) = 2 c X read at lambda, real coefficients throughout.
-    N = 8
-    lay = LAY1
-    ar, cr = Fraction(3, 2), Fraction(1, 4)
-    H = (mono(lay, ar, qexp=(2,), N=N) + mono(lay, ar, pexp=(2,), N=N) +
-         mono(lay, cr * Fraction(1, 4), qexp=(4,), N=N) +
-         mono(lay, cr * Fraction(1, 2), qexp=(2,), pexp=(2,), N=N) +
-         mono(lay, cr * Fraction(1, 4), pexp=(4,), N=N))
-    eh = EllipticHamiltonian(H, coordinate_mode=REAL_ELLIPTIC)
-    res = extended_scenario(eh, [(F1,)])
-    assert dict(res.corrections[0].coeffs) == {(1,): 2 * cr}
-    for c in res.corrections[0].coeffs.values():
-        assert isinstance(c, Fraction)
-    fm = frequency_map(birkhoff_normalize(eh, 4).A)
-    assert dict(res.corrected_frequencies[0].coeffs) == dict(fm[0].coeffs)
-
-
-def test_extended_mixed_content_matches_frequency_map():
-    # Nonresonant and resonant content together: exercises interleaved
-    # eigenvalue solves, mu-carrying generators and mu-shifts.
-    c = Fraction(1, 2)
-    eh = elliptic_morse([(F1, (1,), (1,)), (F1, (3,), (0,)),
-                         (c, (2,), (2,))], N=8)
-    res = extended_scenario(eh, [(F1,)])
-    fm = frequency_map(birkhoff_normalize(eh, 4).A)
-    assert dict(res.corrected_frequencies[0].coeffs) == dict(fm[0].coeffs)
-    assert any(u.generator_touches_mu() for u in res.transform)
-
-
-def test_extended_mu_resonant_content_is_out_of_scope():
-    # q^3 + p^3 drifts a mu-carrying resonant term into the perturbation;
-    # flowing it would need mu-dependent shifts whose exponential does
-    # not terminate on jets, so the engine refuses honestly.
-    eh = elliptic_morse([(F1, (1,), (1,)), (F1, (3,), (0,)),
-                         (F1, (0,), (3,))], N=8)
-    with pytest.raises(ClassMembershipError, match="carries mu"):
-        extended_scenario(eh, [(F1,)])
-
-
-def two_mode_action_square(N=6):
-    H = (LAY2.monomial(F1, qexp=(1, 0), pexp=(1, 0), trunc_degree=N) +
-         LAY2.monomial(Fraction(7, 3), qexp=(0, 1), pexp=(0, 1),
-                       trunc_degree=N) +
-         LAY2.monomial(F1, qexp=(2, 0), pexp=(2, 0), trunc_degree=N))
-    return EllipticHamiltonian(H, coordinate_mode=COMPLEX_MORSE)
-
-
-def test_extended_direction_missing_the_class_absorbs_it():
-    # e_1 acts only on the second action while the perturbation sits on
-    # the first: the shifted action form on mode 1 vanishes identically,
-    # so (p1 q1)^2 keeps its two action factors and stays in the normal
-    # form with no frequency correction.
-    res = extended_scenario(two_mode_action_square(), [(Fraction(0), F1)])
-    assert res.final.success
-    assert all(not c for c in res.corrections)
-
-
-def test_extended_insoluble_direction_raises():
-    # A coupled direction (1, 1) shifts both actions, but the class of
-    # (p1 q1)^2 moves only the first frequency: no correction along the
-    # basis can absorb it.
-    with pytest.raises(ResonanceError, match="outside the deformation"):
-        extended_scenario(two_mode_action_square(), [(F1, F1)])
-
-
-def mu_chain_problem(N, mode="exact"):
-    # the stage that solves 1/7 q0^2 q1 p1 also shifts mu (for the class
-    # of (q0 p0)^2); the bracket then keeps mu alive through the later
-    # Lie series, so every d/dmu must keep the degree-N content
-    H = (LAY2.monomial(F1, qexp=(1, 0), pexp=(1, 0), trunc_degree=N) +
-         LAY2.monomial(Fraction(7, 3), qexp=(0, 1), pexp=(0, 1),
-                       trunc_degree=N) +
-         LAY2.monomial(Fraction(1, 2), qexp=(2, 0), pexp=(2, 0),
-                       trunc_degree=N) +
-         LAY2.monomial(Fraction(1, 7), qexp=(2, 1), pexp=(0, 1),
-                       trunc_degree=N))
-    return EllipticHamiltonian(H if mode == "exact" else H.to_float(),
-                               coordinate_mode=COMPLEX_MORSE)
-
-
-def exact_as_float(jet):
-    return {idx: float(c) for idx, c in jet.coeffs.items()}
-
-
-@pytest.mark.parametrize("N", [6, 8])
-@pytest.mark.parametrize("basis", [[(1, 0)], [(1, 0), (0, 1)]])
-def test_extended_mu_chain_keeps_degree_n_content(N, basis):
-    res = extended_scenario(mu_chain_problem(N), basis)   # replay passes
-    d = len(basis)
-    lay = res.layout
-    idx = (3, 1, 1, 1) + (0,) * (2 * d)       # q0^3 q1 p0 p1
-    assert lay.num_vars == len(idx)
-    assert res.transform[1].generator.coeffs[idx] == Fraction(1, 14)
-    fl = extended_scenario(mu_chain_problem(N, "float"), basis)
-    assert len(fl.transform) == len(res.transform)
-    for ue, uf in zip(res.transform, fl.transform):
-        assert dict(uf.generator.coeffs) == exact_as_float(ue.generator)
-        assert (ue.mu_coeffs is None) == (uf.mu_coeffs is None)
-        for ae, af in zip(ue.mu_coeffs or (), uf.mu_coeffs or ()):
-            assert dict(af.coeffs) == exact_as_float(ae)
-    assert dict(fl.normalized.coeffs) == exact_as_float(res.normalized)
-    for ce, cf in zip(res.corrections, fl.corrections):
-        assert dict(cf.coeffs) == exact_as_float(ce)
-
-
-def test_extended_requires_elliptic_hamiltonian():
-    H = mono(LAY1, F1, qexp=(1,), pexp=(1,))
-    with pytest.raises(TypeError):
-        extended_scenario(H, [(F1,)])
-
-
-def test_extended_basis_mode_checked_before_the_recurrence(monkeypatch):
-    # a Fraction direction cannot scale float corrections: the mismatch is
-    # refused before any stage runs, while int and float directions work
-    c = Fraction(1, 3)
-    exact = elliptic_morse([(Fraction(2), (1,), (1,)), (c, (2,), (2,))], N=6)
-    fl = EllipticHamiltonian(exact.H.to_float(), coordinate_mode=COMPLEX_MORSE)
-    for basis in ([(1,)], [(1.0,)]):
-        res = extended_scenario(fl, basis)
-        assert dict(res.corrections[0].coeffs) == {(1,): 2 * float(c)}
-
-    def no_stages(problem):
-        raise AssertionError("the stage recurrence ran")
-
-    monkeypatch.setattr(kamengine, "kam_iterate", no_stages)
-    with pytest.raises(ModeMixError, match="does not match the float"):
-        extended_scenario(fl, [(F1,)])
-    with pytest.raises(ModeMixError, match="does not match the exact"):
-        extended_scenario(exact, [(1.0,)])
-
-
 # ---------------------------------------------------------------- replay
 
 def iterated_image_replay(H, gens, lay):
@@ -533,9 +329,7 @@ def iterated_image_replay(H, gens, lay):
     the stages, then H composed with the images once."""
     N = H.trunc_degree
     coords = [lay.q(k, N) for k in range(lay.n)] \
-        + [lay.p(k, N) for k in range(lay.n)] \
-        + [lay.lam(i, N) for i in range(lay.lambda_dim)] \
-        + [lay.mu(i, N) for i in range(lay.mu_dim)]
+        + [lay.p(k, N) for k in range(lay.n)]
     images = []
     for z in coords:
         for u in gens:
@@ -601,39 +395,6 @@ def test_replay_routes_agree_on_dense_problems(seed):
     assert_replay_routes_agree(H, fib.transform, LAY2)
 
 
-def captured_problem(monkeypatch):
-    """Record the KamProblem that extended_scenario hands to kam_iterate."""
-    seen = []
-    run = kamengine.kam_iterate
-
-    def recording(problem):
-        seen.append(problem)
-        return run(problem)
-
-    monkeypatch.setattr(kamengine, "kam_iterate", recording)
-    return seen
-
-
-@pytest.mark.parametrize("eh, basis", [
-    (mu_chain_problem(6), [(1, 0)]),
-    (mu_chain_problem(6), [(1, 0), (0, 1)]),
-    (mu_chain_problem(8), [(1, 0)]),
-    (mu_chain_problem(8), [(1, 0), (0, 1)]),
-    (elliptic_morse([(F1, (1,), (1,)), (F1, (3,), (0,)),
-                     (Fraction(1, 2), (2,), (2,))], N=8), [(F1,)]),
-], ids=["mu-chain-6-d1", "mu-chain-6-d2", "mu-chain-8-d1", "mu-chain-8-d2",
-        "mixed-content"])
-def test_replay_routes_agree_on_extended_scenarios(monkeypatch, eh, basis):
-    seen = captured_problem(monkeypatch)
-    res = extended_scenario(eh, basis, verify=False)
-    prob, = seen
-    # the lambda/mu coordinates and the d/dmu terms are in play
-    assert res.layout.mu_dim == len(basis)
-    assert any(u.mu_coeffs is not None for u in res.transform)
-    assert any(u.generator_touches_mu() for u in res.transform)
-    assert_replay_routes_agree(prob.a + prob.b, res.transform, res.layout)
-
-
 def certificate_args(prob, final, T, gens):
     return (prob, final, T, list(gens), True)
 
@@ -664,26 +425,6 @@ def test_replay_rejects_tampered_jet_and_generator():
         with pytest.raises(CertificateError, match="replay"):
             kamengine._check_postconditions(
                 *certificate_args(prob, final, T_used, gens_used))
-
-
-def test_replay_rejects_tampered_mu_shift(monkeypatch):
-    seen = captured_problem(monkeypatch)
-    res = extended_scenario(mu_chain_problem(6), [(1, 0)])
-    prob, = seen
-    gens = list(res.transform)
-    T = conjugated(prob.a + prob.b, gens)
-    k = next(i for i, u in enumerate(gens) if u.mu_coeffs is not None)
-    lay = res.layout
-    shift = [a + lay.lam(0, a.trunc_degree).scale(Fraction(1, 100))
-             for a in gens[k].mu_coeffs]
-    bent = list(gens)
-    bent[k] = HamiltonianDerivation(gens[k].generator, lay, shift)
-    unchecked = dataclasses.replace(prob, verify=False)
-    kamengine._check_postconditions(
-        *certificate_args(unchecked, res.final, T, bent))
-    with pytest.raises(CertificateError, match="replay"):
-        kamengine._check_postconditions(
-            *certificate_args(prob, res.final, T, bent))
 
 
 # ---------------------------------------------------------------- remainders

@@ -91,17 +91,6 @@ def test_bracket_jacobi_exact():
             assert not jac
 
 
-def test_bracket_ignores_lambda_mu():
-    lay = SymplecticLayout(1, lambda_dim=1, mu_dim=1)
-    N = 4
-    lam, mu = lay.lam(0, N), lay.mu(0, N)
-    assert bracket(lam, mu, lay) == lay.zero(2)
-    assert bracket(lam, lay.q(0, N), lay) == lay.zero(2)
-    # but they ride along as spectators
-    f = lam * lay.q(0, N)
-    assert bracket(f, lay.p(0, N), lay) == lam.truncate(3)
-
-
 def test_quadratic_model_float_matches_exact():
     lay = SymplecticLayout(2)
     exact = lay.quadratic_model([Fraction(1), Fraction(809, 500)], 4)
@@ -170,13 +159,13 @@ def random_float_layout_jet(rng, layout, trunc, n_terms, coarse,
                mode="float")
 
 
-BRACKET_LAYOUTS = [(1, 0, 0), (2, 0, 0), (3, 0, 0), (1, 1, 1), (2, 1, 2)]
+BRACKET_PAIRS = [1, 2, 3, 2, 4]     # (q, p) pairs of the layout per case
 
 
 @pytest.mark.parametrize("case", range(40))
 def test_float_bracket_bit_identical_to_reference(case):
     rng = np.random.default_rng(2000 + case)
-    lay = SymplecticLayout(*BRACKET_LAYOUTS[case % len(BRACKET_LAYOUTS)])
+    lay = SymplecticLayout(BRACKET_PAIRS[case % len(BRACKET_PAIRS)])
     coarse = case % 2 == 1
     complex_share = 0.0 if case % 4 < 2 else 0.4
     N = int(rng.integers(3, 8))
@@ -190,18 +179,20 @@ def test_float_bracket_bit_identical_to_reference(case):
 
 def test_bracket_of_monomials_closed_form():
     # {q^a p^b, q^c p^d} = (ad - bc) q^(a+c-1) p^(b+d-1), with a spectator
-    # lambda riding along; single exponents of the result come close to
-    # the operands' degree sum, which sizes the packed exponent fields
-    lay = SymplecticLayout(1, lambda_dim=1)
+    # q_2 of the second pair riding along; single exponents of the result
+    # come close to the operands' degree sum, which sizes the packed
+    # exponent fields
+    lay = SymplecticLayout(2)
     N = 16
     for a, b, c, d in [(7, 1, 1, 7), (8, 0, 0, 8), (1, 0, 7, 8), (3, 4, 5, 2),
                        (0, 1, 1, 0), (2, 2, 2, 2), (7, 8, 1, 0)]:
-        f = lay.monomial(Fraction(1), qexp=(a,), pexp=(b,), lamexp=(1,),
+        f = lay.monomial(Fraction(1), qexp=(a, 1), pexp=(b, 0),
                          trunc_degree=N)
-        g = lay.monomial(Fraction(3), qexp=(c,), pexp=(d,), trunc_degree=N)
+        g = lay.monomial(Fraction(3), qexp=(c, 0), pexp=(d, 0),
+                         trunc_degree=N)
         out = bracket(f, g, lay, trunc=N)
         coeff = 3 * (a * d - b * c)
-        want = {(a + c - 1, b + d - 1, 1): coeff} if coeff else {}
+        want = {(a + c - 1, 1, b + d - 1, 0): coeff} if coeff else {}
         assert dict(out.coeffs) == want
 
 
@@ -229,7 +220,7 @@ def _sympy_scalar(c):
 @pytest.mark.parametrize("case", range(12))
 def test_exact_bracket_matches_sympy(case):
     rng = np.random.default_rng(3000 + case)
-    lay = SymplecticLayout(*BRACKET_LAYOUTS[case % len(BRACKET_LAYOUTS)])
+    lay = SymplecticLayout(BRACKET_PAIRS[case % len(BRACKET_PAIRS)])
     N = int(rng.integers(3, 7))
     f, g = (random_layout_jet(rng, lay, N, n_terms=10) for _ in range(2))
     if case % 3 == 1:
@@ -353,52 +344,6 @@ def test_exp_product_empty_and_single():
     assert exp_product([], f) == f
     u = HamiltonianDerivation(lay.q(0, 5) ** 3, lay)
     assert exp_product([u], f) == lie_exp(u, f)
-
-
-def test_mixed_derivation_mu_shift():
-    lay = SymplecticLayout(1, lambda_dim=1, mu_dim=1)
-    N = 5
-    lam, mu = lay.lam(0, N), lay.mu(0, N)
-    u = HamiltonianDerivation(lay.zero(N), lay, mu_coeffs=[lam.scale(2)])
-    # e^u is the substitution mu -> mu + 2 lambda
-    assert lie_exp(u, mu) == mu + lam.scale(2)
-    assert lie_exp(u, mu * mu) == (mu + lam.scale(2)) ** 2
-
-
-def test_mixed_derivation_termination_guard():
-    lay = SymplecticLayout(1, lambda_dim=1, mu_dim=1)
-    N = 5
-    bad_gen = lay.mu(0, N) * lay.q(0, N) * lay.p(0, N)
-    u = HamiltonianDerivation(bad_gen, lay, mu_coeffs=[lay.constant(1, N)])
-    with pytest.raises(ValueError):
-        lie_exp(u, lay.q(0, N))
-
-
-def test_mu_coeffs_must_be_lambda_only():
-    lay = SymplecticLayout(1, lambda_dim=1, mu_dim=1)
-    with pytest.raises(ValueError):
-        HamiltonianDerivation(lay.zero(4), lay, mu_coeffs=[lay.q(0, 4)])
-    with pytest.raises(ShapeMismatchError):
-        HamiltonianDerivation(lay.zero(4), lay, mu_coeffs=[])
-
-
-def test_mixed_derivation_truncation_grade():
-    # a * d/dmu f is known to min(f's degree, deg(d/dmu f) + ord(a)): a
-    # constant-free a keeps the degree-N content of f, a constant a
-    # loses one degree.
-    lay = SymplecticLayout(1, lambda_dim=1, mu_dim=1)
-    N = 5
-    q, p, lam, mu = lay.q(0, N), lay.p(0, N), lay.lam(0, N), lay.mu(0, N)
-    f = q * q * p * p * mu + mu
-    u = HamiltonianDerivation(lay.zero(N), lay, mu_coeffs=[lam])
-    out = u(f)
-    assert out.trunc_degree == f.trunc_degree == N
-    assert out == q * q * p * p * lam + lam
-    const = HamiltonianDerivation(lay.zero(N), lay,
-                                  mu_coeffs=[lay.constant(2, N)])
-    out = const(f)
-    assert out.trunc_degree == N - 1
-    assert out == (q * q * p * p).scale(2) + 2
 
 
 # --- check_symplectic -----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Boundedness fits, product norm law, moderate-growth reports."""
+"""Boundedness fits and moderate-growth reports."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from kamtori.arithmetic import DoubleExpTail, GeometricTail, PowerTail
-from kamtori.errors import NonPositiveTermError, ShapeMismatchError
+from kamtori.errors import NonPositiveTermError
 from kamtori.jets import Jet
 from kamtori.poisson import HamiltonianDerivation, SymplecticLayout
 from kamtori.scalednorms import (
@@ -17,7 +17,6 @@ from kamtori.scalednorms import (
     dyadic_grid,
     fit_bounded_constant,
     moderate_growth,
-    product_norm_check,
 )
 
 
@@ -123,38 +122,6 @@ def test_derivation_norm_ledger():
         uf = u(f)
         for s, sigma in fit.grid:
             assert uf.sup_norm_bound(s) * sigma <= fit.N_hat * f.sup_norm_bound(s + sigma)
-
-
-# --- product_norm_check -----------------------------------------------------------
-
-def test_product_two_derivatives():
-    rep = product_norm_check([d_dz, d_dz], [1, 1], 1, 6, 4)
-    assert rep.satisfied
-    assert rep.k_total == 2
-    assert rep.bound == Fraction(4) * rep.factor_fits[0].N_hat * rep.factor_fits[1].N_hat
-    assert rep.margin >= 0
-
-
-def test_product_single_operator_trivial_equality():
-    rep = product_norm_check([d_dz], [1], 1, 5, 4)
-    assert rep.margin == 0 and rep.satisfied
-
-
-def test_product_empty_list_is_identity():
-    rep = product_norm_check([], [], 1, 4, 3)
-    assert rep.composed_fit.N_hat == 1
-    assert rep.bound == 1 and rep.margin == 0 and rep.satisfied
-
-
-def test_product_mixed_orders():
-    rep = product_norm_check([d_dz, mult_z], [1, 0], 1, 5, 4)
-    assert rep.satisfied
-    assert rep.k_total == 1
-
-
-def test_product_length_mismatch():
-    with pytest.raises(ShapeMismatchError):
-        product_norm_check([d_dz], [1, 1], 1, 4, 3)
 
 
 # --- moderate growth ---------------------------------------------------------------

@@ -17,22 +17,20 @@ Runs the checkout this script lives in (its ``src/``) and writes:
   wrote.  The checkout's path is replaced by
   ``<root>`` in stderr, so tracebacks from two checkouts compare.
 - ``DIR/engine/``: one text file per engine case, in exact and float
-  mode: every generator with its mu-coefficients, the per-stage
-  a_n/b_n/alpha_n/c_n/min_divisor/norm ledger, the normalized jets and
-  the frequency corrections, written with their coefficient dicts in
-  storage order.  Cases are the kamengine test problems, the dense
-  fiber jets of seeds 1-3 at N=5 and the mu-chain problem at N=6/8 with
-  one and two directions.  The ``normal-form-float`` benchmark's shapes
-  run in float mode only: the dense fiber jets of seeds 1-3 at N=9, and
-  Birkhoff at l=4 of the seed-0 one.  Float coefficients of every jet are
-  written with ``float.hex``.  A case that raises records the error.
-- ``DIR/algebra/``: one text file per call into the exact eliminator's
-  callers outside the engines: ``frequency_space`` of the
-  ``tests/test_birkhoff.py`` Hamiltonians and of the CLI's ``h1``/``h2``
-  at l = 1..3, and ``check_symplectic`` of the complex-Morse
-  substitutions and their inverses for n = 1..3, of a rank-3 and a
-  row-swapped n = 2 linear map, and of Birkhoff ``coordinate_images()``;
-  each in exact and float mode.  A call that raises records the error.
+  mode: every generator, the per-stage a_n/b_n/alpha_n/c_n/min_divisor/
+  norm ledger and the normalized jets, written with their coefficient
+  dicts in storage order.  Cases are the kamengine test problems and the
+  dense fiber jets of seeds 1-3 at N=5.  The ``normal-form-float``
+  benchmark's shapes run in float mode only: the dense fiber jets of
+  seeds 1-3 at N=9, and Birkhoff at l=4 of the seed-0 one.  Float
+  coefficients of every jet are written with ``float.hex``.  A case
+  that raises records the error.
+- ``DIR/algebra/``: one text file per ``check_symplectic`` call: of the
+  complex-Morse substitutions and their inverses for n = 1..3, of a
+  rank-3 and a row-swapped n = 2 linear map, and of Birkhoff
+  ``coordinate_images()`` for the ``tests/test_birkhoff.py``
+  Hamiltonians and the CLI's ``h1``/``h2``; each in exact and float
+  mode.  A call that raises records the error.
 - ``DIR/torus/``: one text file per ``torus_scan`` call, one line per
   orbit with its classification, escape step and escape reason (no
   float values, so the files compare across roundoff).  The scans are
@@ -58,12 +56,10 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from kamtori.birkhoff import (COMPLEX_MORSE, REAL_ELLIPTIC,  # noqa: E402
                               EllipticHamiltonian, birkhoff_normalize,
-                              frequency_space, inverse_morse_substitution,
-                              morse_substitution)
+                              inverse_morse_substitution, morse_substitution)
 from kamtori.jets import Jet  # noqa: E402
-from kamtori.kamengine import (KamProblem, extended_scenario,  # noqa: E402
-                               fiber_normalize, hadamard_quasi_inverse,
-                               kam_iterate)
+from kamtori.kamengine import (KamProblem, fiber_normalize,  # noqa: E402
+                               hadamard_quasi_inverse, kam_iterate)
 from kamtori.poisson import SymplecticLayout, check_symplectic  # noqa: E402
 from kamtori.torusverify import torus_scan  # noqa: E402
 
@@ -190,6 +186,9 @@ def cli_commands():
         ("torus-scan-tol-energy", [*scan, "--tol-energy", "-1"]),
         ("torus-scan-tol-freq", [*scan, "--tol-freq", "nan"]),
         ("torus-scan-seed", [*scan, "--seed", "-1"]),
+        *[(f"torus-scan-short-window-steps{steps}",
+           ["torus", "scan", "--H", "h2.json", "--r", "0.05", "--samples",
+            "2", "--steps", steps]) for steps in ("100", "0", "-5")],
     ]]
     return cmds
 
@@ -214,28 +213,6 @@ def capture_cli(out):
 
 def mono(lay, c, qexp=(), pexp=(), N=8):
     return lay.monomial(c, qexp=qexp, pexp=pexp, trunc_degree=N)
-
-
-def elliptic_morse(terms, N=8, n=1):
-    lay = SymplecticLayout(n)
-    H = None
-    for c, qe, pe in terms:
-        m = lay.monomial(c, qexp=qe, pexp=pe, trunc_degree=N)
-        H = m if H is None else H + m
-    return H
-
-
-def mu_chain(N):
-    return (mono(LAY2, F1, (1, 0), (1, 0), N)
-            + mono(LAY2, Fraction(7, 3), (0, 1), (0, 1), N)
-            + mono(LAY2, Fraction(1, 2), (2, 0), (2, 0), N)
-            + mono(LAY2, Fraction(1, 7), (2, 1), (0, 1), N))
-
-
-def two_mode_action_square(N=6):
-    return (mono(LAY2, F1, (1, 0), (1, 0), N)
-            + mono(LAY2, Fraction(7, 3), (0, 1), (0, 1), N)
-            + mono(LAY2, F1, (2, 0), (2, 0), N))
 
 
 def dense_fiber_jet(seed, N):
@@ -266,14 +243,6 @@ def fiber(H):
     return lambda fl: fiber_normalize(H.to_float() if fl else H)
 
 
-def extended(H, basis):
-    def run(fl):
-        eh = EllipticHamiltonian(H.to_float() if fl else H,
-                                 coordinate_mode=COMPLEX_MORSE)
-        return extended_scenario(eh, basis)
-    return run
-
-
 def flagship(fl):
     a = mono(LAY1, F1, (1,), (1,))
     b = mono(LAY1, F1, (3,)) + mono(LAY1, F1, (), (3,))
@@ -299,26 +268,9 @@ def engine_cases():
         ("quasi-inverse-drift", quasi_inverse_with_drift),
         ("fiber-cubic-pair", fiber(cubic_pair())),
         ("fiber-golden-ratio", fiber(golden_ratio_fiber_jet())),
-        ("extended-mixed-content", extended(elliptic_morse(
-            [(F1, (1,), (1,)), (F1, (3,), (0,)),
-             (Fraction(1, 2), (2,), (2,))]), [(1,)])),
-        ("extended-cubic-action", extended(elliptic_morse(
-            [(F1, (1,), (1,)), (Fraction(1, 5), (3,), (3,))], N=6),
-            [(1,)])),
-        ("extended-no-directions", extended(elliptic_morse(
-            [(F1, (1,), (1,)), (F1, (3,), (0,))]), [])),
-        ("extended-missing-direction", extended(
-            two_mode_action_square(), [(0, 1)])),
-        ("extended-insoluble-direction", extended(
-            two_mode_action_square(), [(1, 1)])),
-        ("extended-mu-resonant", extended(elliptic_morse(
-            [(F1, (1,), (1,)), (F1, (3,), (0,)), (F1, (0,), (3,))]),
-            [(1,)])),
     ]
     cases += [(f"fiber-dense-seed{s}-N5", fiber(dense_fiber_jet(s, 5)))
               for s in (1, 2, 3)]
-    cases += [(f"extended-mu-chain-N{N}-d{len(b)}", extended(mu_chain(N), b))
-              for N in (6, 8) for b in ([(1, 0)], [(1, 0), (0, 1)])]
     return cases
 
 
@@ -344,10 +296,7 @@ def show_jet(jet):
 def show_derivation(u):
     if u is None:
         return ["  None"]
-    lines = [f"  generator {show_jet(u.generator)}"]
-    for i, a in enumerate(u.mu_coeffs or ()):
-        lines.append(f"  mu[{i}] {show_jet(a)}")
-    return lines
+    return [f"  generator {show_jet(u.generator)}"]
 
 
 def show_state(st):
@@ -378,19 +327,11 @@ def show_result(res):
         for u in res.generators:
             lines += show_derivation(u)
         return lines
-    else:
+    else:                               # a FiberResult
         trace = res.trace
-        lines = []
-        for name in ("normalized", "g0_model", "residual"):
-            if hasattr(res, name):
-                lines.append(f"{name} {show_jet(getattr(res, name))}")
-        for name in ("corrections", "corrected_frequencies"):
-            for i, j in enumerate(getattr(res, name, ())):
-                lines.append(f"{name}[{i}] {show_jet(j)}")
-        for name in ("certificate", "eigen_freqs", "bruno", "basis",
-                     "reduced_to_fiber"):
-            if hasattr(res, name):
-                lines.append(f"{name} {getattr(res, name)!r}")
+        lines = [f"normalized {show_jet(res.normalized)}"]
+        for name in ("certificate", "eigen_freqs", "bruno"):
+            lines.append(f"{name} {getattr(res, name)!r}")
         lines.append("transform:")
         for u in res.transform:
             lines += show_derivation(u)
@@ -436,9 +377,9 @@ def cli_jet(name):
                           blocks=lay.blocks)
 
 
-def frequency_space_hamiltonians():
-    """(name, H, coordinate mode): the Hamiltonians of the frequency-space
-    and Birkhoff tests, and the CLI's h1 and h2."""
+def birkhoff_hamiltonians():
+    """(name, H, coordinate mode): Hamiltonians of the Birkhoff tests, and
+    the CLI's h1 and h2."""
     Y = mono(LAY1, F1, (1,), (1,), 6)
     Y1 = mono(LAY2, F1, (1, 0), (1, 0), 6)
     Y2 = mono(LAY2, F1, (0, 1), (0, 1), 6)
@@ -481,13 +422,9 @@ def birkhoff_symplectic(ell):
 
 def algebra_cases():
     """(name, call) pairs; call(mode) returns the value to record."""
-    cases = []
-    for name, H, cmode in frequency_space_hamiltonians():
-        ell = elliptic(H, cmode)
-        cases += [(f"frequency-space-{name}-l{l}",
-                   lambda mode, ell=ell, l=l: frequency_space(ell(mode), l))
-                  for l in (1, 2, 3)]
-        cases.append((f"symplectic-birkhoff-{name}", birkhoff_symplectic(ell)))
+    cases = [(f"symplectic-birkhoff-{name}",
+              birkhoff_symplectic(elliptic(H, cmode)))
+             for name, H, cmode in birkhoff_hamiltonians()]
     for n in (1, 2, 3):
         lay = SymplecticLayout(n)
         for sub in (morse_substitution, inverse_morse_substitution):
