@@ -51,8 +51,7 @@ M = 16
 a = lay1.monomial(1.0, qexp=(1,), pexp=(1,), trunc_degree=M)
 b = (lay1.monomial(1.0, qexp=(3,), trunc_degree=M)
      + lay1.monomial(1.0, pexp=(3,), trunc_degree=M))
-final, trace = kam_iterate(KamProblem(layout=lay1, a=a, b=b, alpha=[1.0],
-                                      base_degree=M))
+final, trace = kam_iterate(KamProblem(layout=lay1, a=a, b=b, base_degree=M))
 print(f"{'stage':>5} {'ord(b_n)':>8} {'log |b_n|_0.25':>15}")
 for st in trace:
     if st.b_n is not None and st.b_n:

@@ -58,30 +58,21 @@ def morse_substitution(n, trunc, mode=EXACT):
     symplectic: {q_k, p_k} = 1 in the (Q, P) bracket.
     """
     lay = SymplecticLayout(n)
-    if mode == EXACT:
-        c_i, c_half_i, c_half = _I, _I / 2, Fraction(1, 2)
-        var = lambda kind, k: getattr(lay, kind)(k, trunc)
-    else:
-        c_i, c_half_i, c_half = 1j, 0.5j, 0.5
-        var = lambda kind, k: getattr(lay, kind)(k, trunc).to_float()
-    qs = [var("q", k) + var("p", k).scale(c_half_i) for k in range(n)]
-    ps = [var("q", k).scale(c_i) + var("p", k).scale(c_half) for k in range(n)]
-    return qs + ps
+    Q = [lay.q(k, trunc) for k in range(n)]
+    P = [lay.p(k, trunc) for k in range(n)]
+    images = [Q[k] + P[k].scale(_I / 2) for k in range(n)] \
+        + [Q[k].scale(_I) + P[k].scale(Fraction(1, 2)) for k in range(n)]
+    return images if mode == EXACT else [z.to_float() for z in images]
 
 
 def inverse_morse_substitution(n, trunc, mode=EXACT):
     """Images of (Q, P) in terms of (q, p): Q_k = (q_k - i p_k)/2, P_k = p_k - i q_k."""
     lay = SymplecticLayout(n)
-    if mode == EXACT:
-        c_half, c_mhalf_i, c_mi = Fraction(1, 2), -(_I / 2), -_I
-        var = lambda kind, k: getattr(lay, kind)(k, trunc)
-    else:
-        c_half, c_mhalf_i, c_mi = 0.5, -0.5j, -1j
-        var = lambda kind, k: getattr(lay, kind)(k, trunc).to_float()
-    qs = [var("q", k).scale(c_half) + var("p", k).scale(c_mhalf_i)
-          for k in range(n)]
-    ps = [var("q", k).scale(c_mi) + var("p", k) for k in range(n)]
-    return qs + ps
+    q = [lay.q(k, trunc) for k in range(n)]
+    p = [lay.p(k, trunc) for k in range(n)]
+    images = [q[k].scale(Fraction(1, 2)) + p[k].scale(-_I / 2)
+              for k in range(n)] + [q[k].scale(-_I) + p[k] for k in range(n)]
+    return images if mode == EXACT else [z.to_float() for z in images]
 
 
 def _close(a, b, exact):

@@ -25,6 +25,8 @@ with exponent keys "q_1..q_n,p_1..p_n" and string coefficients (parsed
 exactly in rational mode, as floats in float mode; {"re": ..., "im":
 ...} for complex entries).  Problem files for `kam run` add "alpha" and
 "b" (and optionally "a", "base_degree", "k_offset", "divisor_floor").
+A given "a" must have alpha as its action coefficients: its quadratic
+part is sum alpha_k p_k q_k, the model whose divisors the run uses.
 """
 
 import argparse
@@ -298,7 +300,7 @@ OPTIONS = {
         ("--r", float, REQUIRED, _FINITE_POSITIVE),
         ("--samples", int, REQUIRED, _POSITIVE),
         ("--dt", float, 0.02, _FINITE_POSITIVE),
-        ("--steps", int, 8192, None),
+        ("--steps", int, 8192, _POSITIVE),
         ("--windows", int, 4, _windows),
         ("--tol-energy", float, 1e-6, _FINITE_POSITIVE),
         ("--tol-freq", float, 1e-4, _FINITE_POSITIVE),
@@ -444,13 +446,16 @@ def _cmd_kam_run(v):
         a, _ = _jet_from_dict(
             {"n": n, "trunc_degree": trunc, "coeffs": data["a"]},
             v.mode, what="model a")
+        if a.degree_slice(2) != lay.quadratic_model(alpha, trunc):
+            raise SchemaError(
+                "model a: its quadratic part must be sum alpha_k p_k q_k "
+                "with the file's alpha as its action coefficients")
     else:
         a = lay.quadratic_model(alpha, trunc)
     floor = (_parse_number(data["divisor_floor"], v.mode)
              if "divisor_floor" in data else None)
     problem = KamProblem(
-        layout=lay, a=a, b=b, alpha=alpha,
-        max_stage=v.stages,
+        layout=lay, a=a, b=b, max_stage=v.stages,
         base_degree=int(data.get("base_degree", 3)),
         k_offset=int(data.get("k_offset", 0)),
         divisor_floor=floor)

@@ -44,15 +44,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arithmetic import FrequencyVector, bruno_diagnostic, sigma
-from .birkhoff import (COMPLEX_MORSE, REAL_ELLIPTIC, _abs_mag,
-                       _extract_frequencies, _in_action_square, _solve_terms,
+from .birkhoff import (COMPLEX_MORSE, _abs_mag, _extract_frequencies,
+                       _in_action_square, _solve_terms,
                        action_ideal_certificate)
 from .errors import (BudgetExceededError, CertificateError, ConvergenceError,
                      OrderTooLowError, ShapeMismatchError)
-from .jets import EXACT, ComplexRational, Jet, to_jsonable
+from .jets import EXACT, Jet, to_jsonable
 from .poisson import HamiltonianDerivation, SymplecticLayout, lie_exp
-
-_I = ComplexRational(0, 1)
 
 
 def _window(jet, w):
@@ -65,41 +63,30 @@ def _window(jet, w):
 # quasi-inverse by eigenvalue division
 # ---------------------------------------------------------------------------
 
-def hadamard_quasi_inverse(alpha, n, target, layout, *, alpha_acc=None,
-                           eigen_freqs=None, divisor_floor=None):
+def hadamard_quasi_inverse(freqs, target, layout, *, alpha_acc=None,
+                           divisor_floor=None):
     """Quasi-inverse of the adjoint of the quadratic model, on one target.
 
-    Every monomial of ``target`` outside the absorbable set F (the
-    monomials with two action factors p_kq_k) is divided by its
-    eigenvalue (alpha, i-j); the returned derivation u satisfies
-    bracket(model, generator) = target modulo F, up to the degree window
-    the caller imposed by truncating the target (the stage index ``n``
-    tags that window).  When the model has accumulated F-terms
-    ``alpha_acc`` beyond its quadratic part, the displayed correction
-    re-solves the solvable part of the bracket of alpha_acc against the
-    first generator, so the identity still holds modulo F at the window.
+    The model is sum_k freqs_k p_kq_k, so the divisors are the
+    eigenvalues (freqs, i-j) of its bracket; `kam_iterate` passes the
+    action coefficients of its model jet.  Every monomial of ``target``
+    outside the absorbable set F (the monomials with two action factors
+    p_kq_k) is divided by its eigenvalue; the returned derivation u
+    satisfies bracket(model, generator) = target modulo F, up to the
+    degree window the caller imposed by truncating the target.  When the
+    model has accumulated F-terms ``alpha_acc`` beyond its quadratic
+    part, the displayed correction re-solves the solvable part of the
+    bracket of alpha_acc against the first generator, so the identity
+    still holds modulo F at the window.
 
     The generator sign is the one that makes bracket(model, generator)
     equal +target; callers conjugate with e^{-u}.
     """
-    if n < 0:
-        raise ValueError("stage index must be >= 0")
-    freqs = _effective_freqs(alpha, eigen_freqs)
     terms, _ = _stage_solution(target, layout, freqs, divisor_floor,
                                target.mode == EXACT, alpha_acc, math.inf)
     gen = Jet(target.num_vars, target.trunc_degree, terms,
               blocks=layout.blocks, mode=target.mode)
     return HamiltonianDerivation(gen, layout)
-
-
-def _effective_freqs(alpha, eigen_freqs):
-    if eigen_freqs is not None:
-        return tuple(eigen_freqs)
-    if alpha is None:
-        raise ValueError("need alpha or eigen_freqs for the divisors")
-    if isinstance(alpha, FrequencyVector):
-        return alpha.components
-    return tuple(alpha)
 
 
 def _split(jet, layout):
@@ -125,18 +112,18 @@ def _split(jet, layout):
 class KamProblem:
     """One normalization run: model ``a``, perturbation ``b``, descriptors.
 
-    The absorbable set F is the monomials with two action factors (see
-    `_split`); the overflow c_n is its complement.  ``eigen_freqs`` are
-    the scalars entering the divisors (alpha itself when omitted).  The
-    restriction r_n truncates to degree base_degree + n.  The norm ledger is read at the stage radii s_n = s (1 + 3^-n) / 2
-    with s = 1/2.
+    The quadratic part of ``a`` is the model sum_k alpha_k p_kq_k with
+    every alpha_k nonzero; `kam_iterate` reads alpha from it, and the
+    divisors are the eigenvalues (alpha, i-j) of its bracket.  The
+    absorbable set F is the monomials with two action factors (see
+    `_split`); the overflow c_n is its complement.  The restriction r_n
+    truncates to degree base_degree + n.  The norm ledger is read at the
+    stage radii s_n = s (1 + 3^-n) / 2 with s = 1/2.
     """
 
     layout: SymplecticLayout
     a: Jet
     b: Jet
-    alpha: FrequencyVector = None
-    eigen_freqs: tuple = None
     max_stage: int = None
     k_offset: int = 0
     base_degree: int = 3
@@ -151,11 +138,6 @@ class KamProblem:
                 f"perturbation has order {self.b.ord()} < 3")
         if self.base_degree < 2:
             raise ValueError("base_degree must be >= 2")
-        if self.alpha is None and self.eigen_freqs is None:
-            raise ValueError("need alpha or eigen_freqs for the divisors")
-        if self.alpha is not None and not isinstance(self.alpha,
-                                                     FrequencyVector):
-            object.__setattr__(self, "alpha", FrequencyVector(self.alpha))
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,7 +238,9 @@ def kam_iterate(problem: KamProblem):
     max_stage, whichever comes first.  Each stage solves the
     non-absorbable part of b_n inside the window (degree base_degree + n)
     via the quasi-inverse, absorbs the F-part into the model with the
-    next restriction, and conjugates by e^{-u_n}.  On
+    next restriction, and conjugates by e^{-u_n}.  The divisors come from
+    the action coefficients of problem.a's quadratic part, which must be
+    sum_k alpha_k p_kq_k (NotEllipticError otherwise).  On
     success the residual of the conjugated jet over the final model is
     verified to lie in F, and (exact mode, when problem.verify) the whole
     conjugation is replayed as an independent check: a + b is composed
@@ -268,7 +252,7 @@ def kam_iterate(problem: KamProblem):
     """
     lay = problem.layout
     exact = problem.a.mode == EXACT and problem.b.mode == EXACT
-    freqs = _effective_freqs(problem.alpha, problem.eigen_freqs)
+    freqs = _extract_frequencies(problem.a, lay.n, COMPLEX_MORSE)
     N = min(problem.a.trunc_degree, problem.b.trunc_degree)
     base = problem.base_degree
     # Default stage budget: the window walks to N in N - base steps and
@@ -425,21 +409,19 @@ class FiberResult:
         })
 
 
-def fiber_normalize(H, alpha=None, coordinate_mode=COMPLEX_MORSE, N=None, *,
-                    base_degree=3, max_stage=None, divisor_floor=None,
-                    verify=True):
+def fiber_normalize(H, *, verify=True):
     """Conjugate sum alphat_k p_kq_k + R to the model modulo the ideal square.
 
-    ``H`` is a jet in complex-Morse shape (quadratic part a combination of
-    the actions p_kq_k).  ``coordinate_mode`` records where it came from:
-    "real-elliptic" means ``alpha`` holds the real frequencies and the
-    eigenvalues are 2i alpha; "complex-morse" reads them off the quadratic
-    part directly.  The perturbation R = H minus the quadratic part must
-    vanish to order 3.  Drives the stage recurrence with the absorbable
-    set F = two-action-factor monomials of order >= 3 and returns the
-    normalized jet, the applied generators, the exponent-inspection
-    certificate that the residual lies in the action-ideal square, and a
-    Bruno-sum diagnostic of the frequencies (never a gate).
+    ``H`` is a jet in complex-Morse shape: its quadratic part is the
+    model sum_k alphat_k p_kq_k, and its action coefficients alphat are
+    the frequencies in the divisors (alphat, i-j), read by `kam_iterate`
+    and recorded as ``eigen_freqs``.  The perturbation R = H minus the
+    quadratic part must vanish to order 3.  Drives the stage recurrence
+    with the absorbable set F = two-action-factor monomials of order >= 3
+    and returns the normalized jet, the applied generators, the
+    exponent-inspection certificate that the residual lies in the
+    action-ideal square, and a Bruno-sum diagnostic of real frequencies
+    (never a gate).
 
     Raises ConvergenceError when the stage budget exhausts first.
     """
@@ -449,34 +431,16 @@ def fiber_normalize(H, alpha=None, coordinate_mode=COMPLEX_MORSE, N=None, *,
     lay = SymplecticLayout(n)
     if H.blocks is not None and H.blocks != lay.blocks:
         raise ShapeMismatchError("H must be a pure (q,p) jet")
-    if N is not None:
-        H = H.truncate(N)
     if H.truncate(1):
         raise OrderTooLowError("H must vanish to second order at 0")
-    alphat = _extract_frequencies(H, n, COMPLEX_MORSE)
-    exact = H.mode == EXACT
-    if coordinate_mode == REAL_ELLIPTIC:
-        if alpha is None:
-            raise ValueError("real-elliptic mode needs the real frequencies")
-        alpha = FrequencyVector(alpha)
-        two_i = _I * 2 if exact else 2j
-        eigen = tuple(two_i * a for a in alpha.components)
-    elif coordinate_mode == COMPLEX_MORSE:
-        eigen = tuple(alphat)
-        if alpha is None:
-            try:
-                alpha = FrequencyVector(alphat)
-            except (TypeError, ValueError):
-                alpha = None
-    else:
-        raise ValueError(f"unknown coordinate mode {coordinate_mode!r}")
+    eigen = tuple(_extract_frequencies(H, n, COMPLEX_MORSE))
+    try:
+        alpha = FrequencyVector(eigen)
+    except (TypeError, ValueError):
+        alpha = None
 
     quad = H.degree_slice(2)
-    R = H - quad
-    problem = KamProblem(
-        layout=lay, a=quad, b=R, alpha=alpha, eigen_freqs=eigen,
-        base_degree=base_degree, max_stage=max_stage,
-        divisor_floor=divisor_floor, verify=verify)
+    problem = KamProblem(layout=lay, a=quad, b=H - quad, verify=verify)
     final, trace = kam_iterate(problem)
     if not final.success:
         raise ConvergenceError(
@@ -524,15 +488,19 @@ class ResteReport:
         return to_jsonable(vars(self))
 
 
-def reste_inequalities_check(u, x, s, tau, *, basis_degree=5, grid_size=3,
-                             n_hat=None):
+# basis degree and dyadic grid size of the level-1 fit behind N1
+_RESTE_BASIS_DEGREE = 5
+_RESTE_GRID_SIZE = 3
+
+
+def reste_inequalities_check(u, x, s, tau):
     """Evaluate the five remainder inequalities for e^{±u} on x at (s, tau).
 
     Left sides are exact jet computations; right sides use |x| and |u(x)|
-    at radius tau together with the fitted level-1 constant N1 of u
-    (supplied as ``n_hat`` or fitted on the spot).  The constants are
-    36/(tau-s)^2 N1^2, 2/(tau-s) N1, 6/(tau-s) N1, 2, and 2.  Reports
-    pass/fail and margins; diagnostic only.
+    at radius tau together with the level-1 constant N1 of u, fitted on
+    the spot (recorded as ``n_hat``).  The constants are 36/(tau-s)^2
+    N1^2, 2/(tau-s) N1, 6/(tau-s) N1, 2, and 2.  Reports pass/fail and
+    margins; diagnostic only.
     """
     from .scalednorms import fit_bounded_constant
 
@@ -542,10 +510,9 @@ def reste_inequalities_check(u, x, s, tau, *, basis_degree=5, grid_size=3,
         s, tau = Fraction(s), Fraction(tau)
     if not (0 < s < tau):
         raise ValueError("need 0 < s < tau")
-    if n_hat is None:
-        n_hat = fit_bounded_constant(
-            u, 1, tau, basis_degree, grid_size, num_vars=x.num_vars,
-            blocks=x.blocks).N_hat
+    n_hat = fit_bounded_constant(
+        u, 1, tau, _RESTE_BASIS_DEGREE, _RESTE_GRID_SIZE,
+        num_vars=x.num_vars, blocks=x.blocks).N_hat
 
     ux = u(x)
     exp_minus = lie_exp(-u, x)

@@ -267,10 +267,7 @@ def lie_exp(u: HamiltonianDerivation, f: Jet) -> Jet:
         term = u(term)
         if not term:
             return total
-        if f.mode == "exact":
-            term = term / j
-        else:
-            term = term / float(j)
+        term = term / j
         total = total + term
     raise ConvergenceError("Lie series failed to terminate within the cap")
 
@@ -325,7 +322,7 @@ def _rref(rows):
     return [tuple(r) for r in rows if any(r)]
 
 
-def check_symplectic(images, layout, trunc=None):
+def check_symplectic(images, layout):
     """Max residual coefficient of the canonical relations for a transform
     given by the images (Q_1..Q_n, P_1..P_n) of the symplectic coordinates:
     {Q_i, P_j} - delta_ij, {Q_i, Q_j}, {P_i, P_j}.
@@ -351,7 +348,7 @@ def check_symplectic(images, layout, trunc=None):
     residual_coeffs = []
     for a in range(2 * n):
         for b in range(a, 2 * n):
-            r = bracket(images[a], images[b], layout, trunc=trunc)
+            r = bracket(images[a], images[b], layout)
             if b == a + n:  # {Q_a, P_a} should be exactly 1
                 one = 1 if r.mode == "exact" else 1.0
                 r = r - one

@@ -197,7 +197,7 @@ def _newton_inverse(field, m, half):
     return f, _invert_rows(np.eye(m.shape[1]) - half * df)
 
 
-def _midpoint_substep(field, x, s, cache=None):
+def _midpoint_substep(field, x, s, cache):
     """One implicit midpoint substep of size s on a batch.
 
     Solves m = x + (s/2) X_H(m) by simplified Newton from m = x: each
@@ -208,15 +208,12 @@ def _midpoint_substep(field, x, s, cache=None):
     Jacobian is re-evaluated at the current m and inverted again, so a
     hard solve (or a stale inverse) falls back to full Newton.  The
     inverse last used goes back into cache (a _NewtonCache whose rows are
-    the rows of x; without one, nothing is kept).  A row is accepted on
-    the size of its last update, at most _FIXED_POINT_TOL times its
-    scale 1 + max |m_j|, not on the residual of m = x + (s/2) X_H(m):
-    after a refresh mid-solve that residual can exceed the tolerance
-    slightly.  Returns (x_new, ok): ok is False where the update failed
+    the rows of x).  A row is accepted on the size of its last update, at
+    most _FIXED_POINT_TOL times its scale 1 + max |m_j|, not on the
+    residual of m = x + (s/2) X_H(m): after a refresh mid-solve that
+    residual can exceed the tolerance slightly.  Returns (x_new, ok): ok is False where the update failed
     to settle within the cap (the orbit has left the scheme's regime).
     """
-    if cache is None:
-        cache = _NewtonCache(len(x))
     half = 0.5 * s
     inv = cache.inverses.get(s)
     if inv is None:

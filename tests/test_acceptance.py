@@ -284,7 +284,7 @@ def test_criterion_06_quasi_inverse_identity():
             if i == j:
                 continue
             target = lay.monomial(F1, qexp=(i,), pexp=(j,), trunc_degree=8)
-            u = hadamard_quasi_inverse([F1], 0, target, lay)
+            u = hadamard_quasi_inverse([F1], target, lay)
             back = bracket(model, u.generator, lay)
             residual = dict(back.coeffs)
             for idx, c in target.coeffs.items():

@@ -12,7 +12,6 @@ from kamtori.arithmetic import (
     _BLOCK,
     _CHUNK,
     DEFAULT_ENUM_BUDGET,
-    BrunoReport,
     DecaySequence,
     DoubleExpTail,
     GeometricTail,

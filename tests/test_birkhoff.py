@@ -19,7 +19,6 @@ from kamtori.birkhoff import (
     to_complex_morse,
 )
 from kamtori.errors import (
-    CertificateError,
     NotEllipticError,
     OrderTooLowError,
     ResonanceError,

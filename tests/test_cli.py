@@ -7,7 +7,6 @@ hand-typed constants.  Invocations run in-process through main(argv).
 
 import hashlib
 import json
-import os
 from fractions import Fraction
 
 import pytest
@@ -287,6 +286,24 @@ def test_kam_run_complex_alpha_exits_two(capsys, tmp_path, mode):
     assert json.loads(err)["error"]["type"] == "schema"
 
 
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_kam_run_model_off_alpha_exits_two(capsys, tmp_path, mode):
+    # "a" has the action coefficient 1 and alpha says 2: the file is
+    # refused before the run; with alpha 1 the same file runs
+    problem = tmp_path / "problem.json"
+    data = {"n": 1, "trunc_degree": 6, "alpha": ["2"], "a": {"1,1": "1"},
+            "b": {"3,0": "1", "0,3": "1"}}
+    problem.write_text(json.dumps(data))
+    argv = ["kam", "run", "--problem", str(problem), "--mode", mode]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "schema" and "alpha" in error["message"]
+    problem.write_text(json.dumps({**data, "alpha": ["1"]}))
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0 and err == ""
+
+
 def test_torus_scan_summary_and_csv(capsys, tmp_path):
     jet_path = tmp_path / "H2.jet"
     jet_path.write_text(json.dumps(
@@ -368,6 +385,10 @@ def no_library_call(*args, **kwargs):
      "--steps", "256", "--windows", "1"],
     ["torus", "scan", "--H", "H2.json", "--r", "0.3", "--samples", "4",
      "--steps", "256", "--seed", "-1"],
+    ["torus", "scan", "--H", "H2.json", "--r", "0.3", "--samples", "4",
+     "--steps", "0"],
+    ["torus", "scan", "--H", "H2.json", "--r", "0.3", "--samples", "4",
+     "--steps", "-5"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
 def test_option_outside_its_rule_exits_two(capsys, tmp_path, monkeypatch,
                                           argv):
@@ -385,7 +406,7 @@ def test_option_outside_its_rule_exits_two(capsys, tmp_path, monkeypatch,
     assert error["message"].startswith(argv[-2] + ":")
 
 
-@pytest.mark.parametrize("steps", ["100", "0", "-5"])
+@pytest.mark.parametrize("steps", ["100"])
 def test_torus_scan_short_windows_exit_two(capsys, tmp_path, monkeypatch,
                                            steps):
     # --steps and --windows together fix the window length; under 64

@@ -13,11 +13,11 @@ from kamtori.birkhoff import (COMPLEX_MORSE, REAL_ELLIPTIC,
                               EllipticHamiltonian, action_ideal_certificate,
                               birkhoff_normalize)
 from kamtori import kamengine
-from kamtori.errors import (CertificateError, ConvergenceError,
-                            NotEllipticError, OrderTooLowError,
-                            ResonanceError, SmallDivisorError)
+from kamtori.errors import (CertificateError, NotEllipticError,
+                            OrderTooLowError, ResonanceError,
+                            SmallDivisorError)
 from kamtori.jets import ComplexRational, Jet
-from kamtori.kamengine import (KamProblem, KamState, fiber_normalize,
+from kamtori.kamengine import (KamProblem, fiber_normalize,
                                hadamard_quasi_inverse, kam_iterate,
                                reste_inequalities_check)
 from kamtori.poisson import (HamiltonianDerivation, SymplecticLayout, bracket,
@@ -35,7 +35,7 @@ def mono(lay, c, qexp=(), pexp=(), N=8):
 # ---------------------------------------------------------------- quasi-inverse
 
 def test_quasi_inverse_zero_target():
-    u = hadamard_quasi_inverse([F1], 0, LAY1.zero(8), LAY1)
+    u = hadamard_quasi_inverse([F1], LAY1.zero(8), LAY1)
     assert not u.generator
 
 
@@ -44,7 +44,7 @@ def test_quasi_inverse_single_monomial_bracket_back():
     # generator is -q^3/2 and bracket(model, generator) returns the target.
     model = mono(LAY1, Fraction(2, 3), qexp=(1,), pexp=(1,))
     target = mono(LAY1, F1, qexp=(3,))
-    u = hadamard_quasi_inverse([Fraction(2, 3)], 0, target, LAY1)
+    u = hadamard_quasi_inverse([Fraction(2, 3)], target, LAY1)
     assert dict(u.generator.coeffs) == {(3, 0): Fraction(-1, 2)}
     assert bracket(model, u.generator, LAY1).truncate(8) == target
 
@@ -53,7 +53,7 @@ def test_quasi_inverse_unit_frequency_cubic():
     # target q^3 against model pq: the magnitude is q^3/(3 alpha).
     model = mono(LAY1, F1, qexp=(1,), pexp=(1,))
     target = mono(LAY1, F1, qexp=(3,))
-    u = hadamard_quasi_inverse([F1], 0, target, LAY1)
+    u = hadamard_quasi_inverse([F1], target, LAY1)
     (idx, c), = u.generator.coeffs.items()
     assert idx == (3, 0) and abs(c) == Fraction(1, 3)
     assert bracket(model, u.generator, LAY1).truncate(8) == target
@@ -62,14 +62,14 @@ def test_quasi_inverse_unit_frequency_cubic():
 def test_quasi_inverse_absorbable_target_contributes_nothing():
     # (p1 q1)^2 has two action factors: it belongs to F and is skipped.
     target = mono(LAY1, F1, qexp=(2,), pexp=(2,))
-    u = hadamard_quasi_inverse([F1], 0, target, LAY1)
+    u = hadamard_quasi_inverse([F1], target, LAY1)
     assert not u.generator
 
 
 def test_quasi_inverse_resonant_outside_f_raises():
     target = mono(LAY1, F1, qexp=(1,), pexp=(1,))
     with pytest.raises(ResonanceError):
-        hadamard_quasi_inverse([F1], 0, target, LAY1)
+        hadamard_quasi_inverse([F1], target, LAY1)
 
 
 def test_quasi_inverse_correction_term():
@@ -81,7 +81,7 @@ def test_quasi_inverse_correction_term():
         mono(LAY1, F1, qexp=(2,), pexp=(2,))
     drift = mono(LAY1, F1, qexp=(2,), pexp=(2,))
     target = mono(LAY1, F1, qexp=(1,))
-    u = hadamard_quasi_inverse([F1], 0, target, LAY1, alpha_acc=drift)
+    u = hadamard_quasi_inverse([F1], target, LAY1, alpha_acc=drift)
     assert dict(u.generator.coeffs) == {
         (1, 0): Fraction(-1), (2, 1): Fraction(2)}
     resid = bracket(model, u.generator, LAY1).truncate(8) - target
@@ -92,7 +92,7 @@ def test_quasi_inverse_small_divisor_floor():
     # eigenvalue (1/2 - 0) * 1 = 1/2 at floor 1 names the monomial.
     target = mono(LAY1, F1, qexp=(1,))
     with pytest.raises(SmallDivisorError, match="monomial q is"):
-        hadamard_quasi_inverse([Fraction(1, 2)], 0, target, LAY1,
+        hadamard_quasi_inverse([Fraction(1, 2)], target, LAY1,
                                divisor_floor=1)
 
 
@@ -102,11 +102,10 @@ def test_quasi_inverse_complex_divisor_floor_is_exact():
     target = mono(LAY1, F1, qexp=(1,))
     lam = ComplexRational(Fraction(3, 25), Fraction(4, 25))
     with pytest.raises(SmallDivisorError, match="monomial q is"):
-        hadamard_quasi_inverse(None, 0, target, LAY1, eigen_freqs=(lam,),
+        hadamard_quasi_inverse((lam,), target, LAY1,
                                divisor_floor=Fraction(1, 5))
     below = Fraction(1, 5) - Fraction(1, 10 ** 9)
-    u = hadamard_quasi_inverse(None, 0, target, LAY1, eigen_freqs=(lam,),
-                               divisor_floor=below)
+    u = hadamard_quasi_inverse((lam,), target, LAY1, divisor_floor=below)
     assert dict(u.generator.coeffs) == {(1, 0): -1 / lam}
 
 
@@ -117,12 +116,12 @@ def flagship_problem(N=8, b_extra=None):
     b = mono(LAY1, F1, qexp=(3,), N=N)
     if b_extra is not None:
         b = b + b_extra
-    return KamProblem(layout=LAY1, a=a, b=b, alpha=[F1])
+    return KamProblem(layout=LAY1, a=a, b=b)
 
 
 def test_iterate_zero_perturbation_terminates_at_stage_zero():
     a = mono(LAY1, F1, qexp=(1,), pexp=(1,))
-    prob = KamProblem(layout=LAY1, a=a, b=LAY1.zero(8), alpha=[F1])
+    prob = KamProblem(layout=LAY1, a=a, b=LAY1.zero(8))
     final, trace = kam_iterate(prob)
     assert final.success and final.stage == 0 and len(trace) == 1
     assert final.u_n is None and not final.alpha_n and not final.c_n
@@ -132,7 +131,7 @@ def test_iterate_zero_perturbation_terminates_at_stage_zero():
 def test_iterate_absorbable_perturbation_terminates_at_stage_zero():
     a = mono(LAY1, F1, qexp=(1,), pexp=(1,))
     b = mono(LAY1, F1, qexp=(2,), pexp=(2,))
-    final, trace = kam_iterate(KamProblem(layout=LAY1, a=a, b=b, alpha=[F1]))
+    final, trace = kam_iterate(KamProblem(layout=LAY1, a=a, b=b))
     assert final.success and final.stage == 0
     assert final.alpha_n == b and not final.c_n and final.u_n is None
 
@@ -200,7 +199,7 @@ def test_iterate_float_quadratic_convergence():
     N = 16
     a = mono(LAY1, 1.0, qexp=(1,), pexp=(1,), N=N)
     b = mono(LAY1, 1.0, qexp=(3,), N=N) + mono(LAY1, 1.0, pexp=(3,), N=N)
-    prob = KamProblem(layout=LAY1, a=a, b=b, alpha=[1.0], base_degree=N)
+    prob = KamProblem(layout=LAY1, a=a, b=b, base_degree=N)
     final, trace = kam_iterate(prob)
     assert final.success
     assert [st.ord_b for st in trace] == [3, 4, 7, 13, None]
@@ -212,23 +211,24 @@ def test_iterate_float_quadratic_convergence():
     assert all(drops[i] < drops[i + 1] for i in range(len(drops) - 1))
 
 
-def test_iterate_inconsistent_divisors_abort():
-    # Wrong eigenvalues leave half the target unsolved at the same order,
-    # which the order-escalation guard turns into a hard failure.
-    a = mono(LAY1, F1, qexp=(1,), pexp=(1,))
-    b = mono(LAY1, F1, qexp=(3,))
-    prob = KamProblem(layout=LAY1, a=a, b=b, alpha=[F1],
-                      eigen_freqs=(Fraction(2),))
-    with pytest.raises(ConvergenceError, match="order of b did not increase"):
-        kam_iterate(prob)
+def test_iterate_reads_divisors_from_the_model():
+    # a = 2 pq alone fixes the divisors 2 (i - j): q^3 is divided by 6
+    # and p^3 by -6; a model with a non-action quadratic term has none
+    a = mono(LAY1, Fraction(2), qexp=(1,), pexp=(1,))
+    b = cubic_pair() - mono(LAY1, F1, qexp=(1,), pexp=(1,))
+    final, trace = kam_iterate(KamProblem(layout=LAY1, a=a, b=b))
+    assert final.success and trace[0].min_divisor == 6
+    assert dict(trace[0].u_n.generator.coeffs) == {
+        (3, 0): Fraction(-1, 6), (0, 3): Fraction(1, 6)}
+    with pytest.raises(NotEllipticError):
+        kam_iterate(KamProblem(layout=LAY1, a=a + mono(LAY1, F1, qexp=(2,)),
+                               b=b))
 
 
 def test_problem_validation():
     a = mono(LAY1, F1, qexp=(1,), pexp=(1,))
     with pytest.raises(OrderTooLowError):
-        KamProblem(layout=LAY1, a=a, b=mono(LAY1, F1, qexp=(2,)), alpha=[F1])
-    with pytest.raises(ValueError):
-        KamProblem(layout=LAY1, a=a, b=LAY1.zero(8))
+        KamProblem(layout=LAY1, a=a, b=mono(LAY1, F1, qexp=(2,)))
 
 
 # ---------------------------------------------------------------- fiber
@@ -282,7 +282,8 @@ def test_prenormal_form_round_trip():
          mono(LAY1, Fraction(3, 2), pexp=(2,), N=N) +
          mono(LAY1, Fraction(1, 4), qexp=(3,), N=N))
     res = birkhoff_normalize(EllipticHamiltonian(H, REAL_ELLIPTIC), 3)
-    fib = fiber_normalize(res.normal_morse, res.alpha, res.coordinate_mode)
+    fib = fiber_normalize(res.normal_morse)
+    assert fib.eigen_freqs == (ComplexRational(0, 3),)   # 2i * 3/2
     assert fib.certificate.ok
     assert action_ideal_certificate(fib.normalized, res.layout).ok
     for idx in fib.normalized.coeffs:
@@ -305,9 +306,12 @@ def test_fiber_transform_conjugates_exactly():
 
 
 def test_fiber_budget_exhaustion_raises():
-    H = mono(LAY1, F1, qexp=(1,), pexp=(1,)) + mono(LAY1, F1, qexp=(3,))
-    with pytest.raises(ConvergenceError):
-        fiber_normalize(H, max_stage=0)
+    # a budget of one stage stops the run unsuccessful, which
+    # fiber_normalize reports as a ConvergenceError
+    a = mono(LAY1, F1, qexp=(1,), pexp=(1,))
+    final, trace = kam_iterate(KamProblem(
+        layout=LAY1, a=a, b=mono(LAY1, F1, qexp=(3,)), max_stage=0))
+    assert not final.success and len(trace) == 1
 
 
 def test_fiber_rejects_low_order():
@@ -317,9 +321,10 @@ def test_fiber_rejects_low_order():
 
 
 def test_fiber_small_divisor_floor():
-    H = mono(LAY1, F1, qexp=(1,), pexp=(1,)) + mono(LAY1, F1, qexp=(3,))
+    a = mono(LAY1, F1, qexp=(1,), pexp=(1,))
     with pytest.raises(SmallDivisorError):
-        fiber_normalize(H, divisor_floor=5)
+        kam_iterate(KamProblem(layout=LAY1, a=a, b=mono(LAY1, F1, qexp=(3,)),
+                               divisor_floor=5))
 
 
 # ---------------------------------------------------------------- replay
@@ -404,8 +409,7 @@ def test_replay_rejects_tampered_jet_and_generator():
     # F; an absorbable monomial added to T, or a generator changed after
     # the fact, passes it and must be caught by the replay alone.
     prob = KamProblem(layout=LAY1, a=mono(LAY1, F1, qexp=(1,), pexp=(1,)),
-                      b=cubic_pair() - mono(LAY1, F1, qexp=(1,), pexp=(1,)),
-                      alpha=[F1])
+                      b=cubic_pair() - mono(LAY1, F1, qexp=(1,), pexp=(1,)))
     final, _ = kam_iterate(prob)
     gens = list(final.transform)
     assert len(gens) >= 2

@@ -12,7 +12,6 @@ from kamtori.errors import NonPositiveTermError
 from kamtori.jets import Jet
 from kamtori.poisson import HamiltonianDerivation, SymplecticLayout
 from kamtori.scalednorms import (
-    BoundednessFit,
     DoubleExpGrowth,
     dyadic_grid,
     fit_bounded_constant,

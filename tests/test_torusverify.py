@@ -187,7 +187,7 @@ def test_newton_midpoint_solves_the_midpoint_equation():
         field = _VectorField(random_jet(rng, n, 3 * n))
         x = rng.uniform(-0.8, 0.8, size=(12, 2 * n))
         for s in (0.002, 0.02, -0.03, 0.1):
-            x_new, ok = _midpoint_substep(field, x, s)
+            x_new, ok = _midpoint_substep(field, x, s, _NewtonCache(len(x)))
             assert ok.all()
             m = 0.5 * (x + x_new)
             resid = np.abs(m - x - 0.5 * s * field(m)[0]).max(axis=1)
@@ -203,7 +203,7 @@ def test_simplified_newton_agrees_with_full_newton():
         field = _VectorField(random_jet(rng, n, 3 * n))
         x = rng.uniform(-0.8, 0.8, size=(12, 2 * n))
         for s in (0.002, 0.02, -0.03, 0.1):
-            x_new, ok = _midpoint_substep(field, x, s)
+            x_new, ok = _midpoint_substep(field, x, s, _NewtonCache(len(x)))
             want, want_ok = reference_substep(field, x, s)
             assert ok.all() and want_ok.all()
             assert np.abs(x_new - want).max() <= 1e-13
@@ -217,14 +217,14 @@ def test_refresh_when_the_frozen_inverse_does_not_contract():
                + LAY1.monomial(0.25, qexp=(4,), trunc_degree=4))
     field = CountingField(quartic)
     x, s = np.array([[2.0, 1.0]]), 2.0
-    x_new, ok = _midpoint_substep(field, x, s)
+    x_new, ok = _midpoint_substep(field, x, s, _NewtonCache(len(x)))
     assert ok.all() and field.jacobians > 1
     m = 0.5 * (x + x_new)
     resid = np.abs(m - x - 0.5 * s * field.velocity(m)).max(axis=1)
     assert (resid <= _FIXED_POINT_TOL * (1.0 + np.abs(m).max(axis=1))).all()
     # the easy substeps of the other tests need one Jacobian only
     field.jacobians = 0
-    _midpoint_substep(field, np.array([[0.5, 0.0]]), 0.1)
+    _midpoint_substep(field, np.array([[0.5, 0.0]]), 0.1, _NewtonCache(1))
     assert field.jacobians == 1
 
 
@@ -321,10 +321,11 @@ def test_singular_newton_system_spoils_only_its_own_orbit():
     H = LAY1.monomial(0.5, qexp=(1,), pexp=(2,), trunc_degree=4)
     field = _VectorField(H)
     x = np.array([[0.3, 0.2], [0.3, 1.0], [-0.1, 0.05]])
-    x_new, ok = _midpoint_substep(field, x, 2.0)
+    x_new, ok = _midpoint_substep(field, x, 2.0, _NewtonCache(len(x)))
     assert not ok[1] and np.isnan(x_new[1]).all()
     for i in (0, 2):
-        alone, ok_alone = _midpoint_substep(field, x[i:i + 1], 2.0)
+        alone, ok_alone = _midpoint_substep(field, x[i:i + 1], 2.0,
+                                            _NewtonCache(1))
         assert ok[i] and ok_alone[0]
         assert np.allclose(x_new[i], alone[0], rtol=0, atol=1e-14)
 

@@ -11,7 +11,8 @@ Runs the checkout this script lives in (its ``src/``) and writes:
   both rho shifts, strips at k=8 and sigma at n=3, k=6; sigma, strips
   and density in the sup norm, a float sigma at n=3 and a density ball
   centred away from alpha; one torus scan and one report; and one
-  config per option check that the command must refuse), run one at a
+  config per option check that the command must refuse, plus a problem
+  file whose model "a" disagrees with its alpha), run one at a
   time in that directory.  Per command NAME it keeps ``NAME.stdout``,
   ``NAME.stderr`` and ``NAME.exit``, next to the files the command
   wrote.  The checkout's path is replaced by
@@ -83,6 +84,9 @@ INPUTS = {
     "problem_complex.json": {"n": 1, "trunc_degree": 6,
                              "alpha": [{"re": "1", "im": "1"}],
                              "b": {"3,0": "1"}},
+    "problem_model_off_alpha.json": {
+        "n": 1, "trunc_degree": 6, "alpha": ["2"], "a": {"1,1": "1"},
+        "b": {"3,0": "1", "0,3": "1"}},
 }
 
 ALPHA = ["--alpha", "1,1.618"]
@@ -180,6 +184,8 @@ def cli_commands():
                                     "3", "--divisor-floor", "-1"]),
         ("kam-run-stages", ["kam", "run", "--problem", "problem.json",
                             "--stages", "-1"]),
+        ("kam-run-model-off-alpha", ["kam", "run", "--problem",
+                                     "problem_model_off_alpha.json"]),
         ("torus-scan-samples", ["torus", "scan", "--H", "h2.json", "--r",
                                 "0.05", "--samples", "0"]),
         ("torus-scan-windows", [*scan, "--windows", "1"]),
@@ -247,9 +253,8 @@ def flagship(fl):
     a = mono(LAY1, F1, (1,), (1,))
     b = mono(LAY1, F1, (3,)) + mono(LAY1, F1, (), (3,))
     if fl:
-        return kam_iterate(KamProblem(layout=LAY1, a=a.to_float(),
-                                      b=b.to_float(), alpha=[1.0]))
-    return kam_iterate(KamProblem(layout=LAY1, a=a, b=b, alpha=[F1]))
+        a, b = a.to_float(), b.to_float()
+    return kam_iterate(KamProblem(layout=LAY1, a=a, b=b))
 
 
 def quasi_inverse_with_drift(fl):
@@ -258,7 +263,7 @@ def quasi_inverse_with_drift(fl):
         + mono(LAY1, F1, (3,), (3,))
     if fl:
         drift, target = drift.to_float(), target.to_float()
-    return hadamard_quasi_inverse([1.0 if fl else F1], 0, target, LAY1,
+    return hadamard_quasi_inverse([1.0 if fl else F1], target, LAY1,
                                   alpha_acc=drift)
 
 
