@@ -68,16 +68,17 @@ def hadamard_quasi_inverse(freqs, target, layout, *, alpha_acc=None,
     """Quasi-inverse of the adjoint of the quadratic model, on one target.
 
     The model is sum_k freqs_k p_kq_k, so the divisors are the
-    eigenvalues (freqs, i-j) of its bracket; `kam_iterate` passes the
-    action coefficients of its model jet.  Every monomial of ``target``
-    outside the absorbable set F (the monomials with two action factors
-    p_kq_k) is divided by its eigenvalue; the returned derivation u
-    satisfies bracket(model, generator) = target modulo F, up to the
-    degree window the caller imposed by truncating the target.  When the
-    model has accumulated F-terms ``alpha_acc`` beyond its quadratic
-    part, the displayed correction re-solves the solvable part of the
-    bracket of alpha_acc against the first generator, so the identity
-    still holds modulo F at the window.
+    eigenvalues (freqs, i-j) of its bracket; ``freqs`` are the model's
+    action coefficients, which `kam_iterate` reads from its model jet.
+    Every monomial of ``target`` outside the absorbable set F (the
+    monomials with two action factors p_kq_k) is divided by its
+    eigenvalue; the returned derivation u satisfies bracket(model,
+    generator) = target modulo F, up to the degree window the caller
+    imposed by truncating the target.  When the model has accumulated
+    F-terms ``alpha_acc`` beyond its quadratic part, the displayed
+    correction re-solves the solvable part of the bracket of alpha_acc
+    against the first generator, so the identity still holds modulo F at
+    the window.
 
     The generator sign is the one that makes bracket(model, generator)
     equal +target; callers conjugate with e^{-u}.
