@@ -30,9 +30,6 @@ DEFAULT_ENUM_BUDGET = 40_000_000
 __all__ = [
     "FrequencyVector",
     "DecaySequence",
-    "GeometricTail",
-    "PowerTail",
-    "DoubleExpTail",
     "BrunoReport",
     "LatticeBasis",
     "DensityReport",
@@ -115,85 +112,20 @@ def _as_freq(alpha) -> FrequencyVector:
 
 
 # ---------------------------------------------------------------------------
-# decay sequences and tail descriptors
+# decay sequences
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GeometricTail:
-    """a_k = c * ratio^k.  Always of moderate decay."""
-    c: object = 1
-    ratio: object = Fraction(1, 2)
-
-    def term(self, k):
-        return self.c * self.ratio ** k
-
-    def bruno_verdict(self):
-        return "moderate"
-
-    def to_json_dict(self):
-        return to_jsonable({"kind": "geometric", "c": self.c,
-                            "ratio": self.ratio})
-
-
-@dataclass(frozen=True)
-class PowerTail:
-    """a_k = c * (k+1)^(-power).  Always of moderate decay."""
-    c: object = 1
-    power: object = 1
-
-    def term(self, k):
-        return self.c * Fraction(k + 1) ** (-self.power) \
-            if isinstance(self.c, (int, Fraction)) and isinstance(self.power, int) \
-            else float(self.c) * float(k + 1) ** (-float(self.power))
-
-    def bruno_verdict(self):
-        return "moderate"
-
-    def to_json_dict(self):
-        return to_jsonable({"kind": "power", "c": self.c,
-                            "power": self.power})
-
-
-@dataclass(frozen=True)
-class DoubleExpTail:
-    """a_k = c * 2^(-rate * base^k).
-
-    -log(a_k)/2^k grows like rate*(base/2)^k, so the decay is moderate
-    exactly when base < 2; base >= 2 gives a definitely-not-moderate tail.
-    """
-    c: object = 1
-    rate: object = 1
-    base: object = 2
-
-    def __post_init__(self):
-        if not (float(self.rate) > 0 and float(self.base) > 1):
-            raise ValueError("DoubleExpTail needs rate > 0 and base > 1")
-
-    def term(self, k):
-        e = self.rate * self.base ** k
-        if isinstance(e, (int, Fraction)) and isinstance(self.c, (int, Fraction)):
-            ef = Fraction(e)
-            if ef.denominator == 1:
-                return Fraction(self.c) * Fraction(2) ** (-ef.numerator)
-        return float(self.c) * 2.0 ** (-float(e))
-
-    def bruno_verdict(self):
-        return "moderate" if float(self.base) < 2 else "not-moderate"
-
-    def to_json_dict(self):
-        return to_jsonable({"kind": "double-exp", "c": self.c,
-                            "rate": self.rate, "base": self.base})
-
-
 class DecaySequence:
-    """Finite positive sequence a_0..a_K with an optional closed-form tail.
+    """Finite positive sequence a_0..a_K.
 
+    Only the stored terms exist: nothing is known past k_max, so no
+    report built on a DecaySequence decides an infinite-sequence question.
     Values must be nonnegative; zeros are only admitted with allow_zero=True
     (they arise in sigma of resonant vectors).  Operations that need strict
     positivity call require_positive().
     """
 
-    def __init__(self, values, descriptor=None, allow_zero=False):
+    def __init__(self, values, allow_zero=False):
         vals = []
         for v in values:
             v = Fraction(v) if isinstance(v, (int, Fraction)) else float(v)
@@ -208,18 +140,8 @@ class DecaySequence:
         if not vals:
             raise NonPositiveTermError("decay sequence needs at least one term")
         self.values = tuple(vals)
-        self.descriptor = descriptor
         self.monotone = all(vals[j + 1] <= vals[j]
                             for j in range(len(vals) - 1))
-
-    @classmethod
-    def from_descriptor(cls, descriptor, k_max, allow_zero=False):
-        vals = [descriptor.term(k) for k in range(k_max + 1)]
-        return cls(vals, descriptor=descriptor, allow_zero=allow_zero)
-
-    @classmethod
-    def constant(cls, value, k_max):
-        return cls([value] * (k_max + 1), descriptor=GeometricTail(value, 1))
 
     @property
     def k_max(self):
@@ -234,9 +156,7 @@ class DecaySequence:
     def __getitem__(self, k):
         if 0 <= k < len(self.values):
             return self.values[k]
-        if self.descriptor is not None and k >= 0:
-            return self.descriptor.term(k)
-        raise IndexError(f"index {k} beyond stored range and no tail descriptor")
+        raise IndexError(f"index {k} beyond stored range 0..{self.k_max}")
 
     def __eq__(self, other):
         if isinstance(other, DecaySequence):
@@ -252,29 +172,15 @@ class DecaySequence:
     def elementwise_product(self, other):
         k = min(self.k_max, other.k_max)
         vals = [self.values[j] * other.values[j] for j in range(k + 1)]
-        desc = None
-        if isinstance(self.descriptor, GeometricTail) and \
-                isinstance(other.descriptor, GeometricTail):
-            desc = GeometricTail(self.descriptor.c * other.descriptor.c,
-                                 self.descriptor.ratio * other.descriptor.ratio)
-        zero_ok = any(v == 0 for v in vals)
-        return DecaySequence(vals, descriptor=desc, allow_zero=zero_ok)
-
-    __mul__ = elementwise_product
-
-    def scale(self, factor):
-        return DecaySequence([v * factor for v in self.values],
-                             allow_zero=any(v == 0 for v in self.values))
-
-    def as_floats(self):
-        return np.array([float(v) for v in self.values], dtype=float)
+        return DecaySequence(vals, allow_zero=any(v == 0 for v in vals))
 
     def to_json_dict(self):
         return to_jsonable({
             "values": self.values,
             "k_max": self.k_max,
             "monotone": self.monotone,
-            "descriptor": self.descriptor,
+            # a finite sequence has no tail; the key keeps artifacts unchanged
+            "descriptor": None,
         })
 
     def __repr__(self):
@@ -493,10 +399,11 @@ class BrunoReport(tuple):
 
 
 def bruno_diagnostic(a: DecaySequence, K: int) -> BrunoReport:
-    """Partial sum S_K = -sum_{k<=K} log(min(1,a_k))/2^k plus a verdict.
+    """Partial sum S_K = -sum_{k<=K} log(min(1,a_k))/2^k.
 
-    The verdict is definite only when a closed-form tail descriptor is
-    attached; a finite prefix alone never proves (non-)summability.
+    A finite prefix never proves (non-)summability, so the verdict is
+    always "inconclusive"; it stays in the report so bruno artifacts keep
+    their shape.
     """
     total = 0.0
     for k in range(K + 1):
@@ -506,9 +413,7 @@ def bruno_diagnostic(a: DecaySequence, K: int) -> BrunoReport:
         vf = float(v)
         if vf < 1.0:
             total -= math.log(vf) / 2.0 ** k
-    verdict = a.descriptor.bruno_verdict() if a.descriptor is not None \
-        else "inconclusive"
-    return BrunoReport(total, verdict, K)
+    return BrunoReport(total, "inconclusive", K)
 
 
 def in_class(alpha, a: DecaySequence, k_max, norm="euclidean",

@@ -139,6 +139,19 @@ def to_complex_morse(H, mode=REAL_ELLIPTIC):
     return H.compose(sub)
 
 
+def _qp_layout(H):
+    """The SymplecticLayout of H, a pure (q,p) jet with no terms below
+    degree 2; raises ShapeMismatchError or OrderTooLowError otherwise."""
+    if H.num_vars % 2:
+        raise ShapeMismatchError("need an even number of (q,p) variables")
+    lay = SymplecticLayout(H.num_vars // 2)
+    if H.blocks is not None and H.blocks != lay.blocks:
+        raise ShapeMismatchError("H must be a pure (q,p) jet")
+    if H and H.ord() < 2:
+        raise OrderTooLowError("H must vanish to second order at 0")
+    return lay
+
+
 class EllipticHamiltonian:
     """A Hamiltonian jet with elliptic quadratic part and no lower terms.
 
@@ -151,20 +164,13 @@ class EllipticHamiltonian:
     def __init__(self, H, coordinate_mode=REAL_ELLIPTIC):
         if coordinate_mode not in (REAL_ELLIPTIC, COMPLEX_MORSE):
             raise ValueError(f"unknown coordinate mode {coordinate_mode!r}")
-        if H.num_vars % 2:
-            raise ShapeMismatchError("need an even number of (q,p) variables")
-        n = H.num_vars // 2
-        lay = SymplecticLayout(n)
-        if H.blocks is not None and H.blocks != lay.blocks:
-            raise ShapeMismatchError("H must be a pure (q,p) jet")
-        if H and H.ord() < 2:
-            raise OrderTooLowError("H must vanish to second order at 0")
-        alpha = _extract_frequencies(H, n, coordinate_mode)
+        lay = _qp_layout(H)
+        alpha = _extract_frequencies(H, lay.n, coordinate_mode)
         self.H = Jet(H.num_vars, H.trunc_degree, H.coeffs, blocks=lay.blocks,
                      mode=H.mode)
         self.alpha = FrequencyVector(alpha)
         self.coordinate_mode = coordinate_mode
-        self.n = n
+        self.n = lay.n
         self.layout = lay
 
     def __repr__(self):

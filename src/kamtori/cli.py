@@ -180,6 +180,7 @@ def _finite(x):
 
 _NONNEG = _rule("nonnegative", lambda x: x >= 0)
 _POSITIVE = _rule("positive", lambda x: x > 0)
+_NONZERO = _rule("nonzero", lambda x: x != 0)
 _FINITE = _rule("finite", _finite)
 _FINITE_POSITIVE = _rule("finite and positive", lambda x: _finite(x) and x > 0)
 _FINITE_NONNEG = _rule("finite and nonnegative",
@@ -429,9 +430,10 @@ def _cmd_kam_run(v):
     try:
         n = int(data["n"])
         trunc = int(data["trunc_degree"])
-        # FrequencyVector refuses complex entries with a TypeError
+        # FrequencyVector refuses complex entries with a TypeError; a zero
+        # component has no action monomial p_k q_k in the model
         alpha = arithmetic.FrequencyVector(
-            _parse_number(x, v.mode) for x in data["alpha"])
+            _NONZERO(_parse_number(x, v.mode), v) for x in data["alpha"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(
             f"problem file needs n, trunc_degree and a real alpha: "

@@ -45,10 +45,10 @@ from fractions import Fraction
 
 from .arithmetic import FrequencyVector, bruno_diagnostic, sigma
 from .birkhoff import (COMPLEX_MORSE, _abs_mag, _extract_frequencies,
-                       _in_action_square, _solve_terms,
+                       _in_action_square, _qp_layout, _solve_terms,
                        action_ideal_certificate)
 from .errors import (BudgetExceededError, CertificateError, ConvergenceError,
-                     OrderTooLowError, ShapeMismatchError)
+                     OrderTooLowError)
 from .jets import EXACT, Jet, to_jsonable
 from .poisson import HamiltonianDerivation, SymplecticLayout, lie_exp
 
@@ -393,7 +393,6 @@ class FiberResult:
     normalized: Jet
     certificate: object
     transform: tuple
-    alpha: object
     eigen_freqs: tuple
     bruno: object
     final: KamState
@@ -426,15 +425,8 @@ def fiber_normalize(H, *, verify=True):
 
     Raises ConvergenceError when the stage budget exhausts first.
     """
-    if H.num_vars % 2:
-        raise ShapeMismatchError("need an even number of (q,p) variables")
-    n = H.num_vars // 2
-    lay = SymplecticLayout(n)
-    if H.blocks is not None and H.blocks != lay.blocks:
-        raise ShapeMismatchError("H must be a pure (q,p) jet")
-    if H.truncate(1):
-        raise OrderTooLowError("H must vanish to second order at 0")
-    eigen = tuple(_extract_frequencies(H, n, COMPLEX_MORSE))
+    lay = _qp_layout(H)
+    eigen = tuple(_extract_frequencies(H, lay.n, COMPLEX_MORSE))
     try:
         alpha = FrequencyVector(eigen)
     except (TypeError, ValueError):
@@ -457,7 +449,7 @@ def fiber_normalize(H, *, verify=True):
             bruno = None
     return FiberResult(
         normalized=normalized, certificate=cert,
-        transform=tuple(final.transform), alpha=alpha, eigen_freqs=eigen,
+        transform=tuple(final.transform), eigen_freqs=eigen,
         bruno=bruno, final=final, trace=tuple(trace), layout=lay)
 
 

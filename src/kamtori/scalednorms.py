@@ -11,9 +11,10 @@ of ``(s, sigma)`` pairs and a basis of monomial inputs; the report records
 the grid so every claim can be replayed.  Exact rational arithmetic is used
 whenever ``tau`` and the operator outputs are rational.
 
-``moderate_growth`` reports whether a sequence of fitted constants
-``N_n`` has ``sum_n log(max(1, N_n)) / 2^n`` bounded, with the same
-three-valued verdict convention as ``arithmetic.bruno_diagnostic``.
+``moderate_growth`` reports the partial sums of
+``sum_n log(max(1, N_n)) / 2^n`` over a finite sequence of fitted
+constants ``N_n``; like ``arithmetic.bruno_diagnostic`` it never decides
+whether the infinite sum is bounded.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arithmetic import DoubleExpTail, GeometricTail, PowerTail
 from .errors import NonPositiveTermError
 from .jets import EXACT, Jet, _all_indices, to_jsonable
 
@@ -131,48 +131,11 @@ def fit_bounded_constant(u, k, tau, basis_degree, grid_size,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DoubleExpGrowth:
-    """N_n = c * 2^(rate * base^n).
-
-    log(N_n)/2^n grows like rate*(base/2)^n: the growth is moderate exactly
-    when base < 2.
-    """
-    c: object = 1
-    rate: object = 1
-    base: object = 2
-
-    def __post_init__(self):
-        if not (float(self.rate) > 0 and float(self.base) > 1):
-            raise ValueError("DoubleExpGrowth needs rate > 0 and base > 1")
-
-    def term(self, n):
-        return float(self.c) * 2.0 ** (float(self.rate) * float(self.base) ** n)
-
-    def to_json_dict(self):
-        return to_jsonable({"kind": "double-exp-growth", "c": self.c,
-                            "rate": self.rate, "base": self.base})
-
-
-def _growth_verdict(descriptor):
-    if descriptor is None:
-        return "inconclusive"
-    if isinstance(descriptor, DoubleExpGrowth):
-        return "moderate" if float(descriptor.base) < 2 else "not-moderate"
-    if isinstance(descriptor, (GeometricTail, PowerTail, DoubleExpTail)):
-        # log N_n is at most linear in n (or eventually <= 0), so the
-        # weighted sum converges regardless of the parameters.
-        return "moderate"
-    raise TypeError(f"unknown growth descriptor {descriptor!r}")
-
-
-@dataclass(frozen=True)
 class ModerateGrowthReport:
-    """Partial sums of log(max(1, N_n))/2^n and a three-valued verdict."""
+    """Partial sums of log(max(1, N_n))/2^n."""
 
     values: tuple
     partial_sums: tuple
-    verdict: str
-    descriptor: object = None
 
     @property
     def partial_sum(self):
@@ -182,18 +145,14 @@ class ModerateGrowthReport:
         return to_jsonable({
             "values": [float(v) for v in self.values],
             "partial_sum": self.partial_sum,
-            "verdict": self.verdict,
-            "descriptor": self.descriptor,
         })
 
 
-def moderate_growth(values, descriptor=None):
+def moderate_growth(values):
     """Report on sum_n log(max(1, N_n))/2^n for a stage sequence N_n.
 
-    The finitely many observed values never decide convergence by
-    themselves: the verdict is "moderate" / "not-moderate" only when a
-    closed-form ``descriptor`` is supplied (same convention as
-    ``arithmetic.bruno_diagnostic``), and "inconclusive" otherwise.
+    The finitely many observed values never decide convergence, so the
+    report holds only the partial sums.
     """
     vals = tuple(values)
     sums = []
@@ -203,6 +162,4 @@ def moderate_growth(values, descriptor=None):
             raise NonPositiveTermError("fitted constants must be >= 0")
         acc += math.log(max(1.0, float(v))) / 2.0 ** n
         sums.append(acc)
-    return ModerateGrowthReport(values=vals, partial_sums=tuple(sums),
-                                verdict=_growth_verdict(descriptor),
-                                descriptor=descriptor)
+    return ModerateGrowthReport(values=vals, partial_sums=tuple(sums))

@@ -13,9 +13,6 @@ from kamtori.arithmetic import (
     _CHUNK,
     DEFAULT_ENUM_BUDGET,
     DecaySequence,
-    DoubleExpTail,
-    GeometricTail,
-    PowerTail,
     SmoothMap,
     StripTable,
     _exact_scale,
@@ -159,7 +156,7 @@ def test_strip_order_matches_full_box_oracle(norm):
     # +-i pair: the member whose first nonzero component is positive
     for alpha, k_max in (([1, PHI_EXACT], 3), ([1.0, 1.41421356, 1.7320508], 2)):
         a = sigma(alpha, k_max, norm=norm)
-        rho = DecaySequence.constant(Fraction(1, 2), k_max)
+        rho = DecaySequence([Fraction(1, 2)] * (k_max + 1))
         pts = full_box(len(alpha), 2 ** k_max)
         rank = box_rank(pts, norm)
         want = []
@@ -264,34 +261,27 @@ def test_sigma_rejects_empty_vector():
 # --- bruno ---------------------------------------------------------------------
 
 def test_bruno_all_ones():
-    rep = bruno_diagnostic(DecaySequence.constant(1, 6), 6)
+    rep = bruno_diagnostic(DecaySequence([1] * 7), 6)
     assert rep.partial_sum == 0.0
-    assert rep.verdict == "moderate"
     ps, verdict = rep  # tuple protocol
-    assert (ps, verdict) == (0.0, "moderate")
+    assert (ps, verdict) == (0.0, "inconclusive")
 
 
 def test_bruno_geometric_closed_form():
     # a_k = 2^-k: S_K = log2 * sum k/2^k = log2 * (2 - (K+2)/2^K)
     K = 20
-    a = DecaySequence.from_descriptor(GeometricTail(1, Fraction(1, 2)), K)
+    a = DecaySequence([Fraction(1, 2 ** k) for k in range(K + 1)])
     rep = bruno_diagnostic(a, K)
     expected = math.log(2) * (2 - Fraction(K + 2, 2 ** K))
     assert math.isclose(rep.partial_sum, expected, rel_tol=1e-12)
-    assert rep.verdict == "moderate"
 
 
 def test_bruno_double_exponential_diverges():
-    a = DecaySequence.from_descriptor(DoubleExpTail(1, 1, 4), 3)
+    # a_k = 2^-(4^k): terms 4^k log2 / 2^k = 2^k log2 grow; partial sums
+    # explode
+    a = DecaySequence([Fraction(1, 2 ** 4 ** k) for k in range(4)])
     rep = bruno_diagnostic(a, 3)
-    assert rep.verdict == "not-moderate"
-    # terms 4^k log2 / 2^k = 2^k log2 grow; partial sums explode
     assert rep.partial_sum > bruno_diagnostic(a, 2).partial_sum
-
-
-def test_bruno_base_below_two_is_moderate():
-    a = DecaySequence.from_descriptor(DoubleExpTail(1, 2, Fraction(3, 2)), 4)
-    assert bruno_diagnostic(a, 4).verdict == "moderate"
 
 
 def test_bruno_no_descriptor_inconclusive():
@@ -305,15 +295,10 @@ def test_bruno_rejects_nonpositive():
         bruno_diagnostic(a, 2)
 
 
-def test_power_tail_moderate():
-    a = DecaySequence.from_descriptor(PowerTail(1, 3), 5)
-    assert bruno_diagnostic(a, 5).verdict == "moderate"
-
-
 # --- classes --------------------------------------------------------------------
 
 def test_in_class_resonant_false():
-    a = DecaySequence.constant(Fraction(1, 10 ** 6), 2)
+    a = DecaySequence([Fraction(1, 10 ** 6)] * 3)
     assert not in_class([1, 1], a, 2)
 
 
@@ -342,15 +327,15 @@ def test_alpha_in_its_own_sigma_class():
 
 def test_density_center_always_passes():
     s = sigma([1, PHI_EXACT], 4)
-    rho = DecaySequence.constant(1, 4)
+    rho = DecaySequence([1] * 5)
     rep = density_estimate(None, [1, PHI_EXACT], s, rho, 0.05, 2000, 4, seed=7)
     assert rep.center_passes
     assert 0.0 <= rep.fraction_in_class <= 1.0
 
 
 def test_density_huge_thresholds_fraction_zero():
-    a = DecaySequence.constant(Fraction(10 ** 9), 3)
-    rho = DecaySequence.constant(1, 3)
+    a = DecaySequence([Fraction(10 ** 9)] * 4)
+    rho = DecaySequence([1] * 4)
     rep = density_estimate(None, [1, PHI_EXACT], a, rho, 0.1, 500, 3, seed=11)
     assert rep.fraction_in_class == 0.0
     assert not rep.center_passes
@@ -358,7 +343,7 @@ def test_density_huge_thresholds_fraction_zero():
 
 def test_density_deterministic_per_seed():
     s = sigma([1, PHI_EXACT], 5)
-    rho = DecaySequence.from_descriptor(GeometricTail(Fraction(1, 64), Fraction(1, 64)), 5)
+    rho = DecaySequence([Fraction(1, 64) ** (k + 1) for k in range(6)])
     r1 = density_estimate(None, [1, PHI_EXACT], s, rho, 0.01, 3000, 5, seed=99)
     r2 = density_estimate(None, [1, PHI_EXACT], s, rho, 0.01, 3000, 5, seed=99)
     assert r1.fraction_in_class == r2.fraction_in_class
@@ -368,7 +353,7 @@ def test_density_deterministic_per_seed():
 
 def test_density_polynomial_identity_matches_builtin():
     s = sigma([1, PHI_EXACT], 4)
-    rho = DecaySequence.from_descriptor(GeometricTail(Fraction(1, 64), Fraction(1, 64)), 4)
+    rho = DecaySequence([Fraction(1, 64) ** (k + 1) for k in range(5)])
     jets = [Jet.variable(0, 2, 3), Jet.variable(1, 2, 3)]
     fmap = SmoothMap.polynomial(jets)
     r1 = density_estimate(None, [1, PHI_EXACT], s, rho, 0.02, 4000, 4, seed=5)
@@ -380,7 +365,7 @@ def test_density_shifted_rho_saturates():
     # with rho_k = 2^{-6(k+1)} the center is strictly inside the class and
     # small balls are entirely captured
     s = sigma([1, PHI_EXACT], 6)
-    rho = DecaySequence.from_descriptor(GeometricTail(Fraction(1, 64), Fraction(1, 64)), 6)
+    rho = DecaySequence([Fraction(1, 64) ** (k + 1) for k in range(7)])
     rep = density_estimate(None, [1, PHI_EXACT], s, rho, 0.001, 5000, 6, seed=3)
     assert rep.fraction_in_class == 1.0
 
@@ -425,7 +410,7 @@ def test_density_matches_brute_force_oracle():
     for f in (None, fmap):
         for rho_0, r in ((Fraction(1, 4), 0.3), (Fraction(1), 0.3),
                          (Fraction(1, 4), 0.02)):
-            rho = DecaySequence.constant(rho_0, k_max)
+            rho = DecaySequence([rho_0] * (k_max + 1))
             rep = density_estimate(f, [1, PHI_EXACT], s, rho, r, samples,
                                    k_max, seed=4)
             got = (rep.fraction_in_class, rep.active_constraints,
@@ -453,7 +438,7 @@ def test_density_rows_match_brute_force_oracle():
             for x0, r, rho_0 in (((1.05, 1.5), 0.2, Fraction(1, 4)),
                                  ((0.9, 1.7), 0.02, Fraction(1, 16)),
                                  (alpha, 0.3, Fraction(1))):
-                rho = DecaySequence.constant(rho_0, k_max)
+                rho = DecaySequence([rho_0] * (k_max + 1))
                 rep = density_estimate(f, x0, s, rho, r, samples, k_max,
                                        seed=9, norm=norm)
                 got = (rep.fraction_in_class, rep.active_constraints,
@@ -464,8 +449,8 @@ def test_density_rows_match_brute_force_oracle():
     assert {(True, True), (True, False)} <= seen
     # with one threshold at every level the cut has to reach the corners
     # of the sup ball, where ||i|| is sqrt(2) 2^k_max
-    a = DecaySequence.constant(Fraction(1, 10), k_max)
-    rho = DecaySequence.constant(1, k_max)
+    a = DecaySequence([Fraction(1, 10)] * (k_max + 1))
+    rho = DecaySequence([1] * (k_max + 1))
     rep = density_estimate(None, alpha, a, rho, 0.5, samples, k_max, seed=9,
                            norm="sup")
     assert (rep.fraction_in_class, rep.active_constraints,
@@ -476,7 +461,7 @@ def test_density_rows_match_brute_force_oracle():
 
 def test_density_rejects_bad_inputs():
     s = sigma([1, PHI_EXACT], 3)
-    rho = DecaySequence.constant(1, 3)
+    rho = DecaySequence([1] * 4)
     with pytest.raises(ValueError):
         density_estimate(None, [1, PHI_EXACT], s, rho, 0.1, 0, 3, seed=1)
     with pytest.raises(ValueError):
@@ -549,7 +534,7 @@ def test_lemma_eps_t_values():
 def strip_setup(k_max=3):
     alpha = [1, PHI_EXACT]
     a = sigma(alpha, k_max)
-    rho = DecaySequence.constant(Fraction(1, 2), k_max)
+    rho = DecaySequence([Fraction(1, 2)] * (k_max + 1))
     return alpha, a, rho
 
 

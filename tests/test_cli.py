@@ -287,6 +287,21 @@ def test_kam_run_complex_alpha_exits_two(capsys, tmp_path, mode):
 
 
 @pytest.mark.parametrize("mode", ["rational", "float"])
+def test_kam_run_zero_alpha_exits_two(capsys, tmp_path, mode):
+    # a zero frequency leaves the model without its action monomial; the
+    # file is refused before the run
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(
+        {"n": 2, "trunc_degree": 6, "alpha": ["1", "0"],
+         "b": {"3,0,0,0": "1"}}))
+    code, out, err = run_cli(
+        capsys, ["kam", "run", "--problem", str(problem), "--mode", mode])
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "schema" and "alpha" in error["message"]
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
 def test_kam_run_model_off_alpha_exits_two(capsys, tmp_path, mode):
     # "a" has the action coefficient 1 and alpha says 2: the file is
     # refused before the run; with alpha 1 the same file runs

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import sympy
 
-from kamtori.arithmetic import BrunoReport, GeometricTail
+from kamtori.arithmetic import BrunoReport, DecaySequence
 from kamtori.errors import ModeMixError, OrderTooLowError, ShapeMismatchError
 from kamtori.jets import ComplexRational, Jet, to_jsonable
 
@@ -479,8 +479,9 @@ def test_block_structure_checked():
     (np.bool_(True), True),
     ({1: Fraction(1, 2), "k": (np.int64(2), [Fraction(3), None])},
      {"1": "1/2", "k": [2, ["3", None]]}),
-    ({"tail": GeometricTail(Fraction(1, 3), Fraction(1, 2))},
-     {"tail": {"kind": "geometric", "c": "1/3", "ratio": "1/2"}}),
+    ({"rho": DecaySequence([Fraction(1, 3), Fraction(1, 6)])},
+     {"rho": {"values": ["1/3", "1/6"], "k_max": 1, "monotone": True,
+              "descriptor": None}}),
     # a report that is also a tuple serializes as its dict, not a list
     (BrunoReport(0.25, "moderate", 4),
      {"partial_sum": 0.25, "verdict": "moderate", "K": 4}),

@@ -7,16 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kamtori.arithmetic import DoubleExpTail, GeometricTail, PowerTail
 from kamtori.errors import NonPositiveTermError
 from kamtori.jets import Jet
 from kamtori.poisson import HamiltonianDerivation, SymplecticLayout
-from kamtori.scalednorms import (
-    DoubleExpGrowth,
-    dyadic_grid,
-    fit_bounded_constant,
-    moderate_growth,
-)
+from kamtori.scalednorms import dyadic_grid, fit_bounded_constant, moderate_growth
 
 
 def d_dz(x):
@@ -136,25 +130,6 @@ def test_moderate_growth_partial_sums():
     assert all(b >= a for a, b in zip(rep.partial_sums, rep.partial_sums[1:]))
 
 
-def test_moderate_growth_verdicts():
-    assert moderate_growth([2.0, 4.0]).verdict == "inconclusive"
-    assert moderate_growth([2.0, 4.0], GeometricTail(2, 2)).verdict == "moderate"
-    assert moderate_growth([2.0], PowerTail(1, 3)).verdict == "moderate"
-    assert moderate_growth([2.0], DoubleExpTail(1, 1, Fraction(3, 2))).verdict \
-        == "moderate"
-    assert moderate_growth([2.0], DoubleExpGrowth(1, 1, Fraction(3, 2))).verdict \
-        == "moderate"
-    assert moderate_growth([2.0], DoubleExpGrowth(1, 1, 2)).verdict == "not-moderate"
-    assert moderate_growth([2.0], DoubleExpGrowth(1, 1, 3)).verdict == "not-moderate"
-
-
 def test_moderate_growth_rejects_negative():
     with pytest.raises(NonPositiveTermError):
         moderate_growth([1.0, -2.0])
-
-
-def test_double_exp_growth_validation():
-    with pytest.raises(ValueError):
-        DoubleExpGrowth(1, -1, 3)
-    with pytest.raises(ValueError):
-        DoubleExpGrowth(1, 1, 1)

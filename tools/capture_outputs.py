@@ -12,10 +12,10 @@ Runs the checkout this script lives in (its ``src/``) and writes:
   and density in the sup norm, a float sigma at n=3 and a density ball
   centred away from alpha; one torus scan and one report; and one
   config per option check that the command must refuse, plus a problem
-  file whose model "a" disagrees with its alpha), run one at a
-  time in that directory.  Per command NAME it keeps ``NAME.stdout``,
-  ``NAME.stderr`` and ``NAME.exit``, next to the files the command
-  wrote.  The checkout's path is replaced by
+  file whose model "a" disagrees with its alpha and one with a zero
+  alpha component), run one at a time in that directory.  Per command
+  NAME it keeps ``NAME.stdout``, ``NAME.stderr`` and ``NAME.exit``, next
+  to the files the command wrote.  The checkout's path is replaced by
   ``<root>`` in stderr, so tracebacks from two checkouts compare.
 - ``DIR/engine/``: one text file per engine case, in exact and float
   mode: every generator, the per-stage a_n/b_n/alpha_n/c_n/min_divisor/
@@ -87,6 +87,8 @@ INPUTS = {
     "problem_model_off_alpha.json": {
         "n": 1, "trunc_degree": 6, "alpha": ["2"], "a": {"1,1": "1"},
         "b": {"3,0": "1", "0,3": "1"}},
+    "problem_zero_alpha.json": {"n": 2, "trunc_degree": 6,
+                                "alpha": ["1", "0"], "b": {"3,0,0,0": "1"}},
 }
 
 ALPHA = ["--alpha", "1,1.618"]
@@ -186,6 +188,8 @@ def cli_commands():
                             "--stages", "-1"]),
         ("kam-run-model-off-alpha", ["kam", "run", "--problem",
                                      "problem_model_off_alpha.json"]),
+        ("kam-run-zero-alpha", ["kam", "run", "--problem",
+                                "problem_zero_alpha.json"]),
         ("torus-scan-samples", ["torus", "scan", "--H", "h2.json", "--r",
                                 "0.05", "--samples", "0"]),
         ("torus-scan-windows", [*scan, "--windows", "1"]),
