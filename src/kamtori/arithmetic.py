@@ -23,7 +23,7 @@ from .errors import (
     NonPositiveTermError,
     ShapeMismatchError,
 )
-from .jets import to_jsonable
+from .jets import _over_one_denominator, to_jsonable
 
 DEFAULT_ENUM_BUDGET = 40_000_000
 
@@ -283,10 +283,9 @@ def _exact_scale(alpha_fracs, radius):
     with sup |i| <= radius, as a numerator, stays below 2^62, else an
     object array of Python ints.
     """
-    den = 1
-    for c in alpha_fracs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    scaled = [int(c * den) for c in alpha_fracs]
+    den, scaled = _over_one_denominator(
+        {k: Fraction(c) for k, c in enumerate(alpha_fracs)})
+    scaled = list(scaled.values())
     small = sum(abs(s) for s in scaled) * radius < 2 ** 62
     return np.array(scaled, dtype=np.int64 if small else object), den
 

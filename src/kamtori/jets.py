@@ -435,9 +435,11 @@ class Jet:
         if not isinstance(other, Jet):
             return self.scale(other)
         trunc, blocks, mode = self._join(other)
-        return Jet._trusted(self.num_vars, trunc,
-                            _product(self._coeffs, other._coeffs, trunc),
-                            blocks, mode)
+        den, left, right = _numerators(self._coeffs, other._coeffs)
+        acc = _product(left, right, trunc)
+        if den is not None:     # one reduction per output key
+            acc = {k: Fraction(v, den) for k, v in acc.items()}
+        return Jet._trusted(self.num_vars, trunc, acc, blocks, mode)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -528,6 +530,17 @@ class Jet:
         terms are added in graded-lex order into one coefficient dict, so
         float results do not depend on the outer jet's dict order; partial
         products and sums drop what cancels, as a jet would.
+
+        When this jet and every substituted jet hold only Fractions, all
+        of that runs on integer numerators: each jet's coefficients over
+        one denominator D (the outer D_0, the inner D_k), so args[k]^e is
+        over D_k^e and a partial product over the product of its
+        factors' denominators, none of them reduced.  The outer terms are
+        added over the lcm L of those denominators, and each result
+        coefficient is reduced once, as Fraction(n, D_0 · L).  A zero
+        numerator is a zero value, so the same keys drop at the same
+        places.  Float and ComplexRational coefficients run the same
+        loops on their values.
         """
         args = list(args)
         if len(args) != self.num_vars:
@@ -552,34 +565,60 @@ class Jet:
         for g in args:
             if g._coeffs and self._coeffs and g.mode != mode:
                 raise ModeMixError("compose cannot mix exact and float jets")
-        unit = {(0,) * inner_vars: Fraction(1) if mode == EXACT else 1.0}
+        outer = _over_one_denominator(self._coeffs)
+        inner = [_over_one_denominator(g._coeffs) for g in args]
+        exact = outer is not None and None not in inner
+        if exact:
+            (outer_den, coeffs), (dens, inner) = outer, zip(*inner)
+            one = 1
+        else:
+            coeffs, inner = self._coeffs, [g._coeffs for g in args]
+            dens = [1] * len(args)
+            one = Fraction(1) if mode == EXACT else 1.0
+
+        def keep(acc):
+            if exact:
+                return {k: v for k, v in acc.items() if v}
+            return _clean(acc, mode)
+
+        # the outer terms that reach degree trunc, each with the
+        # denominator of its unreduced numerators
+        reach = []
+        for idx in sorted(coeffs, key=graded_lex_key):
+            rest = sum(e * o for e, o in zip(idx, ords))
+            if rest <= trunc:
+                den = math.prod(d ** e for d, e in zip(dens, idx))
+                reach.append((idx, coeffs[idx], rest, den))
+        common = math.lcm(*(den for *_, den in reach))
+        unit = {(0,) * inner_vars: one}
         powers = [[unit] for _ in args]     # powers[k][e]: args[k]^e
         acc = {}
-        for idx, value in self.terms():
-            rest = sum(e * o for e, o in zip(idx, ords))
-            if rest > trunc:
-                continue
+        for idx, value, rest, den in reach:
             term = unit
             for k, e in enumerate(idx):
                 if not e:
                     continue
                 table = powers[k]
                 while len(table) <= e:
-                    table.append(_clean(
-                        _product(table[-1], args[k]._coeffs, trunc), mode))
+                    table.append(keep(_product(table[-1], inner[k], trunc)))
                 rest -= e * ords[k]
-                term = _clean(_product(term, table[e], trunc - rest), mode)
+                term = keep(_product(term, table[e], trunc - rest))
+            if exact:
+                value *= common // den
             for key, v in term.items():
-                v = _coerce(v * value, mode)
+                v = v * value if exact else _coerce(v * value, mode)
                 if v == 0:
                     continue
                 cur = acc.get(key)
                 if cur is not None:
-                    v = _coerce(cur + v, mode)
+                    v = cur + v if exact else _coerce(cur + v, mode)
                     if v == 0:
                         del acc[key]
                         continue
                 acc[key] = v
+        if exact:       # one reduction per result coefficient
+            den = outer_den * common
+            acc = {k: Fraction(v, den) for k, v in acc.items()}
         return Jet(inner_vars, trunc, acc, blocks=inner_blocks, mode=mode)
 
     def evaluate(self, point):
@@ -700,6 +739,36 @@ def _degree_rows(terms):
     return within
 
 
+def _over_one_denominator(coeffs):
+    """(D, {key: n}) with each value of coeffs equal to n / D, D the lcm
+    of their denominators (1 for an empty dict).
+
+    None when a value is not a Fraction: float and ComplexRational
+    coefficients stay as they are.
+    """
+    ratios = []
+    for v in coeffs.values():
+        if not isinstance(v, Fraction):
+            return None
+        ratios.append(v.as_integer_ratio())
+    den = math.lcm(*{d for _, d in ratios})
+    return den, {k: n * (den // d) for k, (n, d) in zip(coeffs, ratios)}
+
+
+def _numerators(left, right):
+    """(D, left', right') for a bilinear kernel on two coefficient dicts.
+
+    When every value of both is a Fraction, left' and right' hold integer
+    numerators over one denominator each, and a kernel output n on them
+    stands for Fraction(n, D), D the product of the two denominators.
+    Otherwise D is None and left and right come back as they are.
+    """
+    lq, rq = _over_one_denominator(left), _over_one_denominator(right)
+    if lq is None or rq is None:
+        return None, left, right
+    return lq[0] * rq[0], lq[1], rq[1]
+
+
 def _product(left, right, cap):
     """Coefficient dict of left · right, without exponents of degree > cap.
 
@@ -711,6 +780,11 @@ def _product(left, right, cap):
     come from _degree_rows, which keeps their order.  Any other order
     (by degree, say) would move float results at roundoff.  Zeros are
     kept; callers clean.
+
+    The loop needs only ring scalars.  Exact callers (Jet.__mul__ and
+    compose) pass integer numerators over one denominator per operand,
+    so a pair costs one int product and one int sum, and each output is
+    reduced to a Fraction once, by the caller.
     """
     within = _degree_rows(right)
     acc = {}

@@ -22,7 +22,7 @@ from .errors import (
     OrderTooLowError,
     ShapeMismatchError,
 )
-from .jets import ComplexRational, Jet, _degree_rows
+from .jets import ComplexRational, Jet, _degree_rows, _numerators
 
 __all__ = [
     "SymplecticLayout",
@@ -147,6 +147,12 @@ def bracket(f, g, layout, trunc=None):
     int addition; the keys are unpacked once, in order, at the end.  A
     term with c != 0 has every exponent of the sum >= 0, and none exceeds
     the two operands' largest degrees, so the fields never carry.
+
+    When both operands hold only Fractions, the loop runs on integer
+    numerators over one denominator per operand (jets._numerators), so a
+    pair costs int products and sums; each output key is reduced once at
+    the end, to Fraction(n, D_f · D_g).  Float and ComplexRational
+    operands run the same loop on their values.
     """
     layout.check(f)
     layout.check(g)
@@ -161,10 +167,11 @@ def bracket(f, g, layout, trunc=None):
     def pack(idx):
         return sum(e << s for e, s in zip(idx, shifts))
 
-    within = _degree_rows({j: (b, pack(j)) for j, b in g.coeffs.items()})
+    den, fc, gc = _numerators(f.coeffs, g.coeffs)
+    within = _degree_rows({j: (b, pack(j)) for j, b in gc.items()})
     acc = {}
     get = acc.get
-    for i, a in f.coeffs.items():
+    for i, a in fc.items():
         # (i_q, i_p, q slot, p slot, packed i - e_q - e_p) per pair i touches
         packed_i = pack(i)
         pairs = [(i[k], i[n + k], k, n + k,
@@ -184,7 +191,10 @@ def bracket(f, g, layout, trunc=None):
                     contrib = ab * c
                     acc[key] = contrib if cur is None else cur + contrib
     mask = (1 << width) - 1
-    out = {tuple(key >> s & mask for s in shifts): v for key, v in acc.items()}
+    values = acc.values() if den is None else \
+        (Fraction(v, den) for v in acc.values())    # one reduction per key
+    out = {tuple(key >> s & mask for s in shifts): v
+           for key, v in zip(acc, values)}
     mode = f.mode if f else g.mode
     return Jet._trusted(f.num_vars, trunc, out, f.blocks or g.blocks, mode)
 

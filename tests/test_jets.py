@@ -351,6 +351,89 @@ def test_exact_compose_matches_sympy_beyond_the_unknown_tails(case):
     assert out == reference_compose(f, args)
 
 
+# --- exact kernels on integer numerators ---------------------------------
+# Jet.__mul__ and compose run exact jets on integer numerators over one
+# denominator per jet and reduce each result coefficient once.  The
+# Fraction loops above are the oracle: equal in value, type and key order.
+
+PRIMES = [2 ** 64 + 13, 2 ** 64 + 141, 2 ** 65 + 131]   # coprime, past 2^64
+
+
+def exact_items(jet):
+    """Truncation degree, then key order, type and value of every
+    coefficient."""
+    return jet.trunc_degree, [(idx, type(c).__name__, c)
+                              for idx, c in jet.coeffs.items()]
+
+
+def over_primes(jet, shift=0):
+    """jet with its t-th coefficient divided by PRIMES[(t + shift) % 3]."""
+    return Jet(jet.num_vars, jet.trunc_degree,
+               {idx: c / PRIMES[(t + shift) % 3]
+                for t, (idx, c) in enumerate(jet.coeffs.items())},
+               blocks=jet.blocks)
+
+
+def integral(jet):
+    """jet with every coefficient replaced by its numerator."""
+    return Jet(jet.num_vars, jet.trunc_degree,
+               {idx: Fraction(c.numerator) for idx, c in jet.coeffs.items()},
+               blocks=jet.blocks)
+
+
+@pytest.mark.parametrize("kind", ["primes", "integers", "zero", "complex"])
+@pytest.mark.parametrize("case", range(6))
+def test_exact_product_and_compose_equal_the_fraction_loops(kind, case):
+    rng = np.random.default_rng(4000 + case)
+    outer_vars = int(rng.integers(1, 4))
+    inner_vars = int(rng.integers(1, 4))
+    N = int(rng.integers(2, 6))
+    m = 1 + case % 2
+    f = random_exact_jet(rng, outer_vars, N, n_terms=8)
+    args = [random_exact_jet(rng, inner_vars, int(rng.integers(N, 7)),
+                             n_terms=4, min_ord=m) for _ in range(outer_vars)]
+    args = [g if g else Jet.variable(0, inner_vars, N) for g in args]
+    h = random_exact_jet(rng, inner_vars, N, n_terms=8)
+    if kind == "primes":
+        f, h = over_primes(f), over_primes(h, 2)
+        args = [over_primes(g, k + 1) for k, g in enumerate(args)]
+    elif kind == "integers":
+        f, h, *args = (integral(g) for g in (f, h, *args))
+    elif kind == "zero":
+        f, h = Jet.zero(outer_vars, N), Jet.zero(inner_vars, N)
+    else:   # one ComplexRational operand of each kernel
+        args[0] = args[0].scale(ComplexRational(1, 2))
+    assert exact_items(f.compose(args)) == \
+        exact_items(reference_compose(f, args))
+    g = args[0]
+    for a, b in ((g, h), (h, g), (h, h)):
+        assert exact_items(a * b) == exact_items(reference_mul(a, b))
+
+
+def test_exact_compose_and_product_drop_what_cancels():
+    # The cancellations of the two float tests above, over coprime
+    # denominators: (y0/q + y1/r)(y0/q - y1/r) cancels at y0*y1, and the
+    # running sum at y0^2 cancels before z0^2 brings the key back.
+    p, q, r = (Fraction(1, d) for d in PRIMES)
+    f = Jet.from_terms(3, 3, [((1, 1, 1), p)])
+    g0, g1, g2 = (Jet.from_terms(2, 3, terms) for terms in (
+        [((1, 0), q), ((0, 1), r)], [((1, 0), q), ((0, 1), -r)],
+        [((0, 1), p), ((1, 0), q)]))
+    assert list((g0 * g1).coeffs.items()) == [((2, 0), q * q),
+                                              ((0, 2), -r * r)]
+    assert exact_items(g0 * g1) == exact_items(reference_mul(g0, g1))
+    out = f.compose([g0, g1, g2])
+    assert list(out.coeffs) == [(2, 1), (3, 0), (0, 3), (1, 2)]
+    assert exact_items(out) == exact_items(reference_compose(f, [g0, g1, g2]))
+
+    f = Jet.from_terms(2, 3, [((0, 1), p), ((1, 0), p), ((2, 0), p)])
+    g0 = Jet.from_terms(2, 3, [((2, 0), -q), ((1, 0), r)])
+    g1 = Jet.from_terms(2, 3, [((2, 0), q), ((0, 1), r)])
+    out = f.compose([g0, g1])
+    assert list(out.coeffs) == [(0, 1), (1, 0), (3, 0), (2, 0)]
+    assert exact_items(out) == exact_items(reference_compose(f, [g0, g1]))
+
+
 # --- norms ------------------------------------------------------------------
 
 def test_sup_norm_bound_examples():

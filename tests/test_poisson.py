@@ -211,6 +211,65 @@ def test_float_bracket_running_sum_through_zero_keeps_its_place():
     assert float_bits(out) == float_bits(reference_bracket(f, g, lay))
 
 
+# bracket runs exact jets on integer numerators over one denominator per
+# jet and reduces each output once; the Fraction loop of reference_bracket
+# is the oracle, in value, type and key order.
+
+PRIMES = [2 ** 64 + 13, 2 ** 64 + 141, 2 ** 65 + 131]   # coprime, past 2^64
+
+
+def exact_items(jet):
+    """Truncation degree, then key order, type and value of every
+    coefficient."""
+    return jet.trunc_degree, [(idx, type(c).__name__, c)
+                              for idx, c in jet.coeffs.items()]
+
+
+def over_primes(jet, shift=0):
+    """jet with its t-th coefficient divided by PRIMES[(t + shift) % 3]."""
+    return Jet(jet.num_vars, jet.trunc_degree,
+               {idx: c / PRIMES[(t + shift) % 3]
+                for t, (idx, c) in enumerate(jet.coeffs.items())},
+               blocks=jet.blocks)
+
+
+@pytest.mark.parametrize("kind", ["primes", "integers", "zero", "complex"])
+@pytest.mark.parametrize("case", range(6))
+def test_exact_bracket_equals_the_fraction_loop(kind, case):
+    rng = np.random.default_rng(5000 + case)
+    lay = SymplecticLayout(BRACKET_PAIRS[case % len(BRACKET_PAIRS)])
+    N = int(rng.integers(3, 7))
+    f, g = (random_layout_jet(rng, lay, N, n_terms=12) for _ in range(2))
+    if kind == "primes":
+        f, g = over_primes(f), over_primes(g, 1)
+    elif kind == "integers":
+        f, g = (Jet(lay.num_vars, N, {i: Fraction(c.numerator)
+                                      for i, c in h.coeffs.items()},
+                    blocks=lay.blocks) for h in (f, g))
+    elif kind == "zero":
+        g = lay.zero(N)
+    else:   # one ComplexRational operand
+        g = g.scale(ComplexRational(1, 2))
+    trunc = int(rng.integers(0, N + 1)) if case % 3 == 2 else None
+    for a, b in ((f, g), (g, f)):
+        assert exact_items(bracket(a, b, lay, trunc=trunc)) == \
+            exact_items(reference_bracket(a, b, lay, trunc=trunc))
+
+
+def test_exact_bracket_running_sum_through_zero_keeps_its_place():
+    # the float test above over coprime denominators: q^2 gets -2 p r and
+    # +2 p r, and the pair (q^3, p) adds 3 q p later
+    lay = SymplecticLayout(1)
+    p, q, r = (Fraction(1, d) for d in PRIMES)
+    f = Jet(2, 4, {(1, 1): p, (2, 0): p, (3, 0): q})
+    g = Jet(2, 4, {(2, 0): r, (1, 1): r, (0, 2): Fraction(1, 4), (0, 1): p})
+    out = bracket(f, g, lay)
+    assert list(out.coeffs) == [(2, 0), (0, 2), (0, 1), (1, 1), (1, 0),
+                                (3, 0), (2, 1)]
+    assert out.coeffs[(2, 0)] == 3 * q * p
+    assert exact_items(out) == exact_items(reference_bracket(f, g, lay))
+
+
 def _sympy_scalar(c):
     if isinstance(c, ComplexRational):
         return _sympy_scalar(c.re) + sympy.I * _sympy_scalar(c.im)

@@ -21,11 +21,13 @@ Runs the checkout this script lives in (its ``src/``) and writes:
   mode: every generator, the per-stage a_n/b_n/alpha_n/c_n/min_divisor/
   norm ledger and the normalized jets, written with their coefficient
   dicts in storage order.  Cases are the kamengine test problems and the
-  dense fiber jets of seeds 1-3 at N=5.  The ``normal-form-float``
-  benchmark's shapes run in float mode only: the dense fiber jets of
-  seeds 1-3 at N=9, and Birkhoff at l=4 of the seed-0 one.  Float
-  coefficients of every jet are written with ``float.hex``.  A case
-  that raises records the error.
+  dense fiber jets of seeds 1-3 at N=5.  The dense jet of seed 1 at
+  N=7 (replay included; denominators of up to 286 bits in the
+  normalized jet and 606 bits in the generators) runs in exact mode
+  only.  The ``normal-form-float`` benchmark's shapes run in float
+  mode only: the dense fiber jets of seeds 1-3 at N=9, and Birkhoff at
+  l=4 of the seed-0 one.  Float coefficients of every jet are written
+  with ``float.hex``.  A case that raises records the error.
 - ``DIR/algebra/``: one text file per ``check_symplectic`` call: of the
   complex-Morse substitutions and their inverses for n = 1..3, of a
   rank-3 and a row-swapped n = 2 linear map, and of Birkhoff
@@ -366,6 +368,8 @@ def capture_engine(out):
     out.mkdir(parents=True)
     runs = [(name, run, mode) for name, run in engine_cases()
             for mode in ("exact", "float")]
+    runs.append(("fiber-dense-seed1-N7", fiber(dense_fiber_jet(1, 7)),
+                 "exact"))
     runs += [(name, run, "float") for name, run in float_engine_cases()]
     for name, run, mode in runs:
         try:
