@@ -471,19 +471,11 @@ class Jet:
     # --- filtration / selection ----------------------------------------------
 
     def truncate(self, degree):
+        """The terms of degree <= degree, at truncation degree
+        min(degree, trunc_degree): a jet never certifies beyond what it
+        knew."""
         coeffs = {i: v for i, v in self._coeffs.items() if sum(i) <= degree}
-        return self._like(coeffs, trunc=degree)
-
-    def with_trunc(self, degree):
-        """Reinterpret at truncation degree `degree` without dropping terms.
-
-        Raising the degree asserts the jet is an exact polynomial (no unknown
-        tail); the caller owns that claim.  Lowering drops terms as truncate.
-        """
-        if degree < self.trunc_degree:
-            return self.truncate(degree)
-        return Jet(self.num_vars, degree, self._coeffs, blocks=self.blocks,
-                   mode=self.mode)
+        return self._like(coeffs, trunc=min(degree, self.trunc_degree))
 
     def degree_slice(self, degree):
         coeffs = {i: v for i, v in self._coeffs.items() if sum(i) == degree}

@@ -222,8 +222,9 @@ def ad_eigenvalue(alpha, i, j):
 class HamiltonianDerivation:
     """u(f) = {f, h} for the generator h.
 
-    The generator is an exact polynomial, so u(f) keeps f's truncation
-    degree when the generator has order >= 2.
+    The generator is an exact polynomial, so u(f) is certified to f's
+    truncation degree less the order h lacks below 2: f's degree when
+    ord h >= 2, one less when ord h = 1, two less when ord h = 0.
     """
 
     __slots__ = ("generator", "layout")
@@ -235,20 +236,14 @@ class HamiltonianDerivation:
 
     def __call__(self, f):
         self.layout.check(f)
-        if not self.generator:
+        h = self.generator
+        if not h:
             return Jet.zero(f.num_vars, f.trunc_degree, blocks=f.blocks,
                             mode=f.mode)
-        # The generator is an exact polynomial (not a truncated unknown),
-        # so lift its truncation grade high enough that the bracket's
-        # certified range covers all of f's.  The action then preserves
-        # f's truncation degree.
-        h = self.generator.with_trunc(
-            max(self.generator.trunc_degree,
-                f.trunc_degree + self.generator.max_degree()))
-        out = bracket(f, h, self.layout)
-        if out.trunc_degree > f.trunc_degree:
-            out = out.truncate(f.trunc_degree)
-        return out
+        # h has no unknown tail, so {f, h} is known to f's degree plus
+        # ord h - 2; past f's degree it is not asked for.
+        return bracket(f, h, self.layout,
+                       trunc=max(0, f.trunc_degree - max(0, 2 - h.ord())))
 
     def __neg__(self):
         return HamiltonianDerivation(-self.generator, self.layout)
@@ -261,7 +256,8 @@ def lie_exp(u: HamiltonianDerivation, f: Jet) -> Jet:
     """e^u f = sum_j u^j(f)/j!, exact and finite on jets.
 
     Requires ord(generator) >= 3 (each bracket application then raises order,
-    so the series terminates at the truncation degree).
+    so the series terminates at the truncation degree); every term keeps
+    f's truncation degree.
     """
     h = u.generator
     if h and h.ord() <= 2:

@@ -592,3 +592,12 @@ def test_truncation_invariant_enforced():
     assert not f
     g = Jet.from_terms(1, 5, [((k,), 1) for k in range(6)])
     assert g.truncate(2) == Jet.from_terms(1, 2, [((0,), 1), ((1,), 1), ((2,), 1)])
+
+
+def test_truncate_never_raises_the_degree():
+    x = Jet.variable(0, 1, 3)
+    assert x.truncate(5).trunc_degree == 3
+    assert x.truncate(2).trunc_degree == 2
+    # a degree-3 jet does not know x^4, so its power certifies no x^4 term
+    fourth = x.truncate(5) ** 4
+    assert fourth.trunc_degree == 3 and not fourth

@@ -334,6 +334,72 @@ def test_ad_eigenvalue_matches_bracket():
                     assert bracket(mono, H2, lay) == mono.scale(lam) * 1
 
 
+# --- HamiltonianDerivation -----------------------------------------------------
+
+def lifted_derivation(h, f, layout):
+    """u_h(f) by the long route: h rebuilt at a degree that covers all of
+    f's pairs, the bracket at its certified degree, then cut back to f's
+    degree."""
+    degree = max(h.trunc_degree, f.trunc_degree + h.max_degree())
+    lifted = Jet(h.num_vars, degree, dict(h.coeffs), blocks=h.blocks,
+                 mode=h.mode)
+    out = reference_bracket(f, lifted, layout)
+    if out.trunc_degree > f.trunc_degree:
+        out = out.truncate(f.trunc_degree)
+    return out
+
+
+def derivation_bits(jet):
+    """Truncation degree, mode, blocks, then key order, type and float.hex
+    of both parts of every coefficient (exact ones by value)."""
+    def parts(c):
+        if isinstance(c, (float, complex)):
+            return float.hex(complex(c).real), float.hex(complex(c).imag)
+        return c
+    return jet.trunc_degree, jet.mode, jet.blocks, [
+        (idx, type(c).__name__, parts(c)) for idx, c in jet.coeffs.items()]
+
+
+def as_scalar(kind, jet):
+    """jet with its coefficients as the given scalar kind."""
+    if kind == "fraction":
+        return jet
+    if kind == "complex-rational":
+        return jet.scale(ComplexRational(Fraction(1, 3), 2))
+    out = jet.to_float()
+    return out.scale(complex(0.5, -1.25)) if kind == "complex" else out
+
+
+@pytest.mark.parametrize("kind",
+                         ["fraction", "complex-rational", "float", "complex"])
+@pytest.mark.parametrize("case", range(10))
+def test_derivation_equals_the_lifted_bracket(kind, case):
+    rng = np.random.default_rng(7000 + case)
+    lay = SymplecticLayout(BRACKET_PAIRS[case % len(BRACKET_PAIRS)])
+    order = case % 5                               # generator orders 0 to 4
+    h_trunc = max(3, order) if case >= 5 else 8    # h below f's degree
+    rest = (0,) * (lay.n - 1)
+    lead = lay.monomial(Fraction(3, 2), qexp=(order - order // 2,) + rest,
+                        pexp=(order // 2,) + rest, trunc_degree=h_trunc)
+    h = lead + random_layout_jet(rng, lay, h_trunc, n_terms=10, min_ord=order,
+                                 max_deg=min(h_trunc, order + 2))
+    assert h.ord() == order
+    fs = [random_layout_jet(rng, lay, 8, n_terms=14),
+          lay.zero(8),
+          random_layout_jet(rng, lay, 8, n_terms=8) + Fraction(5, 7)]
+    for f in fs:
+        for gen in (h, lay.zero(h_trunc)):
+            f_, gen_ = as_scalar(kind, f), as_scalar(kind, gen)
+            got = HamiltonianDerivation(gen_, lay)(f_)
+            if not gen_:
+                assert derivation_bits(got) == derivation_bits(
+                    Jet.zero(f_.num_vars, f_.trunc_degree, blocks=f_.blocks,
+                             mode=f_.mode))
+                continue
+            assert derivation_bits(got) == \
+                derivation_bits(lifted_derivation(gen_, f_, lay))
+
+
 # --- lie_exp -------------------------------------------------------------------
 
 def test_lie_exp_zero_generator():
