@@ -220,11 +220,10 @@ def ad_eigenvalue(alpha, i, j):
 
 
 class HamiltonianDerivation:
-    """u(f) = {f, h} for the generator h.
+    """u(f) = {f, h} for the generator h, an exact polynomial.
 
-    The generator is an exact polynomial, so u(f) is certified to f's
-    truncation degree less the order h lacks below 2: f's degree when
-    ord h >= 2, one less when ord h = 1, two less when ord h = 0.
+    u(f) keeps f's truncation degree N when ord h >= 2; it is known to
+    N - 1 at order 1 and N - 2 at order 0 (never below 0).
     """
 
     __slots__ = ("generator", "layout")
@@ -240,8 +239,8 @@ class HamiltonianDerivation:
         if not h:
             return Jet.zero(f.num_vars, f.trunc_degree, blocks=f.blocks,
                             mode=f.mode)
-        # h has no unknown tail, so {f, h} is known to f's degree plus
-        # ord h - 2; past f's degree it is not asked for.
+        # an explicit degree: bracket's default would read h's
+        # truncation degree as the start of an unknown tail
         return bracket(f, h, self.layout,
                        trunc=max(0, f.trunc_degree - max(0, 2 - h.ord())))
 
