@@ -305,74 +305,44 @@ def _row_minima_exact(head, start, top, scaled):
                       np.abs(c + a * np.minimum(t + 1, top)))
 
 
-def _row_minima_float(head, start, top, alpha, reach):
-    """min |<alpha,i>| of each row, as `pts @ alpha` computes it.
-
-    The candidates are the clamped floor of -c/a and the `reach` last
-    coordinates on either side of it: enough that every point of the row
-    left out lies further from the real minimum than the rounding of two
-    products, so the float minimum is the one over the whole row.
-    """
-    c = head @ alpha[:-1]
-    a = alpha[-1]
-    centre = start
-    if a != 0:
-        with np.errstate(over="ignore"):
-            t = np.clip(-c / a, start - 1, top + 1)
-        centre = np.clip(np.floor(t).astype(np.int64), start, top)
-    last = np.clip(centre[:, None] + np.arange(-reach, reach + 2),
-                   start[:, None], top[:, None])
-    width = last.shape[1]
-    pts = np.empty((last.size, head.shape[1] + 1), dtype=np.int64)
-    pts[:, :-1] = np.repeat(head, width, axis=0)
-    pts[:, -1] = last.ravel()
-    return np.abs(pts @ alpha).reshape(-1, width).min(axis=1)
-
-
 def sigma(alpha, k_max, norm="euclidean", budget=DEFAULT_ENUM_BUDGET):
     """sigma(alpha)_k = min |<alpha,i>| over 0 != i in Z^n, ||i|| <= 2^k.
 
     Exact Fractions when alpha is rational, floats otherwise.  |<alpha,i>|
     is even in i, so the minima are taken over the `_ball_rows` half ball
-    of each radius 2^k, row by row: per head only the last coordinates
-    next to the real minimizer of |c + alpha_n t| are evaluated, so the
-    cost is O(R^(n-1)), not O(R^n).  Exact mode works on int64
-    numerators (Python ints past 2^62); float mode evaluates its
-    candidates with the same `pts @ alpha` product as the whole ball, so
-    every value is the one the whole ball gives, bit for bit.  The
-    budget still counts the (2^(k_max+1) + 1)^n box.
+    of each radius 2^k, row by row, at O(R^(n-1)) cost, not O(R^n).
+    Exact mode works on int64 numerators (Python ints past 2^62) and
+    takes each row's minimum at the clamped root of c + alpha_n t.
+
+    Float mode bounds the minimum first: e_n = (0, ..., 0, 1) lies in
+    every half ball and its float product is alpha_n exactly, so the
+    minimum is at most |alpha_n|.  `_rows_near` then keeps, per row, the
+    last coordinates whose float value can be at or below that bound,
+    and only those are expanded and evaluated, with the same `pts @
+    alpha` product as the whole ball: every value is the one the whole
+    ball gives, bit for bit.  The budget still counts the
+    (2^(k_max+1) + 1)^n box.
     """
     alpha = _as_freq(alpha)
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    radius = 2 ** k_max
     exact = alpha.is_exact
     if exact:
-        scaled, den = _exact_scale(alpha.as_fractions(), radius)
+        scaled, den = _exact_scale(alpha.as_fractions(), 2 ** k_max)
     else:
         af = alpha.as_floats()
-        # a float product of an index with |i_j| <= radius is off by at
-        # most `error`; a last coordinate `reach` steps past the rounded
-        # minimizer is |alpha_n| reach further from the real minimum; with
-        # alpha_n = 0 a row takes one value throughout
-        error = alpha.dim * 2.0 ** -52 * radius * np.abs(af).sum()
-        slope = abs(af[-1])
-        if slope == 0:
-            reach = 0
-        elif 4 * error < 2 * radius * slope:
-            reach = 2 + math.ceil(4 * error / slope)
-        else:
-            reach = 2 * radius + 1      # the whole row
     minima = []
     # k_max first, so an over-budget call fails before any work
     for k in range(k_max, -1, -1):
-        head, _, start, top = _ball_rows(alpha.dim, 2 ** k, norm, budget)
+        head, head_rank, start, top = _ball_rows(alpha.dim, 2 ** k, norm,
+                                                 budget)
         if exact:
             minima.append(Fraction(int(_row_minima_exact(
                 head, start, top, scaled).min()), den))
         else:
-            minima.append(float(_row_minima_float(
-                head, start, top, af, reach).min()))
+            pts, _ = _expand(head, head_rank, *_rows_near(
+                head, start, top, af, abs(af[-1]), 2 ** k), norm)
+            minima.append(float(np.abs(pts @ af).min()))
     return DecaySequence(minima[::-1], allow_zero=True)
 
 
@@ -508,20 +478,23 @@ _BLOCK, _CHUNK = 256, 256
 
 
 def _rows_near(head, start, top, y, reach, radius):
-    """Rows cut to the last coordinates t with |<head, y'> + y_n t| < reach.
+    """Rows cut to the last coordinates t with |<head, y'> + y_n t| <= reach.
 
     y' is y without its last component.  The cut is widened by the
     rounding of the float products (|i_j| <= radius) and by one last
-    coordinate on either side, so no index of the row that comes closer
-    than `reach` in floats is left out.  Returns the new (start, top); a
-    row with start > top is empty.
+    coordinate on either side, so no index of the row whose float value
+    can be at or below `reach` is left out; with y_n = 0 a row is kept
+    whole when |<head, y'>| is within the widened reach, inclusive, so a
+    zero y keeps every row.  Returns the new (start, top); a row with
+    start > top is empty.  The one float bound on `pts @ y`: `sigma`
+    cuts at |y_n|, `density_estimate` at the largest screen bound.
     """
     c = head @ y[:-1]
     a = y[-1]
     error = len(y) * 2.0 ** -52 * radius * np.abs(y).sum()
     reach = (reach + 4 * error) * (1 + 1e-9)
     if a == 0:
-        near = np.abs(c) < reach
+        near = np.abs(c) <= reach
         return np.where(near, start, 1), np.where(near, top, 0)
     with np.errstate(over="ignore"):
         ends = np.clip((-c[:, None] + np.array([-reach, reach])) / a,

@@ -436,7 +436,7 @@ class Jet:
             return self.scale(other)
         trunc, blocks, mode = self._join(other)
         den, left, right = _numerators(self._coeffs, other._coeffs)
-        acc = _product(left, right, trunc)
+        acc = _product(left, _degree_rows(right), trunc)
         if den is not None:     # one reduction per output key
             acc = {k: Fraction(v, den) for k, v in acc.items()}
         return Jet._trusted(self.num_vars, trunc, acc, blocks, mode)
@@ -583,7 +583,9 @@ class Jet:
                 reach.append((idx, coeffs[idx], rest, den))
         common = math.lcm(*(den for *_, den in reach))
         unit = {(0,) * inner_vars: one}
-        powers = [[unit] for _ in args]     # powers[k][e]: args[k]^e
+        # powers[k][e]: args[k]^e and its row lookup, each built once
+        powers = [[(unit, None)] for _ in args]
+        inner = [_degree_rows(g) for g in inner]
         acc = {}
         for idx, value, rest, den in reach:
             term = unit
@@ -592,9 +594,10 @@ class Jet:
                     continue
                 table = powers[k]
                 while len(table) <= e:
-                    table.append(keep(_product(table[-1], inner[k], trunc)))
+                    power = keep(_product(table[-1][0], inner[k], trunc))
+                    table.append((power, _degree_rows(power)))
                 rest -= e * ords[k]
-                term = keep(_product(term, table[e], trunc - rest))
+                term = keep(_product(term, table[e][1], trunc - rest))
             if exact:
                 value *= common // den
             for key, v in term.items():
@@ -761,24 +764,24 @@ def _numerators(left, right):
     return lq[0] * rq[0], lq[1], rq[1]
 
 
-def _product(left, right, cap):
+def _product(left, within, cap):
     """Coefficient dict of left · right, without exponents of degree > cap.
 
-    left and right map exponent tuples to coefficients.  Pairs run left
-    term outer, right term inner, in the dicts' order, and each product
-    is added in that order.  Float sums and the result's key order are
-    thus those of the plain double loop, bit for bit, whatever the
-    degree filter skips: the right terms that fit a left term's room
-    come from _degree_rows, which keeps their order.  Any other order
-    (by degree, say) would move float results at roundoff.  Zeros are
-    kept; callers clean.
+    left maps exponent tuples to coefficients; within is the
+    _degree_rows lookup of the right operand's dict, built once by the
+    caller so that an operand used again (compose's powers) is not
+    graded again.  Pairs run left term outer, right term inner, in the
+    dicts' order, and each product is added in that order.  Float sums
+    and the result's key order are thus those of the plain double loop,
+    bit for bit, whatever the degree filter skips: within keeps the
+    right terms' order.  Any other order (by degree, say) would move
+    float results at roundoff.  Zeros are kept; callers clean.
 
     The loop needs only ring scalars.  Exact callers (Jet.__mul__ and
     compose) pass integer numerators over one denominator per operand,
     so a pair costs one int product and one int sum, and each output is
     reduced to a Fraction once, by the caller.
     """
-    within = _degree_rows(right)
     acc = {}
     get = acc.get
     for i, a in left.items():

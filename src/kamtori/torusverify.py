@@ -211,8 +211,9 @@ def _midpoint_substep(field, x, s, cache):
     the rows of x).  A row is accepted on the size of its last update, at
     most _FIXED_POINT_TOL times its scale 1 + max |m_j|, not on the
     residual of m = x + (s/2) X_H(m): after a refresh mid-solve that
-    residual can exceed the tolerance slightly.  Returns (x_new, ok): ok is False where the update failed
-    to settle within the cap (the orbit has left the scheme's regime).
+    residual can exceed the tolerance slightly.  Returns (x_new, ok): ok
+    is False where the update failed to settle within the cap (the orbit
+    has left the scheme's regime).
     """
     half = 0.5 * s
     inv = cache.inverses.get(s)

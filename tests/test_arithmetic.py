@@ -122,6 +122,8 @@ SIGMA_CASES = [
     ([1, Fraction(-7, 5), Fraction(3, 11), Fraction(-13, 17)], 2),
     ([0.5, -1.3, 0.7071, 0.0], 2), ([1.0, PHI, -1.41421356, 0.318], 3),
     (HUGE, 4),
+    # zero vectors: every row of the half ball is at the minimum, 0
+    ([0.0], 5), ([0.0, 0.0], 3), ([0.0, 0.0, 0.0], 2),
 ]
 
 

@@ -205,7 +205,7 @@ def test_strips_summary_and_csv(capsys, tmp_path):
 @pytest.mark.parametrize("argv, whole, partial", [
     (["sigma", "--alpha", "1,987/610", "--kmax", "8"], 0, 0),
     (["sigma", "--alpha", "1,1.618,-0.7071", "--kmax", "5", "--mode",
-      "float"], 0, 0),
+      "float"], 0, 6),
     (["bruno", "--alpha", "1,987/610", "--kmax", "8", "--norm", "sup"],
      0, 0),
     (["density", "--alpha", "1,987/610", "--kmax", "6", "--radii",
@@ -214,9 +214,10 @@ def test_strips_summary_and_csv(capsys, tmp_path):
 ])
 def test_ball_expansions_per_command(capsys, monkeypatch, argv, whole,
                                      partial):
-    # every listed index goes through arithmetic._expand: sigma and
-    # bruno take their minima row by row, density lists only the rows'
-    # near indices once per radius, strips lists the ball once
+    # every listed index goes through arithmetic._expand: exact sigma
+    # and bruno take their minima row by row, float sigma lists the
+    # rows' near indices once per radius 2^k (k_max 5: six sets), density
+    # once per --radii entry, strips lists the ball once
     kmax = int(argv[argv.index("--kmax") + 1])
     n = argv[argv.index("--alpha") + 1].count(",") + 1
     norm = "sup" if "sup" in argv else "euclidean"

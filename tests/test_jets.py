@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import sympy
 
+from kamtori import jets
 from kamtori.arithmetic import BrunoReport, DecaySequence
 from kamtori.errors import ModeMixError, OrderTooLowError, ShapeMismatchError
 from kamtori.jets import ComplexRational, Jet, to_jsonable
@@ -147,6 +148,26 @@ def test_compose_against_evaluation():
     via = comp.evaluate([x])
     # difference only from degree > N cross terms; bound it crudely
     assert abs(direct - via) < Fraction(1, 100)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_compose_grades_each_operand_once(monkeypatch, mode):
+    # one _degree_rows lookup per substituted jet and one per power
+    # args[k]^e, however many outer terms multiply by it
+    f = Jet.from_terms(2, 6, [((a, b), Fraction(1, 1 + a + 2 * b))
+                              for a in range(7) for b in range(7 - a)])
+    g1 = Jet.from_terms(2, 6, [((1, 0), 1), ((1, 1), Fraction(-2, 3))])
+    g2 = Jet.from_terms(2, 6, [((0, 1), Fraction(5, 7)), ((2, 0), 3)])
+    if mode == "float":
+        f, g1, g2 = f.to_float(), g1.to_float(), g2.to_float()
+    want = reference_compose(f, [g1, g2])
+    built = []
+    rows = jets._degree_rows
+    monkeypatch.setattr(jets, "_degree_rows",
+                        lambda terms: built.append(len(terms)) or rows(terms))
+    out = f.compose([g1, g2])
+    assert len(built) == 2 + 6 + 6     # x^1..x^6 and y^1..y^6
+    assert out == want
 
 
 # The double loops Jet.__mul__ and compose ran before they shared one

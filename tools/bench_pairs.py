@@ -10,10 +10,12 @@ and the change first in odd ones, so a drift of the host's speed does
 not favour one side.  For every end-to-end metric the file records each
 side's runs, median and interquartile range, and the pairs in which the
 change was better; per run it keeps ``correct``, ``attempted`` and
-``failed``.  Progress goes to stderr.
+``failed``.  ``src_lines`` holds each side's line count of
+``src/kamtori/*.py``.  Progress goes to stderr.
 """
 
 import argparse
+import glob
 import json
 import os
 import platform
@@ -28,6 +30,15 @@ def checkout_commit(root):
     out = subprocess.run(["git", "-C", root, "rev-parse", "HEAD"],
                          capture_output=True, text=True, check=True)
     return out.stdout.strip()
+
+
+def source_lines(root):
+    """Lines in the checkout's src/kamtori/*.py."""
+    total = 0
+    for path in glob.glob(os.path.join(root, "src", "kamtori", "*.py")):
+        with open(path) as fh:
+            total += sum(1 for _ in fh)
+    return total
 
 
 def run_once(root, workload, seed, seconds):
@@ -79,6 +90,8 @@ def main(argv=None):
                     f"--seconds {seconds:g} --trace 0"),
         "parent_commit": checkout_commit(args.parent),
         "change_commit": checkout_commit(args.change),
+        "src_lines": {"parent": source_lines(args.parent),
+                      "change": source_lines(args.change)},
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "cpu_count": os.cpu_count(),
