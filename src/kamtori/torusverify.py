@@ -92,24 +92,25 @@ class _Monomials:
 
     Row e becomes the column list of its factors in [1, x]: variable v
     e_v times, padded with the column of ones to the table's top degree.
-    An evaluation is one fill of [1, x], one gather of those columns and
-    one product over them.
+    index holds those lists as its columns, so an evaluation is one fill
+    of [1, x], one gather into (S, top degree, K) and one product over
+    the middle axis, factor by factor in list order.
     """
 
     def __init__(self, exps):
         K, d = exps.shape
         top = int(exps.sum(axis=1).max(initial=0))
-        self.index = np.zeros((K, top), dtype=np.intp)
+        self.index = np.zeros((top, K), dtype=np.intp)
         for r, e in enumerate(exps):
             cols = np.repeat(np.arange(1, d + 1), e)
-            self.index[r, :len(cols)] = cols
+            self.index[:len(cols), r] = cols
 
     def __call__(self, X):
         S, d = X.shape
         ones_x = np.empty((S, d + 1))
         ones_x[:, 0] = 1.0
         ones_x[:, 1:] = X
-        return ones_x[:, self.index].prod(axis=2)
+        return np.multiply.reduce(ones_x[:, self.index], axis=1)
 
 
 class _VectorField:
@@ -211,9 +212,11 @@ def _midpoint_substep(field, x, s, cache):
     the rows of x).  A row is accepted on the size of its last update, at
     most _FIXED_POINT_TOL times its scale 1 + max |m_j|, not on the
     residual of m = x + (s/2) X_H(m): after a refresh mid-solve that
-    residual can exceed the tolerance slightly.  Returns (x_new, ok): ok
-    is False where the update failed to settle within the cap (the orbit
-    has left the scheme's regime).
+    residual can exceed the tolerance slightly.  The per-row test runs
+    only on the last pass or where the largest update is at most
+    _FIXED_POINT_TOL (1 + max |m|) over the batch; no row passes above
+    that.  Returns (x_new, ok): ok is False where the update failed to
+    settle within the cap (the orbit has left the scheme's regime).
     """
     half = 0.5 * s
     inv = cache.inverses.get(s)
@@ -223,20 +226,23 @@ def _midpoint_substep(field, x, s, cache):
         f = field.velocity(x)
     m = x
     last = np.inf
-    for _ in range(_FIXED_POINT_CAP):
-        step = (inv @ (x + half * f - m)[:, :, None])[:, :, 0]
+    for left in range(_FIXED_POINT_CAP, 0, -1):
+        step = np.matmul(inv, (x + half * f - m)[:, :, None])[:, :, 0]
         size = np.abs(step)
-        largest = size.max()
+        largest = float(np.maximum.reduce(size, axis=None))
         if largest <= _FIXED_POINT_TOL:     # every row's scale is >= 1
             m = m + step
             ok = cache.settled
             break
-        scale = 1.0 + np.abs(m).max(axis=1)
-        ok = size.max(axis=1) <= _FIXED_POINT_TOL * scale
+        mag = np.abs(m)
         m = m + step
-        if ok.all():
-            break
-        if not np.isfinite(largest) or largest > 0.5 * last:
+        top = float(np.maximum.reduce(mag, axis=None))
+        if largest <= _FIXED_POINT_TOL * (1.0 + top) or left == 1:
+            ok = np.maximum.reduce(size, axis=1) <= _FIXED_POINT_TOL * (
+                1.0 + np.maximum.reduce(mag, axis=1))
+            if np.logical_and.reduce(ok):
+                break
+        if not math.isfinite(largest) or largest > 0.5 * last:
             f, inv = _newton_inverse(field, m, half)
         else:
             f = field.velocity(m)
@@ -426,6 +432,8 @@ def integrate(H, x0, dt, steps, *, escape_radius=None):
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (field.d,):
         raise ValueError(f"x0 must have {field.d} components")
+    if not np.isfinite(x0).all():
+        raise ValueError(f"x0 must be finite, got {tuple(x0.tolist())}")
     check_finite_positive(dt=dt)
     if steps < 1:
         raise ValueError("need steps >= 1")
@@ -441,14 +449,15 @@ def integrate(H, x0, dt, steps, *, escape_radius=None):
 
 # ---------------------------------------------------------- frequency analysis
 
-def _bh4_window(L):
-    """4-term Blackman-Harris window (-92 dB sidelobes)."""
+def _analysis_window(L, dt):
+    """4-term Blackman-Harris window (-92 dB), its sum, its sample times."""
     x = 2 * np.pi * np.arange(L) / (L - 1)
-    return (0.35875 - 0.48829 * np.cos(x) + 0.14128 * np.cos(2 * x)
-            - 0.01168 * np.cos(3 * x))
+    w = (0.35875 - 0.48829 * np.cos(x) + 0.14128 * np.cos(2 * x)
+         - 0.01168 * np.cos(3 * x))
+    return w, w.sum(), np.arange(L) * dt
 
 
-def _dominant_freq(z, dt):
+def _dominant_freq(z, dt, window):
     """Signed dominant angular frequency of a complex signal, or None.
 
     Blackman-Harris-windowed FFT peak, parabolic interpolation on log
@@ -459,8 +468,8 @@ def _dominant_freq(z, dt):
     degenerate (None): a fixed point has no rotation number.
     """
     L = len(z)
-    w = _bh4_window(L)
-    mean = (w @ z) / w.sum()
+    w, w_sum, t = window
+    mean = (w @ z) / w_sum
     zc = z - mean
     amp = np.abs(zc).max()
     if amp <= 1e-12 * (1.0 + abs(mean)):
@@ -480,7 +489,6 @@ def _dominant_freq(z, dt):
     omega = 2 * np.pi * kk / (L * dt)
     # zoom: refit the windowed Fourier magnitude on ever finer 3-point
     # grids; on a pure tone this lands on the true frequency to ~1e-12
-    t = np.arange(L) * dt
     h = 2 * np.pi / (L * dt) / 10.0
     for _ in range(3):
         grid = omega + np.array([-h, 0.0, h])
@@ -542,13 +550,14 @@ def frequency_analysis(orbit, windows=4):
     traj = orbit.trajectory
     n = traj.shape[1] // 2
     L = _window_length(len(traj), windows)
+    window = _analysis_window(L, orbit.dt)
     freqs = []
     for w in range(windows):
         seg = traj[w * L:(w + 1) * L]
         row = []
         for j in range(n):
             z = seg[:, j] + 1j * seg[:, n + j]
-            f = _dominant_freq(z, orbit.dt)
+            f = _dominant_freq(z, orbit.dt, window)
             # the phase correction belongs to the integrator; records
             # carrying exact samples declare another scheme and skip it
             if f is not None and orbit.scheme == SCHEME:

@@ -1,6 +1,7 @@
 """Symplectic integration, frequency analysis, torus-density scans."""
 
 import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -123,15 +124,20 @@ def reference_integrate(field, X0, dt, steps, escape_radius):
 
 
 class CountingField(_VectorField):
-    """A vector field that counts its Jacobian evaluations."""
+    """A vector field that counts its Jacobian and value-only passes."""
 
     def __init__(self, H):
         super().__init__(H)
         self.jacobians = 0
+        self.velocities = 0
 
     def __call__(self, X):
         self.jacobians += 1
         return super().__call__(X)
+
+    def velocity(self, X):
+        self.velocities += 1
+        return super().velocity(X)
 
 
 # ------------------------------------------------------------- vector field
@@ -352,6 +358,192 @@ def test_escape_reasons_from_the_batch_integrator():
     assert np.isfinite(traj).all()
 
 
+# --------------------------------------------- frozen solve, bit for bit
+
+class FrozenMonomials:
+    """_Monomials.__call__ kept as a reference: a (K, top degree) table of
+    factor columns, gathered into (S, K, top degree) and multiplied
+    through ndarray.prod over the last axis."""
+
+    def __init__(self, monomials):
+        self.index = np.ascontiguousarray(monomials.index.T)
+
+    def __call__(self, X):
+        S, d = X.shape
+        ones_x = np.empty((S, d + 1))
+        ones_x[:, 0] = 1.0
+        ones_x[:, 1:] = X
+        return ones_x[:, self.index].prod(axis=2)
+
+
+def frozen_field(H):
+    """A CountingField of H that evaluates through FrozenMonomials."""
+    field = CountingField(H)
+    field.monomials = FrozenMonomials(field.monomials)
+    field.h_monomials = FrozenMonomials(field.h_monomials)
+    return field
+
+
+def frozen_substep(field, x, s, cache):
+    """_midpoint_substep kept as a reference: the per-row test on every
+    pass, reductions through ndarray methods.  The tolerance and the cap
+    are read from the module at call time, so a monkeypatch reaches both
+    this and the integrator."""
+    half = 0.5 * s
+    inv = cache.inverses.get(s)
+    if inv is None:
+        f, inv = torusverify._newton_inverse(field, x, half)
+    else:
+        f = field.velocity(x)
+    m = x
+    last = np.inf
+    for _ in range(torusverify._FIXED_POINT_CAP):
+        step = (inv @ (x + half * f - m)[:, :, None])[:, :, 0]
+        size = np.abs(step)
+        largest = size.max()
+        if largest <= torusverify._FIXED_POINT_TOL:
+            m = m + step
+            ok = cache.settled
+            break
+        scale = 1.0 + np.abs(m).max(axis=1)
+        ok = size.max(axis=1) <= torusverify._FIXED_POINT_TOL * scale
+        m = m + step
+        if ok.all():
+            break
+        if not np.isfinite(largest) or largest > 0.5 * last:
+            f, inv = torusverify._newton_inverse(field, m, half)
+        else:
+            f = field.velocity(m)
+        last = largest
+    cache.inverses[s] = inv
+    return 2.0 * m - x, ok
+
+
+def compare_substep(field, frozen, x, s, cache, exits):
+    """_midpoint_substep on field and cache against frozen_substep on
+    frozen and a copy of cache: the same midpoint bits, flags, kept
+    inverses, exit and pass counts.  Counts the exit in exits: "batch"
+    (the batch-wide test), "row" (the per-row test) or "cap"."""
+    copy = _NewtonCache(0)
+    copy.inverses, copy.settled = dict(cache.inverses), cache.settled
+    counts = (field.jacobians, field.velocities)
+    frozen_counts = (frozen.jacobians, frozen.velocities)
+    want, want_ok = frozen_substep(frozen, x, s, copy)
+    got, ok = _midpoint_substep(field, x, s, cache)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(ok, want_ok)
+    assert (ok is cache.settled) == (want_ok is cache.settled)
+    assert cache.inverses.keys() == copy.inverses.keys()
+    for key, inv in cache.inverses.items():
+        assert np.array_equal(inv, copy.inverses[key], equal_nan=True)
+    assert (field.jacobians - counts[0], field.velocities - counts[1]) == \
+        (frozen.jacobians - frozen_counts[0],
+         frozen.velocities - frozen_counts[1])
+    exits["batch" if ok is cache.settled else "row" if ok.all() else
+          "cap"] += 1
+    return got, ok
+
+
+def compare_batch(H, X0, dt, steps, escape_radius, exits):
+    """_integrate_batch with every substep checked by compare_substep."""
+    field, frozen = CountingField(H), frozen_field(H)
+
+    def checked(field, x, s, cache):
+        return compare_substep(field, frozen, x, s, cache, exits)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(torusverify, "_midpoint_substep", checked)
+        return _integrate_batch(field, X0, dt, steps, escape_radius)
+
+
+def scan_starts(r, samples, seed):
+    return torusverify._sample_ball(np.random.Generator(np.random.Philox(
+        seed)), samples, 4, r)
+
+
+BENCH_SCANS = ((two_dof((1.0, PHI)), 0.5),
+               (two_dof((1.0, PHI), coupling=0.05), 0.25))
+
+
+@pytest.mark.parametrize("tol,cap", [(_FIXED_POINT_TOL, _FIXED_POINT_CAP),
+                                     (1e-9, 3)])
+def test_midpoint_substep_matches_the_frozen_solve(monkeypatch, tol, cap):
+    # bit for bit on every substep of the solve's hard and easy cases, at
+    # the module's tolerance and cap and at a loose tolerance with a cap
+    # of 3, where the per-row test and the cap both decide exits
+    monkeypatch.setattr(torusverify, "_FIXED_POINT_TOL", tol)
+    monkeypatch.setattr(torusverify, "_FIXED_POINT_CAP", cap)
+    exits = {"batch": 0, "row": 0, "cap": 0}
+    # the random jets of test_newton_midpoint_solves_the_midpoint_equation,
+    # each size twice: a fresh inverse, then the kept one
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3):
+        H = random_jet(rng, n, 3 * n)
+        field, frozen = CountingField(H), frozen_field(H)
+        x = rng.uniform(-0.8, 0.8, size=(12, 2 * n))
+        for s in (0.002, 0.02, -0.03, 0.1):
+            cache = _NewtonCache(len(x))
+            x_new, _ = compare_substep(field, frozen, x, s, cache, exits)
+            compare_substep(field, frozen, x_new, s, cache, exits)
+    # the singular Newton system of H = q p^2 / 2 at s = 2
+    H = LAY1.monomial(0.5, qexp=(1,), pexp=(2,), trunc_degree=4)
+    x = np.array([[0.3, 0.2], [0.3, 1.0], [-0.1, 0.05]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        compare_substep(CountingField(H), frozen_field(H), x, 2.0,
+                        _NewtonCache(len(x)), exits)
+    # H = p^4 + q p^3 + (q^2 - p^2) / 2 from (0, 1e120), with the inverse
+    # kept from (0.1, 0.2): the first update is (inf, -inf), no NaN, and
+    # must count as non-finite although the last update (none) is inf
+    H = (LAY1.monomial(1.0, pexp=(4,), trunc_degree=4)
+         + LAY1.monomial(1.0, qexp=(1,), pexp=(3,), trunc_degree=4)
+         + LAY1.monomial(0.5, qexp=(2,), trunc_degree=4)
+         + LAY1.monomial(-0.5, pexp=(2,), trunc_degree=4))
+    field, frozen, cache = CountingField(H), frozen_field(H), _NewtonCache(1)
+    compare_substep(field, frozen, np.array([[0.1, 0.2]]), 0.01, cache,
+                    exits)
+    with np.errstate(over="ignore", invalid="ignore"):
+        compare_substep(field, frozen, np.array([[0.0, 1e120]]), 0.01,
+                        cache, exits)
+    # both benchmark Hamiltonians
+    for H, r in BENCH_SCANS:
+        compare_batch(H, scan_starts(r, 16, 5), 0.02, 100, 10 * r, exits)
+    # the escaping cubic batches, the cycling stall and the overflow of
+    # test_kept_inverses_match_full_newton_with_escapes and
+    # test_escape_reasons_from_the_batch_integrator
+    cubic = two_dof((0.5, 0.8), cubic=(0.5, 0.4))
+    for seed in range(3):
+        X0 = np.random.default_rng(seed).uniform(-0.6, 0.6, size=(10, 4))
+        compare_batch(cubic, X0, 0.05, 200, 3.0, exits)
+    cycle = (LAY1.monomial(3.0, qexp=(1,), pexp=(1,), trunc_degree=4)
+             + LAY1.monomial(-1.0, qexp=(3,), pexp=(1,), trunc_degree=4)
+             + LAY1.monomial(-2.0, pexp=(1,), trunc_degree=4))
+    compare_batch(cycle, np.array([[0.0, 0.5]]), 2.0 / _W1, 3, np.inf,
+                  exits)
+    compare_batch(quartic_well(), np.array([[1e120, 0.0], [0.5, 0.0]]),
+                  0.01, 5, np.inf, exits)
+    assert exits["row"] >= 1 and exits["cap"] >= 1
+
+
+@pytest.mark.parametrize("H,r", BENCH_SCANS)
+def test_batch_integration_matches_the_frozen_solve(monkeypatch, H, r):
+    # whole trajectories, escapes and energy drifts of a benchmark-sized
+    # scan batch (16 orbits, 2048 steps) over the frozen solve and the
+    # frozen monomials, bit for bit
+    X0 = scan_starts(r, 16, 9)
+    frozen = frozen_field(H)
+    with monkeypatch.context() as mp:
+        mp.setattr(torusverify, "_midpoint_substep", frozen_substep)
+        want = _integrate_batch(frozen, X0, 0.02, 2048, 10 * r)
+    field = CountingField(H)
+    got = _integrate_batch(field, X0, 0.02, 2048, 10 * r)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    assert (field.jacobians, field.velocities) == \
+        (frozen.jacobians, frozen.velocities)
+    assert np.array_equal(torusverify._relative_drift(field, got[0]),
+                          torusverify._relative_drift(frozen, want[0]))
+
+
 # ------------------------------------------------------------------ integrate
 
 def test_harmonic_oscillator_energy_roundoff():
@@ -449,6 +641,19 @@ def test_integrate_escape_radius():
     for bad in (float("nan"), -1.0, 0.0):
         with pytest.raises(ValueError, match="escape_radius"):
             integrate(H, (0.5, 0.5), 0.01, 400, escape_radius=bad)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_integrate_refuses_a_non_finite_start(bad):
+    # such a start used to come back as a "non-finite" escape at step 0,
+    # bad input reported as dynamics, with RuntimeWarnings from the step
+    # check and the drift
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            integrate(harmonic(), (bad, 0.0), 0.01, 10)
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            integrate(two_dof((1.0, PHI)), (0.1, 0.2, 0.0, bad), 0.01, 10)
 
 
 def test_integrate_validation():

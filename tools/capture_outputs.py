@@ -40,11 +40,16 @@ Runs the checkout this script lives in (its ``src/``) and writes:
   the two ``torus-scan`` benchmark Hamiltonians at benchmark seeds 1-3,
   the three seed-11 scans of ``test_scan_monotone_in_perturbation_and_
   radius`` and the four scans of acceptance criterion 10.
+- ``DIR/torus-bits/``: the same scans bit for bit, one line per orbit
+  with the SHA-256 of its trajectory bytes and the ``float.hex`` of its
+  energy drift, stability and window frequencies, so a diff shows
+  whether a torus change moved any bit.
 
 Capture two checkouts into two directories; ``diff -r A B`` then lists
 every difference in behaviour.
 """
 
+import hashlib
 import json
 import os
 import random
@@ -507,13 +512,26 @@ def torus_cases():
     return cases
 
 
-def capture_torus(out):
+def float_hex(value):
+    """float.hex of a float, of each entry of a (nested) tuple, or None."""
+    if isinstance(value, tuple):
+        return "(" + ", ".join(float_hex(v) for v in value) + ")"
+    return "None" if value is None else float.hex(value)
+
+
+def capture_torus(out, bits):
     out.mkdir(parents=True)
+    bits.mkdir(parents=True)
     for name, H, r, samples, seed, kwargs in torus_cases():
         rep = torus_scan(H, r, samples, seed, **kwargs)
         lines = [f"{i} {rec.classification} {rec.escape_step} "
                  f"{rec.escape_reason}" for i, rec in enumerate(rep.records)]
         (out / f"{name}.txt").write_text("\n".join(lines) + "\n")
+        lines = [f"{i} {hashlib.sha256(rec.trajectory.tobytes()).hexdigest()}"
+                 f" {float_hex(rec.energy_drift)} {float_hex(rec.stability)}"
+                 f" {float_hex(rec.window_frequencies)}"
+                 for i, rec in enumerate(rep.records)]
+        (bits / f"{name}.txt").write_text("\n".join(lines) + "\n")
 
 
 def main(argv):
@@ -527,7 +545,7 @@ def main(argv):
     capture_cli(out / "cli")
     capture_engine(out / "engine")
     capture_algebra(out / "algebra")
-    capture_torus(out / "torus")
+    capture_torus(out / "torus", out / "torus-bits")
     return 0
 
 
