@@ -291,12 +291,14 @@ def engine_cases():
 
 
 def show_coeff(c):
-    """repr of an exact coefficient; float.hex of each part of a float one,
-    so that equal text means equal bits."""
+    """repr of an exact coefficient; float.hex of each part of a float one
+    and of each entry of a tuple, so that equal text means equal bits."""
     if isinstance(c, float):
         return c.hex()
     if isinstance(c, complex):
         return f"complex({c.real.hex()}, {c.imag.hex()})"
+    if isinstance(c, tuple):
+        return "(" + ", ".join(show_coeff(v) for v in c) + ")"
     return repr(c)
 
 
@@ -512,13 +514,6 @@ def torus_cases():
     return cases
 
 
-def float_hex(value):
-    """float.hex of a float, of each entry of a (nested) tuple, or None."""
-    if isinstance(value, tuple):
-        return "(" + ", ".join(float_hex(v) for v in value) + ")"
-    return "None" if value is None else float.hex(value)
-
-
 def capture_torus(out, bits):
     out.mkdir(parents=True)
     bits.mkdir(parents=True)
@@ -528,8 +523,8 @@ def capture_torus(out, bits):
                  f"{rec.escape_reason}" for i, rec in enumerate(rep.records)]
         (out / f"{name}.txt").write_text("\n".join(lines) + "\n")
         lines = [f"{i} {hashlib.sha256(rec.trajectory.tobytes()).hexdigest()}"
-                 f" {float_hex(rec.energy_drift)} {float_hex(rec.stability)}"
-                 f" {float_hex(rec.window_frequencies)}"
+                 f" {show_coeff(rec.energy_drift)} {show_coeff(rec.stability)}"
+                 f" {show_coeff(rec.window_frequencies)}"
                  for i, rec in enumerate(rep.records)]
         (bits / f"{name}.txt").write_text("\n".join(lines) + "\n")
 
