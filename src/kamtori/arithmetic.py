@@ -475,6 +475,7 @@ def _uniform_ball(rng, center, radius, samples):
 # sample block and index chunk of density_estimate: a (block, chunk) float
 # temporary is 512 KB, small enough to stay in cache
 _BLOCK, _CHUNK = 256, 256
+_SAMPLE_BYTES_LIMIT = 2 ** 30
 
 
 def _rows_near(head, start, top, y, reach, radius):
@@ -541,6 +542,8 @@ def density_estimate(f, x0, a: DecaySequence, rho: DecaySequence, r,
     and the rest are tested by _CHUNK indices at a time, so the
     temporaries stay within one block by one chunk whatever `samples`
     is.  The fraction counts samples, so it does not depend on the order.
+    Sample arrays (about 4 · samples · d floats, d the larger map
+    dimension) over _SAMPLE_BYTES_LIMIT raise BudgetExceededError first.
     """
     if samples <= 0:
         raise ValueError("samples must be positive")
@@ -553,6 +556,11 @@ def density_estimate(f, x0, a: DecaySequence, rho: DecaySequence, r,
         raise ShapeMismatchError(
             f"x0 has dimension {x0.shape[0]}, map expects {f.dim_in}"
         )
+    need = 4 * samples * max(f.dim_in, f.dim_out) * 8
+    if need > _SAMPLE_BYTES_LIMIT:
+        raise BudgetExceededError(
+            f"{samples} samples need about {need / 2 ** 30:.3g} GiB, over the "
+            f"{_SAMPLE_BYTES_LIMIT / 2 ** 30:g} GiB limit; take fewer samples")
     b = a.elementwise_product(rho)
     if b.k_max < k_max:
         raise ValueError("sequences shorter than k_max")
@@ -653,22 +661,29 @@ def flow_and_shortest(basis: LatticeBasis, t, coeff_bound,
     g_t scales the first n coordinates by e^-t and the last by e^t.  Returns
     (delta_estimate, witness coefficients); an upper bound on the true
     shortest length, exact when the optimizer's coefficients are within
-    the bound.
+    the bound.  Raises ValueError when e^t or that length is not finite.
     """
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be >= 1")
     n = basis.dim
     pts, _ = _half_ball(n, coeff_bound, "sup", budget)
     alpha = np.array([float(v[-1]) for v in basis.vectors])
-    et = math.exp(float(t))
+    try:
+        et = math.exp(float(t))
+    except OverflowError:
+        raise ValueError(f"e^t overflows at t={t}") from None
     # combination c gives the lattice point (c, <alpha, c>)
-    spatial = (pts.astype(float) / et) ** 2
-    dots = (pts @ alpha) * et
-    lengths = np.sqrt(spatial.sum(axis=1) + dots ** 2)
+    with np.errstate(all="ignore"):
+        spatial = (pts.astype(float) / et) ** 2
+        dots = (pts @ alpha) * et
+        lengths = np.sqrt(spatial.sum(axis=1) + dots ** 2)
     # lengths are bitwise even in c, so the witness, the lexicographically
     # first minimizer over the whole box, is minus the last one here
     j = len(lengths) - 1 - int(np.argmin(lengths[::-1]))
-    return float(lengths[j]), tuple(-int(c) for c in pts[j])
+    delta = float(lengths[j])
+    if not math.isfinite(delta):
+        raise ValueError(f"the shortest length is not finite at t={t}")
+    return delta, tuple(-int(c) for c in pts[j])
 
 
 def lemma_eps_t(a, i_norm):

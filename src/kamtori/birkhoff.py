@@ -281,9 +281,9 @@ def birkhoff_normalize(H, l, divisor_floor=None, strategy="per-degree"):
             hm = lie_exp(u, hm)
             gens.append(u)
         if exact:
-            for idx, _ in hm.drop_below(3).truncate(d).terms():
+            for idx, _ in hm.terms():
                 qe, pe = lay.split(idx)
-                if qe != pe:
+                if 3 <= sum(idx) <= d and qe != pe:
                     raise CertificateError(
                         f"normalization left non-resonant exponent {idx} "
                         f"at degree <= {d}")
@@ -296,16 +296,12 @@ def birkhoff_normalize(H, l, divisor_floor=None, strategy="per-degree"):
                 return sum(idx) != d or qe == pe
             hm = hm.project(keep)
 
-    resonant = {}
-    for idx, c in hm.terms():
+    def resonant(idx):
         qe, pe = lay.split(idx)
-        if qe == pe and sum(idx) <= 2 * l:
-            resonant[idx] = c
-    a_morse = Jet(lay.n, l,
-                  {lay.split(idx)[0]: c for idx, c in resonant.items()},
-                  mode=hm.mode)
-    normal_part = Jet(2 * lay.n, N, resonant, blocks=lay.blocks, mode=hm.mode)
-    residual = hm - normal_part
+        return qe == pe and sum(idx) <= 2 * l
+    a_morse = Jet(lay.n, l, {lay.split(idx)[0]: c for idx, c in hm.terms()
+                             if resonant(idx)}, mode=hm.mode)
+    residual = hm.project(lambda idx: not resonant(idx))
     if residual and residual.ord() <= 2 * l:
         raise CertificateError(
             f"residual has order {residual.ord()} <= {2 * l}")

@@ -199,21 +199,13 @@ def _coerce(value, mode):
 def _detect_mode(values):
     mode = None
     for v in values:
-        if isinstance(v, (Fraction, ComplexRational)):
-            got = EXACT
-        elif isinstance(v, bool):
+        if isinstance(v, bool):
             raise ModeMixError("bool is not a coefficient")
-        elif isinstance(v, int):
-            continue
-        elif isinstance(v, (float, complex)):
-            got = FLOAT
-        else:
-            raise ModeMixError(f"unsupported coefficient type {type(v).__name__}")
-        if mode is None:
-            mode = got
-        elif mode != got:
+        got = _scalar_mode(v)
+        if mode is not None and got not in (None, mode):
             raise ModeMixError("cannot mix exact and float coefficients in one jet")
-    return mode if mode is not None else EXACT
+        mode = mode or got
+    return mode or EXACT
 
 
 def _scalar_mode(value):
@@ -234,8 +226,10 @@ def graded_lex_key(idx):
 class Jet:
     """Sparse truncated power series in num_vars variables.
 
-    coeffs maps exponent tuples to nonzero coefficients; every stored index
-    has total degree <= trunc_degree.  Instances are immutable.
+    coeffs maps exponent tuples to nonzero coefficients of the mode's
+    canonical type (see _coerce); every stored index has total degree <=
+    trunc_degree.  __init__ and the operations that make values clean
+    them once; selections reuse them.  Instances are immutable.
     """
 
     __slots__ = ("num_vars", "trunc_degree", "_coeffs", "mode", "blocks")
@@ -254,7 +248,7 @@ class Jet:
             mode = _detect_mode(raw.values())
         elif mode not in (EXACT, FLOAT):
             raise ValueError(f"mode must be {EXACT!r} or {FLOAT!r}")
-        checked = {}
+        kept = {}
         for idx, value in raw.items():
             idx = tuple(int(e) for e in idx)
             if len(idx) != num_vars:
@@ -263,30 +257,27 @@ class Jet:
                 )
             if any(e < 0 for e in idx):
                 raise ShapeMismatchError(f"negative exponent in {idx}")
-            checked[idx] = value
-        self._fill(num_vars, trunc_degree, checked, blocks, mode)
+            if sum(idx) <= trunc_degree:
+                kept[idx] = value
+        self._fill(num_vars, trunc_degree, _clean(kept, mode), blocks, mode)
 
     @classmethod
     def _trusted(cls, num_vars, trunc_degree, coeffs, blocks, mode):
-        """A jet from a kernel's coefficient dict.
-
-        The keys are sums or shifts of keys of validated jets, and
-        num_vars, blocks and mode come from such jets, so only the
-        per-key int, length and sign checks of __init__ are skipped; the
-        degree cut, _clean and the trunc_degree check still run.
-        """
+        """A jet from an operation on validated jets, whose coeffs
+        already hold the invariant: keys within trunc_degree, values
+        reused or cleaned once where they were made.  Only trunc_degree
+        >= 0 is checked again."""
         jet = object.__new__(cls)
         jet._fill(num_vars, trunc_degree, coeffs, blocks, mode)
         return jet
 
     def _fill(self, num_vars, trunc_degree, coeffs, blocks, mode):
+        """Store the fields; coeffs is neither cut nor cleaned."""
         if trunc_degree < 0:
             raise ShapeMismatchError("num_vars and trunc_degree must be >= 0")
-        kept = {idx: v for idx, v in coeffs.items()
-                if sum(idx) <= trunc_degree}
         object.__setattr__(self, "num_vars", int(num_vars))
         object.__setattr__(self, "trunc_degree", int(trunc_degree))
-        object.__setattr__(self, "_coeffs", _clean(kept, mode))
+        object.__setattr__(self, "_coeffs", coeffs)
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "blocks", blocks)
 
@@ -410,7 +401,10 @@ class Jet:
         for idx, value in other._coeffs.items():
             cur = acc.get(idx)
             acc[idx] = value if cur is None else cur + value
-        return Jet._trusted(self.num_vars, trunc, acc, blocks, mode)
+        if self.trunc_degree != other.trunc_degree:     # cut the higher
+            acc = {idx: v for idx, v in acc.items() if sum(idx) <= trunc}
+        return Jet._trusted(self.num_vars, trunc, _clean(acc, mode), blocks,
+                            mode)
 
     __radd__ = __add__
 
@@ -429,7 +423,8 @@ class Jet:
             raise ModeMixError(f"cannot scale a {self.mode} jet by {scalar!r}")
         if scalar == 0:
             return self._like({})
-        return self._like({idx: value * scalar for idx, value in self._coeffs.items()})
+        return self._like(_clean({idx: value * scalar for idx, value
+                                  in self._coeffs.items()}, self.mode))
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
@@ -439,7 +434,8 @@ class Jet:
         acc = _product(left, _degree_rows(right), trunc)
         if den is not None:     # one reduction per output key
             acc = {k: Fraction(v, den) for k, v in acc.items()}
-        return Jet._trusted(self.num_vars, trunc, acc, blocks, mode)
+        return Jet._trusted(self.num_vars, trunc, _clean(acc, mode), blocks,
+                            mode)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -484,10 +480,6 @@ class Jet:
     def project(self, predicate):
         """Keep only monomials whose exponent tuple satisfies the predicate."""
         coeffs = {i: v for i, v in self._coeffs.items() if predicate(i)}
-        return self._like(coeffs)
-
-    def drop_below(self, degree):
-        coeffs = {i: v for i, v in self._coeffs.items() if sum(i) >= degree}
         return self._like(coeffs)
 
     # --- calculus -------------------------------------------------------------
@@ -614,7 +606,7 @@ class Jet:
         if exact:       # one reduction per result coefficient
             den = outer_den * common
             acc = {k: Fraction(v, den) for k, v in acc.items()}
-        return Jet(inner_vars, trunc, acc, blocks=inner_blocks, mode=mode)
+        return Jet._trusted(inner_vars, trunc, acc, inner_blocks, mode)
 
     def evaluate(self, point):
         """Numeric evaluation at a point (tuple of scalars)."""

@@ -93,16 +93,14 @@ def hadamard_quasi_inverse(freqs, target, layout, *, alpha_acc=None,
 def _split(jet, layout):
     """Split a jet into what a stage solves and what F absorbs.
 
-    Returns (overflow, absorbable): ``absorbable`` is the part of ``jet``
-    in F, the monomials with two action factors p_kq_k, and ``overflow``
-    = jet - absorbable the rest.  The whole overflow is solvable; a
-    resonant monomial in it raises when solved.
+    Returns (overflow, absorbable), two projections that partition
+    ``jet``'s terms: ``absorbable`` the monomials in F (two action
+    factors p_kq_k), ``overflow`` the rest.  The whole overflow is
+    solvable; a resonant monomial in it raises when solved.
     """
     def in_f(idx):
-        qe, pe = layout.split(idx)
-        return _in_action_square(qe, pe)
-    absorbable = jet.project(in_f)
-    return jet - absorbable, absorbable
+        return _in_action_square(*layout.split(idx))
+    return jet.project(lambda idx: not in_f(idx)), jet.project(in_f)
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +221,7 @@ def _clean_float(jet, tol):
     """Drop float coefficients at or below tol (roundoff dust)."""
     if not jet or not tol:
         return jet
-    coeffs = {i: c for i, c in jet.coeffs.items() if _abs_mag(c) > tol}
-    if len(coeffs) == len(jet.coeffs):
-        return jet
-    return Jet(jet.num_vars, jet.trunc_degree, coeffs, blocks=jet.blocks,
-               mode=jet.mode)
+    return jet.project(lambda idx: _abs_mag(jet[idx]) > tol)
 
 
 def kam_iterate(problem: KamProblem):

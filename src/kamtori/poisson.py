@@ -22,7 +22,7 @@ from .errors import (
     OrderTooLowError,
     ShapeMismatchError,
 )
-from .jets import ComplexRational, Jet, _degree_rows, _numerators
+from .jets import ComplexRational, Jet, _clean, _degree_rows, _numerators
 
 __all__ = [
     "SymplecticLayout",
@@ -193,9 +193,9 @@ def bracket(f, g, layout, trunc=None):
     mask = (1 << width) - 1
     values = acc.values() if den is None else \
         (Fraction(v, den) for v in acc.values())    # one reduction per key
-    out = {tuple(key >> s & mask for s in shifts): v
-           for key, v in zip(acc, values)}
     mode = f.mode if f else g.mode
+    out = _clean({tuple(key >> s & mask for s in shifts): v
+                  for key, v in zip(acc, values)}, mode)
     return Jet._trusted(f.num_vars, trunc, out, f.blocks or g.blocks, mode)
 
 

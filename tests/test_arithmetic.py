@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from kamtori import arithmetic
 from kamtori.arithmetic import (
     _BLOCK,
     _CHUNK,
@@ -473,6 +474,24 @@ def test_density_rejects_bad_inputs():
             density_estimate(None, [1, PHI_EXACT], s, rho, r, 10, 3, seed=1)
 
 
+def test_density_sample_arrays_are_bounded_before_sampling(monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("sampled before the memory check")
+    monkeypatch.setattr(arithmetic, "_uniform_ball", no_sampling)
+    s = sigma([1, PHI_EXACT], 3)
+    rho = DecaySequence([1] * 4)
+    # 10^9 samples in 2 dimensions: four arrays of 16 GB
+    with pytest.raises(BudgetExceededError, match="GiB"):
+        density_estimate(None, [1, PHI_EXACT], s, rho, 0.1, 10 ** 9, 3,
+                         seed=1)
+    monkeypatch.undo()
+    # the limit is inclusive: 100 samples in 2 dimensions
+    monkeypatch.setattr(arithmetic, "_SAMPLE_BYTES_LIMIT", 4 * 100 * 2 * 8)
+    density_estimate(None, [1, PHI_EXACT], s, rho, 0.1, 100, 3, seed=1)
+    with pytest.raises(BudgetExceededError):
+        density_estimate(None, [1, PHI_EXACT], s, rho, 0.1, 101, 3, seed=1)
+
+
 # --- lattice -------------------------------------------------------------------
 
 def test_lattice_basis_rows():
@@ -494,6 +513,22 @@ def test_flow_and_shortest_trivial():
     assert sorted(abs(c) for c in w) == [0, 1]
     d1, _ = flow_and_shortest(B, 1.0, 3)
     assert d1 == pytest.approx(math.exp(-1))
+
+
+@pytest.mark.parametrize("t", [710, -746, -360])
+def test_flow_and_shortest_refuses_lengths_past_the_float_range(t):
+    # e^710 overflows, e^-746 is 0, and at t = -360 every combination's
+    # length e^360 ||c|| overflows
+    with pytest.raises(ValueError, match=f"at t={t}( |$)"):
+        flow_and_shortest(lattice_basis([1, 1.6]), t, 64)
+
+
+def test_flow_and_shortest_keeps_a_finite_shortest_length():
+    # at t = 350 most lengths overflow, but <alpha, c> is 0.0 for c = (8, -5)
+    # in floats, so its length sqrt(89) e^-350 is the shortest
+    delta, short = flow_and_shortest(lattice_basis([1, 1.6]), 350, 64)
+    assert short == (-8, 5)
+    assert delta == pytest.approx(math.sqrt(89) * math.exp(-350), rel=1e-14)
 
 
 def test_flow_and_shortest_lemma_bound():

@@ -176,6 +176,26 @@ def test_lattice_grid_matches_library(capsys):
         assert tuple(row["shortest"]) == tuple(short)
 
 
+@pytest.mark.parametrize("t", ["710", "-360", "-746"])
+def test_lattice_past_the_float_range_exits_one(capsys, t):
+    # e^710 overflows, e^-746 is 0, and at -360 every length overflows
+    code, out, err = run_cli(capsys, ["lattice", "--alpha", "1,1.6",
+                                      "--t", t])
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError" and f"t={float(t)}" in \
+        error["message"]
+
+
+def test_lattice_at_t_350_is_finite(capsys):
+    code, out, err = run_cli(capsys, ["lattice", "--alpha", "1,1.6",
+                                      "--t", "350"])
+    assert code == 0 and err == ""
+    row, = json.loads(out)["rows"]
+    assert row["shortest"] == [-8, 5]
+    assert row["delta"] == pytest.approx(9.367556844741427e-152, rel=1e-14)
+
+
 def test_lattice_without_t_exits_two(capsys):
     code, out, err = run_cli(capsys, ["lattice", "--alpha", "1,987/610"])
     assert code == 2 and out == ""
@@ -444,6 +464,17 @@ def test_torus_scan_over_memory_budget_exits_one(capsys, tmp_path,
     argv = ["torus", "scan", "--H", write_golden_jet(tmp_path), "--r", "0.3",
             "--samples", "100000", "--steps", "8192"]
     code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == "BudgetExceededError"
+
+
+def test_density_over_memory_budget_exits_one(capsys, monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("sampled before the memory check")
+    monkeypatch.setattr(arithmetic, "_uniform_ball", no_sampling)
+    code, out, err = run_cli(capsys, [
+        "density", "--alpha", "1,987/610", "--kmax", "3", "--radii", "0.1",
+        "--samples", "1000000000"])
     assert code == 1 and out == ""
     assert json.loads(err)["error"]["type"] == "BudgetExceededError"
 

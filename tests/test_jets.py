@@ -13,6 +13,8 @@ from kamtori import jets
 from kamtori.arithmetic import BrunoReport, DecaySequence
 from kamtori.errors import ModeMixError, OrderTooLowError, ShapeMismatchError
 from kamtori.jets import ComplexRational, Jet, to_jsonable
+from kamtori.poisson import (HamiltonianDerivation, SymplecticLayout,
+                             bracket, lie_exp)
 
 
 def random_exact_jet(rng, num_vars, trunc_degree, n_terms=6, min_ord=0):
@@ -622,3 +624,121 @@ def test_truncate_never_raises_the_degree():
     # a degree-3 jet does not know x^4, so its power certifies no x^4 term
     fourth = x.truncate(5) ** 4
     assert fourth.trunc_degree == 3 and not fourth
+
+
+# --- the coefficient invariant ---------------------------------------------
+# Every jet holds nonzero coefficients of its mode's canonical type within
+# its truncation degree.  Outside input is cleaned by __init__ and new
+# values by the operation that makes them; selections reuse the values.
+
+def canonical(c, mode):
+    if mode == "exact":
+        return type(c) is Fraction or (type(c) is ComplexRational
+                                       and c.im != 0)
+    return type(c) is float or (type(c) is complex and c.imag != 0.0)
+
+
+def assert_invariant(jet):
+    for idx, c in jet.coeffs.items():
+        assert sum(idx) <= jet.trunc_degree, (idx, jet.trunc_degree)
+        assert c != 0 and canonical(c, jet.mode), (idx, c)
+
+
+COARSE = [-1, Fraction(-1, 2), Fraction(1, 2), 1]
+
+
+def coarse_value(rng, kind):
+    """Values from a small set, so that sums and products cancel; a
+    quarter of the gaussian and complex ones are real."""
+    pick = [COARSE[int(k)] for k in rng.integers(0, len(COARSE), 2)]
+    real = rng.random() < 0.25
+    if kind == "exact":
+        return pick[0]
+    if kind == "gaussian":
+        return ComplexRational(pick[0], 0 if real else pick[1])
+    if kind == "float":
+        return float(pick[0])
+    return complex(float(pick[0]), 0.0 if real else float(pick[1]))
+
+
+def coarse_jet(rng, kind, trunc_degree, n_terms=10, min_ord=0):
+    lay = SymplecticLayout(2)
+    coeffs = {}
+    for _ in range(n_terms):
+        deg = int(rng.integers(min_ord, trunc_degree + 1))
+        idx = tuple(int(e) for e in rng.multinomial(deg, [0.25] * 4))
+        coeffs[idx] = coarse_value(rng, kind)
+    return Jet(4, trunc_degree, coeffs, blocks=lay.blocks,
+               mode="exact" if kind in ("exact", "gaussian") else "float")
+
+
+def partner(rng, jet, kind, trunc_degree):
+    """A jet at another degree that cancels a third of jet's keys within
+    it exactly and the imaginary part of the other non-real values."""
+    coeffs = dict(coarse_jet(rng, kind, trunc_degree).coeffs)
+    for k, (idx, v) in enumerate(jet.coeffs.items()):
+        if sum(idx) > trunc_degree:
+            continue
+        if k % 3 == 0:
+            coeffs[idx] = -v
+        elif isinstance(v, complex):
+            coeffs[idx] = complex(1.0, -v.imag)
+        elif isinstance(v, ComplexRational):
+            coeffs[idx] = ComplexRational(1, -v.im)
+    return Jet(jet.num_vars, trunc_degree, coeffs, blocks=jet.blocks,
+               mode=jet.mode)
+
+
+SCALARS = {
+    "exact": [3, Fraction(-1, 2), ComplexRational(0, 1),
+              ComplexRational(2, 0)],
+    "gaussian": [3, Fraction(-1, 2), ComplexRational(0, 1),
+                 ComplexRational(2, 0), ComplexRational(1, -1)],
+    "float": [3, -0.5, 1j, 2 + 0j],
+    "complex": [3, -0.5, 1j, 2 + 0j, 1 - 1j],
+}
+
+
+@pytest.mark.parametrize("kind", ["exact", "gaussian", "float", "complex"])
+@pytest.mark.parametrize("case", range(4))
+def test_every_jet_operation_keeps_the_coefficient_invariant(kind, case):
+    rng = np.random.default_rng(case)
+    lay = SymplecticLayout(2)
+    f = coarse_jet(rng, kind, 5)
+    g = partner(rng, f, kind, 4 + case % 3)
+    one = 1 if f.mode == "exact" else 1.0
+    inner = [coarse_jet(rng, kind, 5, n_terms=3, min_ord=1) + z
+             for z in (Jet.variable(k, 4, 5, blocks=lay.blocks,
+                                    mode=f.mode) for k in range(4))]
+    gen = coarse_jet(rng, kind, 5, min_ord=3)
+    results = [f + g, g + f, f - g, f + one, one - f, -f, f - f, f * g,
+               f / 2, f ** 2, f.truncate(3), f.degree_slice(2),
+               f.project(lambda idx: idx[0] >= idx[2]), f.compose(inner),
+               Jet.from_terms(4, 5, [*f.coeffs.items(), *g.coeffs.items()]),
+               bracket(f, g, lay), lie_exp(HamiltonianDerivation(gen, lay),
+                                           f)]
+    if f.mode == "exact":
+        results.append(f.to_float())
+    results += [f.scale(c) for c in SCALARS[kind]]
+    results += [f.derivative(k) for k in range(4)]
+    for jet in results:
+        assert_invariant(jet)
+    # the cancellations happen: keys of f vanish from f + g, complex
+    # values turn real there, and f - f is the zero jet
+    total = (f + g).coeffs
+    assert any(idx in g.coeffs and idx not in total for idx in f.coeffs)
+    if kind in ("gaussian", "complex"):
+        assert any(type(c) in (Fraction, float)
+                   and type(f[idx]) in (ComplexRational, complex)
+                   for idx, c in total.items())
+    assert not f - f
+
+
+@pytest.mark.parametrize("kind", ["exact", "gaussian", "float", "complex"])
+def test_selections_keep_the_value_objects(kind):
+    f = coarse_jet(np.random.default_rng(5), kind, 6, n_terms=14)
+    for part in (f.truncate(4), f.degree_slice(3),
+                 f.project(lambda idx: idx[1] == 0)):
+        assert part
+        for idx, c in part.coeffs.items():
+            assert c is f.coeffs[idx]

@@ -10,8 +10,8 @@ from itertools import product
 import pytest
 
 from kamtori.birkhoff import (COMPLEX_MORSE, REAL_ELLIPTIC,
-                              EllipticHamiltonian, action_ideal_certificate,
-                              birkhoff_normalize)
+                              EllipticHamiltonian, _in_action_square,
+                              action_ideal_certificate, birkhoff_normalize)
 from kamtori import kamengine
 from kamtori.errors import (CertificateError, NotEllipticError,
                             OrderTooLowError, ResonanceError,
@@ -30,6 +30,54 @@ LAY2 = SymplecticLayout(2)
 
 def mono(lay, c, qexp=(), pexp=(), N=8):
     return lay.monomial(c, qexp=qexp, pexp=pexp, trunc_degree=N)
+
+
+# ---------------------------------------------------------------- the F split
+
+def reference_split(jet, layout):
+    """_split as it was: the part in F, and jet minus it."""
+    absorbable = jet.project(
+        lambda idx: _in_action_square(*layout.split(idx)))
+    return jet - absorbable, absorbable
+
+
+def described(jet):
+    """Truncation degree, mode, and per key in storage order the key, the
+    value's type and its value (float.hex of each float part)."""
+    def show(c):
+        if isinstance(c, (float, complex)):
+            return (float.hex(complex(c).real), float.hex(complex(c).imag))
+        return c
+    return (jet.trunc_degree, jet.mode, jet.blocks,
+            [(idx, type(c).__name__, show(c)) for idx, c in jet.coeffs.items()])
+
+
+def every_monomial_jet(seed, kind, N):
+    """Every monomial of degree 2..N in (q1, q2, p1, p2), in a seeded
+    order, with a seeded value of the kind."""
+    rng = random.Random(seed)
+    keys = [e for e in product(range(N + 1), repeat=4) if 2 <= sum(e) <= N]
+    rng.shuffle(keys)
+    coeffs = {}
+    for idx in keys:
+        a, b = (Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                for _ in range(2))
+        coeffs[idx] = {"exact": a, "gaussian": ComplexRational(a, b),
+                       "float": float(a),
+                       "complex": complex(float(a), float(b))}[kind]
+    return Jet(4, N, coeffs, blocks=LAY2.blocks)
+
+
+@pytest.mark.parametrize("kind", ["exact", "gaussian", "float", "complex"])
+@pytest.mark.parametrize("seed", range(3))
+def test_split_equals_the_subtraction(kind, seed):
+    jet = every_monomial_jet(seed, kind, 4 + seed)
+    overflow, absorbable = kamengine._split(jet, LAY2)
+    want_overflow, want_absorbable = reference_split(jet, LAY2)
+    assert described(overflow) == described(want_overflow)
+    assert described(absorbable) == described(want_absorbable)
+    assert absorbable and overflow
+    assert len(overflow) + len(absorbable) == len(jet)
 
 
 # ---------------------------------------------------------------- quasi-inverse

@@ -45,6 +45,13 @@ Runs the checkout this script lives in (its ``src/``) and writes:
   energy drift, stability and window frequencies, so a diff shows
   whether a torus change moved any bit.
 
+- ``DIR/jets/``: one text file per jet operation on seeded random jets
+  with Fraction, ComplexRational, float and complex coefficients:
+  ``scale`` by complex and ComplexRational scalars, ``__add__`` of
+  jets at different truncation degrees (some sums cancel to zero or to
+  a real value), and ``derivative`` and ``truncate`` of complex jets.
+  Each result is written in storage order with ``float.hex``.
+
 Capture two checkouts into two directories; ``diff -r A B`` then lists
 every difference in behaviour.
 """
@@ -65,7 +72,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from kamtori.birkhoff import (COMPLEX_MORSE, REAL_ELLIPTIC,  # noqa: E402
                               EllipticHamiltonian, birkhoff_normalize,
                               inverse_morse_substitution, morse_substitution)
-from kamtori.jets import Jet  # noqa: E402
+from kamtori.jets import ComplexRational, Jet  # noqa: E402
 from kamtori.kamengine import (KamProblem, fiber_normalize,  # noqa: E402
                                hadamard_quasi_inverse, kam_iterate)
 from kamtori.poisson import SymplecticLayout, check_symplectic  # noqa: E402
@@ -468,6 +475,104 @@ def capture_algebra(out):
                 line = f"raised {type(exc).__name__}: {exc}"
             (out / f"{name}-{mode}.txt").write_text(line + "\n")
 
+# ----------------------------------------------------------------- jets
+
+def random_value(rng, kind):
+    """A seeded coefficient: "exact" a Fraction, "gaussian" a
+    ComplexRational (a quarter of them real), "float" a float, "complex"
+    a complex (a quarter of them real, a quarter imaginary)."""
+    def frac():
+        return Fraction(rng.choice([v for v in range(-9, 10) if v]),
+                        rng.randint(1, 9))
+    roll = rng.randrange(4)
+    if kind == "exact":
+        return frac()
+    if kind == "gaussian":
+        return ComplexRational(frac(), 0 if roll == 0 else frac())
+    if kind == "float":
+        return rng.uniform(-1, 1)
+    return complex(0.0 if roll == 1 else rng.uniform(-1, 1),
+                   0.0 if roll == 0 else rng.uniform(-1, 1))
+
+
+def random_jet(rng, kind, N, num_vars=3, terms=12):
+    """Up to `terms` seeded monomials of degree <= N with `kind` values."""
+    coeffs = {}
+    while len(coeffs) < terms:
+        idx = tuple(rng.randint(0, N) for _ in range(num_vars))
+        if sum(idx) <= N:
+            coeffs[idx] = random_value(rng, kind)
+    return Jet(num_vars, N, coeffs)
+
+
+def cancelling_partner(rng, jet, kind, N):
+    """A jet at degree N sharing half of `jet`'s keys: on those, minus
+    its value, or (complex kinds) minus its imaginary part alone."""
+    coeffs = {}
+    for k, (idx, v) in enumerate(jet.coeffs.items()):
+        if sum(idx) > N or k % 2:
+            continue
+        if kind in ("gaussian", "complex") and k % 4 == 0:
+            im = v.imag if kind == "complex" else getattr(v, "im", 0)
+            part = random_value(rng, "float" if kind == "complex"
+                                else "exact")
+            coeffs[idx] = (complex(part, -im) if kind == "complex"
+                           else ComplexRational(part, -im))
+        else:
+            coeffs[idx] = -v
+    for idx, v in random_jet(rng, kind, N).coeffs.items():
+        coeffs.setdefault(idx, v)
+    return Jet(jet.num_vars, N, coeffs)
+
+
+SCALARS = {
+    "exact": [ComplexRational(1, 1), ComplexRational(0, 1),
+              ComplexRational(3, 0), ComplexRational(0, 0),
+              ComplexRational(Fraction(-2, 3), Fraction(5, 7))],
+    "gaussian": [ComplexRational(1, 1), ComplexRational(0, 1),
+                 ComplexRational(3, 0), ComplexRational(0, 0),
+                 ComplexRational(Fraction(-2, 3), Fraction(5, 7))],
+    "float": [2 + 0j, 1j, 0.5 - 0.25j, 0j, complex(-0.0, 3.0)],
+    "complex": [2 + 0j, 1j, 0.5 - 0.25j, 0j, complex(-0.0, 3.0)],
+}
+
+
+def jet_cases():
+    """(name, call) pairs; call() returns the jet to record."""
+    cases = []
+    for kind in ("exact", "gaussian", "float", "complex"):
+        for seed in (1, 2):
+            rng = random.Random(f"{kind}-{seed}")
+            jet = random_jet(rng, kind, 5)
+            for k, c in enumerate(SCALARS[kind]):
+                cases.append((f"scale-{kind}-seed{seed}-scalar{k}",
+                              lambda jet=jet, c=c: jet.scale(c)))
+            for N in (3, 5, 7):
+                other = cancelling_partner(rng, jet, kind, N)
+                cases.append((f"add-{kind}-seed{seed}-N5-N{N}",
+                              lambda jet=jet, other=other: jet + other))
+                cases.append((f"add-{kind}-seed{seed}-N{N}-N5",
+                              lambda jet=jet, other=other: other + jet))
+            if kind in ("gaussian", "complex"):
+                for var in range(jet.num_vars):
+                    cases.append((f"derivative-{kind}-seed{seed}-z{var}",
+                                  lambda jet=jet, var=var:
+                                  jet.derivative(var)))
+                for d in (0, 2, 4, 5, 7):
+                    cases.append((f"truncate-{kind}-seed{seed}-d{d}",
+                                  lambda jet=jet, d=d: jet.truncate(d)))
+    return cases
+
+
+def capture_jets(out):
+    out.mkdir(parents=True)
+    for name, call in jet_cases():
+        try:
+            line = show_jet(call())
+        except Exception as exc:    # the error is the recorded outcome
+            line = f"raised {type(exc).__name__}: {exc}"
+        (out / f"{name}.txt").write_text(line + "\n")
+
 # ---------------------------------------------------------------- torus
 
 PHI = (1 + 5 ** 0.5) / 2
@@ -540,6 +645,7 @@ def main(argv):
     capture_cli(out / "cli")
     capture_engine(out / "engine")
     capture_algebra(out / "algebra")
+    capture_jets(out / "jets")
     capture_torus(out / "torus", out / "torus-bits")
     return 0
 
