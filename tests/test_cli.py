@@ -187,13 +187,13 @@ def test_lattice_past_the_float_range_exits_one(capsys, t):
         error["message"]
 
 
-def test_lattice_at_t_350_is_finite(capsys):
+def test_lattice_at_t_350_keeps_its_finite_shortest_vector(capsys):
     code, out, err = run_cli(capsys, ["lattice", "--alpha", "1,1.6",
                                       "--t", "350"])
     assert code == 0 and err == ""
     row, = json.loads(out)["rows"]
     assert row["shortest"] == [-8, 5]
-    assert row["delta"] == pytest.approx(9.367556844741427e-152, rel=1e-14)
+    assert row["delta"] == 9.367556844741427e-152
 
 
 def test_lattice_without_t_exits_two(capsys):
