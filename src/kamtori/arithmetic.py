@@ -23,7 +23,7 @@ from .errors import (
     NonPositiveTermError,
     ShapeMismatchError,
 )
-from .jets import _over_one_denominator, to_jsonable
+from .jets import _exact_or_float, _over_one_denominator, to_jsonable
 
 DEFAULT_ENUM_BUDGET = 40_000_000
 
@@ -62,16 +62,10 @@ class FrequencyVector:
         comps = tuple(components)
         if len(comps) == 0:
             raise ShapeMismatchError("frequency vector needs n >= 1 components")
-        clean = []
-        for c in comps:
-            if isinstance(c, (int, Fraction)):
-                clean.append(Fraction(c))
-            else:
-                c = float(c)
-                if not math.isfinite(c):
-                    raise ValueError("frequency components must be finite")
-                clean.append(c)
-        self.components = tuple(clean)
+        clean = tuple(map(_exact_or_float, comps))
+        if not all(-math.inf < c < math.inf for c in clean):
+            raise ValueError("frequency components must be finite")
+        self.components = clean
 
     @property
     def dim(self):
@@ -128,9 +122,9 @@ class DecaySequence:
     def __init__(self, values, allow_zero=False):
         vals = []
         for v in values:
-            v = Fraction(v) if isinstance(v, (int, Fraction)) else float(v)
-            if v < 0:
-                raise NonPositiveTermError(f"negative term {v} in decay sequence")
+            v = _exact_or_float(v)
+            if not 0 <= v < math.inf:
+                raise NonPositiveTermError(f"decay term {v} is < 0 or not finite")
             if v == 0 and not allow_zero:
                 raise NonPositiveTermError(
                     "zero term in decay sequence (pass allow_zero=True only "
@@ -520,6 +514,15 @@ def _cell_blocks(Y):
             yield members[start:start + _BLOCK]
 
 
+def _levels(terms):
+    """The float thresholds rho_k a_k as an array; a term past the float
+    range raises ValueError."""
+    try:
+        return np.array(list(terms))
+    except OverflowError:
+        raise ValueError("rho_k a_k overflows a float") from None
+
+
 def density_estimate(f, x0, a: DecaySequence, rho: DecaySequence, r,
                      samples, k_max, seed, norm="euclidean",
                      budget=DEFAULT_ENUM_BUDGET) -> DensityReport:
@@ -567,7 +570,7 @@ def density_estimate(f, x0, a: DecaySequence, rho: DecaySequence, r,
     n = f.dim_out
     radius = 2 ** k_max
     head, head_rank, start, top = _ball_rows(n, radius, norm, budget)
-    levels = np.array([float(b[k]) for k in range(k_max + 1)])
+    levels = _levels(float(b[k]) for k in range(k_max + 1))
 
     rng = np.random.Generator(np.random.Philox(seed))
     X = _uniform_ball(rng, x0, float(r), samples)
@@ -690,8 +693,8 @@ def lemma_eps_t(a, i_norm):
     """Explicit resolution (eps, t) = (sqrt(2 a ||i||), log(||i||/a)/2)."""
     a = float(a)
     i_norm = float(i_norm)
-    if a <= 0 or i_norm <= 0:
-        raise ValueError("lemma_eps_t needs a > 0 and ||i|| > 0")
+    if not (0 < a < math.inf and 0 < i_norm < math.inf):
+        raise ValueError("lemma_eps_t needs finite a > 0 and ||i|| > 0")
     return math.sqrt(2.0 * a * i_norm), 0.5 * math.log(i_norm / a)
 
 
@@ -762,8 +765,8 @@ def strip_analysis(alpha, a: DecaySequence, rho: DecaySequence, r, k_max,
     pts, rank = _half_ball(alpha.dim, 2 ** k_max, norm, budget)
     e_of_i = np.searchsorted(4 ** np.arange(k_max + 1), rank)
 
-    half = np.array([float(rho[k]) * float(a[k])
-                     for k in range(k_max + 1)])[e_of_i]
+    half = _levels(float(rho[k]) * float(a[k])
+                   for k in range(k_max + 1))[e_of_i]
     norms = np.sqrt((pts.astype(float) ** 2).sum(axis=1))
     width = half / norms
     dist = np.maximum(0.0, (np.abs(pts @ alpha.as_floats()) - half) / norms)

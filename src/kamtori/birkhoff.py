@@ -22,7 +22,6 @@ in rational mode.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,7 +34,7 @@ from .errors import (
     ShapeMismatchError,
     SmallDivisorError,
 )
-from .jets import EXACT, ComplexRational, Jet, graded_lex_key, to_jsonable
+from .jets import EXACT, ComplexRational, Jet, _abs_mag, to_jsonable
 from .poisson import (
     HamiltonianDerivation,
     SymplecticLayout,
@@ -273,8 +272,8 @@ def birkhoff_normalize(H, l, divisor_floor=None, strategy="per-degree"):
         if strategy == "per-degree":
             groups = [chi_terms] if chi_terms else []
         else:
-            groups = [{idx: chi_terms[idx]}
-                      for idx in sorted(chi_terms, key=graded_lex_key)]
+            # _solve_terms keeps the graded-lex order of the degree slice
+            groups = [{idx: c} for idx, c in chi_terms.items()]
         for terms in groups:
             u = HamiltonianDerivation(
                 Jet(2 * lay.n, N, terms, blocks=lay.blocks, mode=hm.mode), lay)
@@ -362,7 +361,7 @@ class ActionIdealCertificate:
 def action_ideal_certificate(H, layout=None):
     """Check that every monomial beyond sum a_k p_kq_k has two action factors."""
     lay = layout or SymplecticLayout(H.num_vars // 2)
-    for idx in sorted(H.coeffs, key=graded_lex_key):
+    for idx, _ in H.terms():
         qe, pe = lay.split(idx)
         if qe == pe and sum(qe) == 1:
             continue    # the quadratic model itself
@@ -388,17 +387,6 @@ def _monomial_name(idx, lay):
         elif e:
             parts.append(f"{name}^{e}")
     return "*".join(parts) or "1"
-
-
-def _abs_mag(value):
-    """|value| as Fraction when exact, float otherwise (divisor ledger)."""
-    if isinstance(value, ComplexRational):
-        if not value.im:
-            return abs(value.re)
-        if not value.re:
-            return abs(value.im)
-        return math.sqrt(float(value.abs2()))
-    return abs(value)
 
 
 def _check_divisor(lam, idx, layout, floor, exact):

@@ -93,7 +93,10 @@ def _decay(v):
     base = Fraction(2) ** Fraction(v.rho_exp)
     vals = [base ** (k + v.rho_shift) for k in range(v.kmax + 1)]
     if v.mode == FLOAT:
-        vals = [float(x) for x in vals]
+        try:
+            vals = [float(x) for x in vals]
+        except OverflowError:
+            raise ValueError("rho_k overflows a float") from None
     return arithmetic.DecaySequence(vals)
 
 

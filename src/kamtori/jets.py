@@ -9,6 +9,9 @@ via to_float().
 Variables may carry block labels (e.g. q/p) so that callers working
 with symplectic coordinates can keep track of which slot is which; the ring
 operations themselves never look inside the blocks beyond checking equality.
+
+The scalar rules that every module shares live here: _exact_or_float
+(coercion), _to_float (float conversion), _abs_float and _abs_mag (magnitudes).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from types import MappingProxyType
 
 from .errors import ModeMixError, OrderTooLowError, ShapeMismatchError
 
-__all__ = ["ComplexRational", "Jet", "graded_lex_key", "to_jsonable"]
+__all__ = ["ComplexRational", "Jet", "to_jsonable"]
 
 
 class ComplexRational:
@@ -218,11 +221,6 @@ def _scalar_mode(value):
     raise ModeMixError(f"unsupported scalar type {type(value).__name__}")
 
 
-def graded_lex_key(idx):
-    """Sort key: total degree first, then lexicographic on exponents."""
-    return (sum(idx), idx)
-
-
 class Jet:
     """Sparse truncated power series in num_vars variables.
 
@@ -330,8 +328,8 @@ class Jet:
         return self._coeffs.get(idx, zero)
 
     def terms(self):
-        """Yield (index, coefficient) in graded-lex order."""
-        for idx in sorted(self._coeffs, key=graded_lex_key):
+        """Yield (index, coefficient) in graded-lex order (degree, exponents)."""
+        for idx in sorted(self._coeffs, key=lambda idx: (sum(idx), idx)):
             yield idx, self._coeffs[idx]
 
     def ord(self):
@@ -568,7 +566,7 @@ class Jet:
         # the outer terms that reach degree trunc, each with the
         # denominator of its unreduced numerators
         reach = []
-        for idx in sorted(coeffs, key=graded_lex_key):
+        for idx, _ in self.terms():
             rest = sum(e * o for e, o in zip(idx, ords))
             if rest <= trunc:
                 den = math.prod(d ** e for d, e in zip(dens, idx))
@@ -617,8 +615,7 @@ class Jet:
         total = None
         for idx, value in self._coeffs.items():
             if self.mode == EXACT and not exact_point:
-                value = complex(value) if isinstance(value, ComplexRational) \
-                    else float(value)
+                value = _to_float(value)
             term = value
             for x, e in zip(point, idx):
                 if e:
@@ -629,10 +626,7 @@ class Jet:
         return total
 
     def to_float(self):
-        acc = {}
-        for idx, value in self._coeffs.items():
-            acc[idx] = complex(value) if isinstance(value, ComplexRational) \
-                else float(value)
+        acc = {idx: _to_float(v) for idx, v in self._coeffs.items()}
         return Jet(self.num_vars, self.trunc_degree, acc, blocks=self.blocks,
                    mode=FLOAT)
 
@@ -796,7 +790,20 @@ def _clean(acc, mode):
     return out
 
 
+def _exact_or_float(x):
+    """x as a Fraction when it is an int or Fraction, else as a float."""
+    return Fraction(x) if isinstance(x, (int, Fraction)) else float(x)
+
+
+def _to_float(value):
+    """A complex for a ComplexRational or complex, else a float."""
+    if isinstance(value, (ComplexRational, complex)):
+        return complex(value)
+    return float(value)
+
+
 def _abs_float(value):
+    """|value| as a float."""
     if isinstance(value, ComplexRational):
         return math.sqrt(float(value.abs2()))
     if isinstance(value, Fraction):
@@ -804,13 +811,19 @@ def _abs_float(value):
     return abs(value)
 
 
+def _abs_mag(value):
+    """|value| as Fraction when exact, float otherwise (divisor ledger)."""
+    if isinstance(value, ComplexRational):
+        if not value.im:
+            return abs(value.re)
+        if not value.re:
+            return abs(value.im)
+        return math.sqrt(float(value.abs2()))
+    return abs(value)
+
+
 def _check_radius(s):
-    if isinstance(s, (int, Fraction)):
-        s = Fraction(s)
-        if s <= 0:
-            raise ValueError("radius s must be positive")
-        return s
-    s = float(s)
+    s = _exact_or_float(s)
     if not s > 0:
         raise ValueError("radius s must be positive")
     return s

@@ -44,12 +44,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arithmetic import FrequencyVector, bruno_diagnostic, sigma
-from .birkhoff import (COMPLEX_MORSE, _abs_mag, _extract_frequencies,
+from .birkhoff import (COMPLEX_MORSE, _extract_frequencies,
                        _in_action_square, _qp_layout, _solve_terms,
                        action_ideal_certificate)
 from .errors import (BudgetExceededError, CertificateError, ConvergenceError,
                      OrderTooLowError)
-from .jets import EXACT, Jet, to_jsonable
+from .jets import EXACT, Jet, _abs_mag, to_jsonable
 from .poisson import HamiltonianDerivation, SymplecticLayout, lie_exp
 
 

@@ -22,7 +22,7 @@ from .errors import (
     OrderTooLowError,
     ShapeMismatchError,
 )
-from .jets import ComplexRational, Jet, _clean, _degree_rows, _numerators
+from .jets import Jet, _abs_float, _clean, _degree_rows, _numerators
 
 __all__ = [
     "SymplecticLayout",
@@ -361,10 +361,4 @@ def check_symplectic(images, layout):
     if images[0].mode == "exact" and \
             all(isinstance(c, Fraction) for c in residual_coeffs):
         return max((abs(c) for c in residual_coeffs), default=Fraction(0))
-    mags = []
-    for c in residual_coeffs:
-        if isinstance(c, ComplexRational):
-            mags.append(float(c.abs2()) ** 0.5)
-        else:
-            mags.append(abs(float(c)) if not isinstance(c, complex) else abs(c))
-    return max(mags, default=0.0)
+    return max(map(_abs_float, residual_coeffs), default=0.0)

@@ -24,14 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonPositiveTermError
-from .jets import EXACT, Jet, _all_indices, to_jsonable
-
-
-def _as_scale(x):
-    """Coerce a radius to Fraction when exact, float otherwise."""
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    return float(x)
+from .jets import EXACT, Jet, _all_indices, _exact_or_float, to_jsonable
 
 
 # ---------------------------------------------------------------------------
@@ -80,9 +73,9 @@ def dyadic_grid(tau, grid_size):
     """
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1 (empty grid)")
-    tau = _as_scale(tau)
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    tau = _exact_or_float(tau)
+    if not 0 < tau < math.inf:
+        raise ValueError("tau must be positive and finite")
     scales = [tau / 2 ** i for i in range(1, grid_size + 1)]
     return tuple((s, sigma) for s in scales for sigma in scales)
 
@@ -103,7 +96,7 @@ def fit_bounded_constant(u, k, tau, basis_degree, grid_size,
     if basis_degree < 0:
         raise ValueError("basis_degree must be >= 0")
     grid = dyadic_grid(tau, grid_size)
-    tau = _as_scale(tau)
+    tau = _exact_or_float(tau)
     trunc = basis_degree + 4 if input_trunc is None else input_trunc
 
     best = [None] * len(grid)       # best ratio per grid point
@@ -158,8 +151,8 @@ def moderate_growth(values):
     sums = []
     acc = 0.0
     for n, v in enumerate(vals):
-        if v < 0:
-            raise NonPositiveTermError("fitted constants must be >= 0")
+        if not 0 <= v < math.inf:
+            raise NonPositiveTermError("fitted constants must be finite, >= 0")
         acc += math.log(max(1.0, float(v))) / 2.0 ** n
         sums.append(acc)
     return ModerateGrowthReport(values=vals, partial_sums=tuple(sums))

@@ -35,13 +35,12 @@ table of monomials.
 import dataclasses
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .birkhoff import REAL_ELLIPTIC, EllipticHamiltonian
 from .errors import BudgetExceededError
-from .jets import ComplexRational, to_jsonable
+from .jets import _to_float, to_jsonable
 
 SCHEME = "triple-jump composition of implicit midpoint (order 4, symplectic)"
 FREQ_CONVENTION = ("signed angular frequency of z_j = q_j + i p_j, "
@@ -61,19 +60,12 @@ _SCAN_BYTES_LIMIT = 2 ** 30
 # ------------------------------------------------------------ polynomial data
 
 def _real_coeff(c):
-    if isinstance(c, (int, float)):
-        return float(c)
-    if isinstance(c, Fraction):
-        return float(c)
-    if isinstance(c, ComplexRational):
-        if c.im:
-            raise ValueError("Hamiltonian must have real coefficients")
-        return float(c.re)
+    """A real jet coefficient as a float; a jet's complex values are never
+    real, so they are refused."""
+    c = _to_float(c)
     if isinstance(c, complex):
-        if c.imag:
-            raise ValueError("Hamiltonian must have real coefficients")
-        return c.real
-    raise ValueError(f"unsupported coefficient type {type(c).__name__}")
+        raise ValueError("Hamiltonian must have real coefficients")
+    return c
 
 
 def _poly_data(H):

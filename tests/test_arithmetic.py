@@ -310,6 +310,16 @@ def test_decay_sequence_rejects_zero_by_default():
         DecaySequence([1, 0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_decay_sequence_rejects_a_non_finite_term(bad):
+    # NaN passes every sign test, so it used to be stored and skipped by
+    # bruno_diagnostic
+    with pytest.raises(NonPositiveTermError):
+        DecaySequence([1.0, bad, 0.5])
+    with pytest.raises(NonPositiveTermError):
+        DecaySequence([1.0, bad], allow_zero=True)
+
+
 def test_in_class_half_sigma_true():
     s = sigma([1, PHI_EXACT], 6)
     half = DecaySequence([v / 2 for v in s])
@@ -564,6 +574,14 @@ def test_lemma_eps_t_values():
         lemma_eps_t(0, 1)
     with pytest.raises(ValueError):
         lemma_eps_t(1, -2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_lemma_eps_t_rejects_non_finite_input(bad):
+    with pytest.raises(ValueError):
+        lemma_eps_t(bad, 2.0)
+    with pytest.raises(ValueError):
+        lemma_eps_t(1.0, bad)
 
 
 # --- strips ---------------------------------------------------------------------

@@ -187,6 +187,25 @@ def test_lattice_past_the_float_range_exits_one(capsys, t):
         error["message"]
 
 
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("command", ["density", "strips"])
+def test_rho_past_the_float_range_exits_one(capsys, command, mode):
+    # rho_1 = 2^2000: float mode converts it when building rho, rational
+    # mode when it converts the thresholds rho_k a_k
+    alpha, r = (("1,987/610", "1/10") if mode == "rational"
+                else ("1,1.6", "0.1"))
+    extra = (["--radii", "0.1", "--samples", "10"] if command == "density"
+             else ["--r", r])
+    code, out, err = run_cli(capsys, [command, "--alpha", alpha, "--kmax",
+                                      "3", "--rho-exp", "2000", "--mode",
+                                      mode, *extra])
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"] == ("rho_k overflows a float" if mode == "float"
+                                else "rho_k a_k overflows a float")
+
+
 def test_lattice_at_t_350_keeps_its_finite_shortest_vector(capsys):
     code, out, err = run_cli(capsys, ["lattice", "--alpha", "1,1.6",
                                       "--t", "350"])

@@ -11,6 +11,7 @@ import sympy
 
 from kamtori import jets
 from kamtori.arithmetic import BrunoReport, DecaySequence
+from kamtori.birkhoff import morse_substitution
 from kamtori.errors import ModeMixError, OrderTooLowError, ShapeMismatchError
 from kamtori.jets import ComplexRational, Jet, to_jsonable
 from kamtori.poisson import (HamiltonianDerivation, SymplecticLayout,
@@ -742,3 +743,41 @@ def test_selections_keep_the_value_objects(kind):
         assert part
         for idx, c in part.coeffs.items():
             assert c is f.coeffs[idx]
+
+
+# --- float conversion ------------------------------------------------------
+
+def hex_terms(jet):
+    """(index, float.hex of each part) in storage order."""
+    return [(idx, (c.real.hex(), c.imag.hex()) if isinstance(c, complex)
+             else c.hex()) for idx, c in jet.coeffs.items()]
+
+
+def gaussian_jet():
+    """An exact jet with Gaussian rational coefficients that floats round:
+    non-real ones, a real one and a purely imaginary one."""
+    third, seventh = Fraction(1, 3), Fraction(-2, 7)
+    return Jet(4, 5, {(1, 0, 0, 0): ComplexRational(third, seventh),
+                      (0, 2, 1, 0): Fraction(5, 3),
+                      (0, 0, 1, 1): ComplexRational(0, Fraction(1, 9)),
+                      (2, 1, 0, 2): ComplexRational(seventh, 1)})
+
+
+@pytest.mark.parametrize("case", ["morse-n1", "morse-n2", "morse-n3",
+                                  "gaussian"])
+def test_to_float_of_a_complex_jet_keeps_its_values(case):
+    if case == "gaussian":
+        exact = gaussian_jet()
+        floats = [exact.to_float()]
+        assert hex_terms(floats[0]) == [
+            (idx, (complex(c).real.hex(), complex(c).imag.hex())
+             if isinstance(c, ComplexRational) else float(c).hex())
+            for idx, c in exact.coeffs.items()]
+    else:
+        floats = morse_substitution(int(case[-1]), 4, mode="float")
+    assert any(isinstance(c, complex) for f in floats for c in f.coeffs.values())
+    for f in floats:
+        again = f.to_float()
+        assert again == f and again.mode == "float"
+        assert again.trunc_degree == f.trunc_degree
+        assert hex_terms(again) == hex_terms(f)

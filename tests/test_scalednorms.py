@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +36,12 @@ def test_dyadic_grid_rejects_bad_input():
         dyadic_grid(1, 0)
     with pytest.raises(ValueError):
         dyadic_grid(0, 3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_dyadic_grid_rejects_a_non_finite_tau(bad):
+    with pytest.raises(ValueError):
+        dyadic_grid(bad, 2)
 
 
 # --- fit_bounded_constant --------------------------------------------------------
@@ -133,3 +140,9 @@ def test_moderate_growth_partial_sums():
 def test_moderate_growth_rejects_negative():
     with pytest.raises(NonPositiveTermError):
         moderate_growth([1.0, -2.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_moderate_growth_rejects_a_non_finite_value(bad):
+    with pytest.raises(NonPositiveTermError):
+        moderate_growth([1.0, bad, 3.0])

@@ -5,8 +5,10 @@
 Runs the checkout this script lives in (its ``src/``) and writes:
 
 - ``DIR/cli/``: a fixed list of ``kamtori`` commands (sigma, bruno,
-  strips, density, lattice, birkhoff at n=1 and n=2, kam run on a real
-  and on a complex alpha, each in both modes; the ``small-divisors``
+  strips, density, lattice, birkhoff at n=1 and n=2 with each
+  strategy, kam run on a real and on a complex alpha, each in both
+  modes; density and strips with rho_k past the float range
+  (``--rho-exp 2000``) in both modes; the ``small-divisors``
   benchmark's sizes: density on (1, phi) at k=8 with 50 000 samples and
   both rho shifts, strips at k=8 and sigma at n=3, k=6; sigma, strips
   and density in the sup norm, a float sigma at n=3 and a density ball
@@ -49,8 +51,10 @@ Runs the checkout this script lives in (its ``src/``) and writes:
   with Fraction, ComplexRational, float and complex coefficients:
   ``scale`` by complex and ComplexRational scalars, ``__add__`` of
   jets at different truncation degrees (some sums cancel to zero or to
-  a real value), and ``derivative`` and ``truncate`` of complex jets.
-  Each result is written in storage order with ``float.hex``.
+  a real value), ``derivative`` and ``truncate`` of complex jets, and
+  ``to_float`` of the complex float jets and of the float complex-Morse
+  images for n = 1..3.  Each result is written in storage order with
+  ``float.hex``.
 
 Capture two checkouts into two directories; ``diff -r A B`` then lists
 every difference in behaviour.
@@ -131,6 +135,10 @@ def cli_commands():
                                      "3", *m]),
             (f"birkhoff-n2-{mode}", ["birkhoff", "--H", "h2.json", "--l",
                                      "2", *m]),
+            *[(f"birkhoff-{n}-per-monomial-{mode}",
+               ["birkhoff", "--H", f"h{n[1]}.json", "--l", l, *m,
+                "--strategy", "per-monomial"])
+              for n, l in (("n1", "3"), ("n2", "2"))],
             (f"kam-run-{mode}", ["kam", "run", "--problem", "problem.json",
                                  *m, "--out", f"kam-run-{mode}.jsonl"]),
             (f"kam-run-complex-alpha-{mode}",
@@ -168,6 +176,16 @@ def cli_commands():
                                 "--seed", "4", "--center", "1.05,1.5",
                                 "--mode", "float"]),
     ]
+    # rho_k = 2^(2000 k) is past the float range from k = 1 on
+    big_rho = ["--kmax", "3", "--rho-exp", "2000"]
+    for mode, alpha, r in (("rational", "1,987/610", "1/10"),
+                           ("float", "1,1.6", "0.1")):
+        m = ["--alpha", alpha, *big_rho, "--mode", mode]
+        cmds += [
+            (f"density-rho-overflow-{mode}", ["density", *m, "--radii",
+                                              "0.1", "--samples", "10"]),
+            (f"strips-rho-overflow-{mode}", ["strips", *m, "--r", r]),
+        ]
     cmds += [
         ("torus-scan", ["torus", "scan", "--H", "h2.json", "--r", "0.05",
                         "--samples", "4", "--steps", "512", "--seed", "5",
@@ -561,6 +579,13 @@ def jet_cases():
                 for d in (0, 2, 4, 5, 7):
                     cases.append((f"truncate-{kind}-seed{seed}-d{d}",
                                   lambda jet=jet, d=d: jet.truncate(d)))
+            if kind == "complex":
+                cases.append((f"to-float-{kind}-seed{seed}",
+                              lambda jet=jet: jet.to_float()))
+    for n in (1, 2, 3):
+        for k, image in enumerate(morse_substitution(n, 4, mode="float")):
+            cases.append((f"to-float-morse-n{n}-image{k}",
+                          lambda image=image: image.to_float()))
     return cases
 
 
