@@ -23,7 +23,7 @@ from .errors import (
     NonPositiveTermError,
     ShapeMismatchError,
 )
-from .jets import _exact_or_float, _over_one_denominator, to_jsonable
+from .jets import _exact_or_float, _numerators, to_jsonable
 
 DEFAULT_ENUM_BUDGET = 40_000_000
 
@@ -277,7 +277,7 @@ def _exact_scale(alpha_fracs, radius):
     with sup |i| <= radius, as a numerator, stays below 2^62, else an
     object array of Python ints.
     """
-    den, scaled = _over_one_denominator(
+    (den,), (scaled,) = _numerators(
         {k: Fraction(c) for k, c in enumerate(alpha_fracs)})
     scaled = list(scaled.values())
     small = sum(abs(s) for s in scaled) * radius < 2 ** 62
@@ -483,10 +483,18 @@ def _rows_near(head, start, top, y, reach, radius):
     zero y keeps every row.  Returns the new (start, top); a row with
     start > top is empty.  The one float bound on `pts @ y`: `sigma`
     cuts at |y_n|, `density_estimate` at the largest screen bound.
+    ValueError when n · radius · sum |y_j|, which bounds every such
+    product and its partial sums, is not finite.
     """
+    with np.errstate(over="ignore"):
+        total = float(np.abs(y).sum())
+    if not math.isfinite(len(y) * radius * total):
+        raise ValueError(
+            f"float products <i, y> with |i_j| <= {radius} can pass the "
+            "float range: n * radius * sum |y_j| is not finite")
     c = head @ y[:-1]
     a = y[-1]
-    error = len(y) * 2.0 ** -52 * radius * np.abs(y).sum()
+    error = len(y) * 2.0 ** -52 * radius * total
     reach = (reach + 4 * error) * (1 + 1e-9)
     if a == 0:
         near = np.abs(c) <= reach
@@ -690,12 +698,17 @@ def flow_and_shortest(basis: LatticeBasis, t, coeff_bound,
 
 
 def lemma_eps_t(a, i_norm):
-    """Explicit resolution (eps, t) = (sqrt(2 a ||i||), log(||i||/a)/2)."""
+    """Explicit resolution (eps, t) = (sqrt(2 a ||i||), log(||i||/a)/2);
+    ValueError when eps or t is not finite in floats."""
     a = float(a)
     i_norm = float(i_norm)
     if not (0 < a < math.inf and 0 < i_norm < math.inf):
         raise ValueError("lemma_eps_t needs finite a > 0 and ||i|| > 0")
-    return math.sqrt(2.0 * a * i_norm), 0.5 * math.log(i_norm / a)
+    square, ratio = 2.0 * a * i_norm, i_norm / a
+    if not (square < math.inf and 0 < ratio < math.inf):
+        raise ValueError(f"lemma_eps_t(a={a!r}, ||i||={i_norm!r}) has no "
+                         "finite (eps, t) in floats")
+    return math.sqrt(square), 0.5 * math.log(ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -379,14 +379,7 @@ def _in_action_square(qe, pe):
 
 
 def _monomial_name(idx, lay):
-    parts = []
-    names = Jet(len(idx), 1, blocks=lay.blocks).var_names()
-    for name, e in zip(names, idx):
-        if e == 1:
-            parts.append(name)
-        elif e:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts) or "1"
+    return str(Jet(len(idx), sum(idx), {idx: 1}, blocks=lay.blocks))
 
 
 def _check_divisor(lam, idx, layout, floor, exact):

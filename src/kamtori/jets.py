@@ -428,12 +428,10 @@ class Jet:
         if not isinstance(other, Jet):
             return self.scale(other)
         trunc, blocks, mode = self._join(other)
-        den, left, right = _numerators(self._coeffs, other._coeffs)
+        dens, (left, right) = _numerators(self._coeffs, other._coeffs)
         acc = _product(left, _degree_rows(right), trunc)
-        if den is not None:     # one reduction per output key
-            acc = {k: Fraction(v, den) for k, v in acc.items()}
-        return Jet._trusted(self.num_vars, trunc, _clean(acc, mode), blocks,
-                            mode)
+        return Jet._trusted(self.num_vars, trunc, _finish(acc, mode, dens),
+                            blocks, mode)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -441,12 +439,8 @@ class Jet:
     def __truediv__(self, scalar):
         if isinstance(scalar, Jet):
             raise TypeError("jet division is not defined; divide by a scalar")
-        if self.mode == EXACT:
-            if isinstance(scalar, int):
-                scalar = Fraction(scalar)
-            return self.scale(1 / scalar if isinstance(scalar, ComplexRational)
-                              else Fraction(1) / scalar)
-        return self.scale(1.0 / scalar)
+        return self.scale((Fraction(1) if self.mode == EXACT else 1.0)
+                          / scalar)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -514,15 +508,16 @@ class Jet:
         products and sums drop what cancels, as a jet would.
 
         When this jet and every substituted jet hold only Fractions, all
-        of that runs on integer numerators: each jet's coefficients over
-        one denominator D (the outer D_0, the inner D_k), so args[k]^e is
-        over D_k^e and a partial product over the product of its
-        factors' denominators, none of them reduced.  The outer terms are
-        added over the lcm L of those denominators, and each result
-        coefficient is reduced once, as Fraction(n, D_0 · L).  A zero
-        numerator is a zero value, so the same keys drop at the same
-        places.  Float and ComplexRational coefficients run the same
-        loops on their values.
+        of that runs on integer numerators from _numerators: each jet's
+        coefficients over one denominator D (the outer D_0, the inner
+        D_k), so args[k]^e is over D_k^e and a partial product over the
+        product of its factors' denominators, none of them reduced.  The
+        outer terms are added over the lcm L of those denominators, and
+        _finish reduces each result coefficient once, as Fraction(n, D_0
+        · L).  A zero numerator is a zero value, so the same keys drop at
+        the same places.  Float and ComplexRational coefficients run the
+        same loops on their values, each sum and product coerced to the
+        mode as it is made.
         """
         args = list(args)
         if len(args) != self.num_vars:
@@ -547,16 +542,11 @@ class Jet:
         for g in args:
             if g._coeffs and self._coeffs and g.mode != mode:
                 raise ModeMixError("compose cannot mix exact and float jets")
-        outer = _over_one_denominator(self._coeffs)
-        inner = [_over_one_denominator(g._coeffs) for g in args]
-        exact = outer is not None and None not in inner
-        if exact:
-            (outer_den, coeffs), (dens, inner) = outer, zip(*inner)
-            one = 1
-        else:
-            coeffs, inner = self._coeffs, [g._coeffs for g in args]
-            dens = [1] * len(args)
-            one = Fraction(1) if mode == EXACT else 1.0
+        dens, (coeffs, *inner) = _numerators(self._coeffs,
+                                             *(g._coeffs for g in args))
+        exact = dens is not None
+        outer_den, *dens = dens if exact else [1] * (len(args) + 1)
+        one = 1 if exact else Fraction(1) if mode == EXACT else 1.0
 
         def keep(acc):
             if exact:
@@ -601,10 +591,9 @@ class Jet:
                         del acc[key]
                         continue
                 acc[key] = v
-        if exact:       # one reduction per result coefficient
-            den = outer_den * common
-            acc = {k: Fraction(v, den) for k, v in acc.items()}
-        return Jet._trusted(inner_vars, trunc, acc, inner_blocks, mode)
+        dens = (outer_den, common) if exact else None
+        return Jet._trusted(inner_vars, trunc, _finish(acc, mode, dens),
+                            inner_blocks, mode)
 
     def evaluate(self, point):
         """Numeric evaluation at a point (tuple of scalars)."""
@@ -720,34 +709,39 @@ def _degree_rows(terms):
     return within
 
 
-def _over_one_denominator(coeffs):
-    """(D, {key: n}) with each value of coeffs equal to n / D, D the lcm
-    of their denominators (1 for an empty dict).
+def _numerators(*dicts):
+    """(dens, numerator dicts): the way into integer numerators.
 
-    None when a value is not a Fraction: float and ComplexRational
-    coefficients stay as they are.
+    When every value of every dict is a Fraction, each dict comes back
+    as {key: n} with each value equal to n / D, D its entry of dens: the
+    lcm of its denominators (1 for an empty dict).  Otherwise dens is
+    None and the dicts come back as they are: float and ComplexRational
+    coefficients stay on their values.
     """
-    ratios = []
-    for v in coeffs.values():
-        if not isinstance(v, Fraction):
-            return None
-        ratios.append(v.as_integer_ratio())
-    den = math.lcm(*{d for _, d in ratios})
-    return den, {k: n * (den // d) for k, (n, d) in zip(coeffs, ratios)}
+    dens, out = [], []
+    for coeffs in dicts:
+        ratios = []
+        for v in coeffs.values():
+            if not isinstance(v, Fraction):
+                return None, dicts
+            ratios.append(v.as_integer_ratio())
+        den = math.lcm(*{d for _, d in ratios})
+        dens.append(den)
+        out.append({k: n * (den // d) for k, (n, d) in zip(coeffs, ratios)})
+    return dens, out
 
 
-def _numerators(left, right):
-    """(D, left', right') for a bilinear kernel on two coefficient dicts.
+def _finish(acc, mode, dens):
+    """A kernel's accumulator as a jet's coefficients: the way out.
 
-    When every value of both is a Fraction, left' and right' hold integer
-    numerators over one denominator each, and a kernel output n on them
-    stands for Fraction(n, D), D the product of the two denominators.
-    Otherwise D is None and left and right come back as they are.
+    With dens (the denominators from _numerators whose product the
+    accumulated numerators stand over), one Fraction(n, prod(dens)) per
+    nonzero n, the order kept; with dens None, _clean(acc, mode).
     """
-    lq, rq = _over_one_denominator(left), _over_one_denominator(right)
-    if lq is None or rq is None:
-        return None, left, right
-    return lq[0] * rq[0], lq[1], rq[1]
+    if dens is None:
+        return _clean(acc, mode)
+    den = math.prod(dens)
+    return {k: Fraction(n, den) for k, n in acc.items() if n}
 
 
 def _product(left, within, cap):
@@ -764,9 +758,9 @@ def _product(left, within, cap):
     float results at roundoff.  Zeros are kept; callers clean.
 
     The loop needs only ring scalars.  Exact callers (Jet.__mul__ and
-    compose) pass integer numerators over one denominator per operand,
-    so a pair costs one int product and one int sum, and each output is
-    reduced to a Fraction once, by the caller.
+    compose) pass integer numerators from _numerators, over one
+    denominator per operand, so a pair costs one int product and one int
+    sum, and _finish reduces each output to a Fraction once.
     """
     acc = {}
     get = acc.get
@@ -824,8 +818,8 @@ def _abs_mag(value):
 
 def _check_radius(s):
     s = _exact_or_float(s)
-    if not s > 0:
-        raise ValueError("radius s must be positive")
+    if not 0 < s < math.inf:
+        raise ValueError("radius s must be positive and finite")
     return s
 
 

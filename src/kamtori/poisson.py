@@ -22,7 +22,7 @@ from .errors import (
     OrderTooLowError,
     ShapeMismatchError,
 )
-from .jets import Jet, _abs_float, _clean, _degree_rows, _numerators
+from .jets import Jet, _abs_float, _degree_rows, _finish, _numerators
 
 __all__ = [
     "SymplecticLayout",
@@ -150,14 +150,13 @@ def bracket(f, g, layout, trunc=None):
 
     When both operands hold only Fractions, the loop runs on integer
     numerators over one denominator per operand (jets._numerators), so a
-    pair costs int products and sums; each output key is reduced once at
-    the end, to Fraction(n, D_f · D_g).  Float and ComplexRational
-    operands run the same loop on their values.
+    pair costs int products and sums; jets._finish reduces each output
+    key once at the end, to Fraction(n, D_f · D_g).  Float and
+    ComplexRational operands run the same loop on their values.
     """
     layout.check(f)
     layout.check(g)
-    if f.mode != g.mode and f and g:
-        f._check_like(g)  # raises the standard mode error
+    _, blocks, mode = f._join(g)
     if trunc is None:
         trunc = _bracket_trunc(f, g)
     n = layout.n
@@ -167,7 +166,7 @@ def bracket(f, g, layout, trunc=None):
     def pack(idx):
         return sum(e << s for e, s in zip(idx, shifts))
 
-    den, fc, gc = _numerators(f.coeffs, g.coeffs)
+    dens, (fc, gc) = _numerators(f.coeffs, g.coeffs)
     within = _degree_rows({j: (b, pack(j)) for j, b in gc.items()})
     acc = {}
     get = acc.get
@@ -191,12 +190,9 @@ def bracket(f, g, layout, trunc=None):
                     contrib = ab * c
                     acc[key] = contrib if cur is None else cur + contrib
     mask = (1 << width) - 1
-    values = acc.values() if den is None else \
-        (Fraction(v, den) for v in acc.values())    # one reduction per key
-    mode = f.mode if f else g.mode
-    out = _clean({tuple(key >> s & mask for s in shifts): v
-                  for key, v in zip(acc, values)}, mode)
-    return Jet._trusted(f.num_vars, trunc, out, f.blocks or g.blocks, mode)
+    out = {tuple(key >> s & mask for s in shifts): v for key, v in acc.items()}
+    return Jet._trusted(f.num_vars, trunc, _finish(out, mode, dens), blocks,
+                        mode)
 
 
 def ad_eigenvalue(alpha, i, j):

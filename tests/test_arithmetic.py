@@ -484,6 +484,26 @@ def test_density_rejects_bad_inputs():
             density_estimate(None, [1, PHI_EXACT], s, rho, r, 10, 3, seed=1)
 
 
+FLOAT_EDGE = [1e308, 1.6e308]     # |<i, alpha>| passes the float range
+
+
+@pytest.mark.filterwarnings("error")
+def test_float_small_divisors_past_the_float_range_are_refused():
+    # i = (3, -2) gives 2e307 exactly, but the ball's float products
+    # overflow; n * radius * sum |alpha_j| is not finite at radius 4
+    with pytest.raises(ValueError, match="float range"):
+        sigma(FLOAT_EDGE, 2)
+    with pytest.raises(ValueError, match="float range"):
+        density_estimate(None, FLOAT_EDGE, DecaySequence([1.0] * 3),
+                         DecaySequence([1.0] * 3), 0.1, 10, 2, seed=1)
+    # a hundredth of it stays within the range at radius 4, and sigma
+    # equals the whole box's minimum
+    alpha = [1e306, 1.6e306]
+    pts = np.array([(a, b) for a in range(-4, 5) for b in range(-4, 5)
+                    if (a, b) != (0, 0) and a * a + b * b <= 16])
+    assert sigma(alpha, 2)[2] == float(np.abs(pts @ np.array(alpha)).min())
+
+
 def test_density_sample_arrays_are_bounded_before_sampling(monkeypatch):
     def no_sampling(*args):
         raise AssertionError("sampled before the memory check")
@@ -574,6 +594,17 @@ def test_lemma_eps_t_values():
         lemma_eps_t(0, 1)
     with pytest.raises(ValueError):
         lemma_eps_t(1, -2)
+
+
+@pytest.mark.parametrize("a, i_norm", [(1e-300, 1e300), (1e300, 1e300),
+                                       (1e300, 1e-300)])
+def test_lemma_eps_t_refuses_a_pair_past_the_float_range(a, i_norm):
+    # eps = inf, eps = inf and t = log(0) in floats
+    with pytest.raises(ValueError, match=r"a=1e[+-]300, \|\|i\|\|=1e[+-]300"):
+        lemma_eps_t(a, i_norm)
+    eps, t = lemma_eps_t(1e-150, 1e150)    # finite pairs keep their bits
+    assert (eps, t) == (math.sqrt(2.0 * 1e-150 * 1e150),
+                        0.5 * math.log(1e150 / 1e-150))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

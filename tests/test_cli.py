@@ -137,6 +137,20 @@ def test_bruno_on_resonant_vector_exits_one(capsys):
     assert json.loads(err)["error"]["type"] == "NonPositiveTermError"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", [
+    ["sigma"], ["bruno"], ["strips", "--r", "0.1"],
+    ["density", "--radii", "0.1", "--samples", "10"]])
+def test_float_small_divisors_past_the_float_range_exit_one(capsys, command):
+    # only the JSON error on stderr: no warning, no traceback
+    code, out, err = run_cli(capsys, [*command, "--alpha", "1e308,1.6e308",
+                                      "--mode", "float", "--kmax", "2"])
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError" and "float range" in error["message"]
+
+
 def test_density_sweep_matches_library_and_csv(capsys, tmp_path):
     csv_path = tmp_path / "sweep.csv"
     code, out, _ = run_cli(

@@ -458,6 +458,85 @@ def test_exact_compose_and_product_drop_what_cancels():
     assert exact_items(out) == exact_items(reference_compose(f, [g0, g1]))
 
 
+# --- kernel loops on signed zeros and on Gaussian values that turn real ----
+# A product of two purely imaginary floats is real with a signed-zero
+# imaginary part, and one of two Gaussian rationals can be real: each
+# kernel must coerce such values where the reference loops do, or signed
+# zeros, types and the key order move.
+
+def random_index(rng, num_vars, low, high):
+    """An exponent tuple of random total degree low..high."""
+    deg = int(rng.integers(low, high + 1))
+    return tuple(int(e) for e in rng.multinomial(deg, [1 / num_vars] * num_vars))
+
+
+def imaginary_jet(rng, num_vars, trunc_degree, n_terms, min_ord=0,
+                  real_share=0.0):
+    """Float jet of coefficients +-0.0 + b i (real_share of them real
+    floats), b in +-1/2, +-1, +-2; built from a dict, since a sum would
+    turn -0.0 into 0.0."""
+    coeffs = {}
+    for _ in range(n_terms):
+        b = float(rng.choice([-2, -1, -0.5, 0.5, 1, 2]))
+        coeffs[random_index(rng, num_vars, min_ord, trunc_degree)] = (
+            b if rng.random() < real_share
+            else complex(float(rng.choice([0.0, -0.0])), b))
+    return Jet(num_vars, trunc_degree, coeffs, mode="float")
+
+
+def gaussian_jet_turning_real(rng, num_vars, trunc_degree, n_terms,
+                              min_ord=0):
+    """Exact jet of Gaussian rationals a + b i, b in +-1, +-1/2 and a = 0
+    for two thirds of them, else a in +-1, +-1/2: products of two
+    imaginary values are real, and sums often cancel."""
+    parts = [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2)]
+    coeffs = {}
+    for _ in range(n_terms):
+        re, im = (parts[int(k)] for k in rng.integers(0, len(parts), 2))
+        coeffs[random_index(rng, num_vars, min_ord, trunc_degree)] = \
+            ComplexRational(re if rng.random() < 1 / 3 else 0, im)
+    return Jet(num_vars, trunc_degree, coeffs)
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_float_kernels_keep_the_signed_zeros_of_imaginary_jets(case):
+    rng = np.random.default_rng(6000 + case)
+    outer_vars, inner_vars = (int(v) for v in rng.integers(1, 4, 2))
+    N = int(rng.integers(2, 6))
+    m = 1 + case % 2
+    share = 0.3 if case % 4 == 3 else 0.0
+    f = imaginary_jet(rng, outer_vars, N, 12, real_share=share)
+    args = [imaginary_jet(rng, inner_vars, int(rng.integers(N, 7)), 6,
+                          min_ord=m, real_share=share)
+            for _ in range(outer_vars)]
+    assert float_bits(f.compose(args)) == \
+        float_bits(reference_compose(f, args))
+    h = imaginary_jet(rng, inner_vars, N, 8, real_share=share)
+    for a, b in ((args[0], h), (h, args[0]), (h, h)):
+        assert float_bits(a * b) == float_bits(reference_mul(a, b))
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_gaussian_kernels_coerce_values_that_turn_real(case):
+    rng = np.random.default_rng(7000 + case)
+    outer_vars, inner_vars = (int(v) for v in rng.integers(1, 4, 2))
+    N = int(rng.integers(2, 5))
+    m = 1 + case % 2
+    f = gaussian_jet_turning_real(rng, outer_vars, N, 8)
+    args = [gaussian_jet_turning_real(rng, inner_vars, int(rng.integers(N, 6)),
+                                      4, min_ord=m)
+            for _ in range(outer_vars)]
+    h = gaussian_jet_turning_real(rng, inner_vars, N, 8)
+    results = [(f.compose(args), reference_compose(f, args))]
+    results += [(a * b, reference_mul(a, b))
+                for a, b in ((args[0], h), (h, args[0]), (h, h))]
+    for got, want in results:
+        assert exact_items(got) == exact_items(want)
+    # every case meets products of Gaussian jets that turn real
+    assert any(isinstance(c, Fraction) for got, _ in results
+               for c in got.coeffs.values())
+
+
 # --- norms ------------------------------------------------------------------
 
 def test_sup_norm_bound_examples():
@@ -507,6 +586,16 @@ def test_norms_reject_bad_radius():
         z.sup_norm_bound(0)
     with pytest.raises(ValueError):
         z.sup_norm_bound(-1)
+
+
+@pytest.mark.parametrize("s", [float("inf"), float("nan"), -float("inf")])
+def test_norms_reject_a_non_finite_radius(s):
+    for jet in (Jet.variable(0, 1, 3), Jet.variable(0, 1, 3).to_float()):
+        with pytest.raises(ValueError, match="positive and finite"):
+            jet.sup_norm_bound(s)
+    # a rational radius past the float range is still finite
+    assert Jet.variable(0, 1, 3).sup_norm_bound(Fraction(10) ** 400) == \
+        Fraction(10) ** 400
 
 
 # --- modes ------------------------------------------------------------------

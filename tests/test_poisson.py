@@ -270,6 +270,56 @@ def test_exact_bracket_running_sum_through_zero_keeps_its_place():
     assert exact_items(out) == exact_items(reference_bracket(f, g, lay))
 
 
+# A product of two purely imaginary coefficients is real: with floats its
+# imaginary part is a signed zero, with Gaussian rationals it is exact.
+# bracket must coerce such values where the triple loop does.
+
+def imaginary_layout_jet(rng, layout, trunc, n_terms, gaussian,
+                         real_share=0.0):
+    """Jet of purely imaginary coefficients b i, b in +-1/2, +-1, +-2: float
+    ones with real part +0.0 or -0.0, or ComplexRationals; real_share of
+    the terms get a real part +-1 instead.  Built from a dict, since a sum
+    would turn -0.0 into 0.0."""
+    coeffs = {}
+    for _ in range(n_terms):
+        idx = tuple(int(e) for e in rng.multinomial(
+            int(rng.integers(0, trunc + 1)),
+            [1 / layout.num_vars] * layout.num_vars))
+        b = float(rng.choice([-2, -1, -0.5, 0.5, 1, 2]))
+        re = float(rng.choice([1.0, -1.0] if rng.random() < real_share
+                              else [0.0, -0.0]))
+        coeffs[idx] = (ComplexRational(int(re), Fraction(b)) if gaussian
+                       else complex(re, b))
+    return Jet(layout.num_vars, trunc, coeffs, blocks=layout.blocks)
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+@pytest.mark.parametrize("case", range(10))
+def test_bracket_of_imaginary_jets_equals_the_triple_loop(case, gaussian):
+    rng = np.random.default_rng(6000 + case)
+    lay = SymplecticLayout(BRACKET_PAIRS[case % len(BRACKET_PAIRS)])
+    N = int(rng.integers(3, 7))
+    f, g = (imaginary_layout_jet(rng, lay, N, 14, gaussian)
+            for _ in range(2))
+    h = imaginary_layout_jet(rng, lay, N, 14, gaussian, real_share=1 / 3)
+    pairs = [(f, g), (g, f), (f, h), (h, f)]
+    if not gaussian:    # against a real float jet
+        real = Jet(lay.num_vars, N, {i: c.imag for i, c in g.coeffs.items()},
+                   blocks=lay.blocks)
+        pairs += [(f, real), (real, f)]
+    for a, b in pairs:
+        out = bracket(a, b, lay)
+        want = reference_bracket(a, b, lay)
+        if gaussian:
+            assert exact_items(out) == exact_items(want)
+        else:
+            assert float_bits(out) == float_bits(want)
+    if gaussian:    # {f, g} of two imaginary jets turned real
+        out = bracket(f, g, lay)
+        assert out and all(isinstance(c, Fraction)
+                           for c in out.coeffs.values())
+
+
 def _sympy_scalar(c):
     if isinstance(c, ComplexRational):
         return _sympy_scalar(c.re) + sympy.I * _sympy_scalar(c.im)

@@ -1,16 +1,20 @@
 """Capture what one kamtori checkout computes, for a before/after diff.
 
-    python3 tools/capture_outputs.py DIR
+    python3 tools/capture_outputs.py DIR [SECTION ...]
 
-Runs the checkout this script lives in (its ``src/``) and writes:
+Runs the checkout this script lives in (its ``src/``) and writes the
+named sections (cli, engine, algebra, jets, torus), all of them by
+default; a before/after comparison runs them all:
 
 - ``DIR/cli/``: a fixed list of ``kamtori`` commands (sigma, bruno,
   strips, density, lattice, birkhoff at n=1 and n=2 with each
   strategy, kam run on a real and on a complex alpha, each in both
   modes; density and strips with rho_k past the float range
-  (``--rho-exp 2000``) in both modes; the ``small-divisors``
-  benchmark's sizes: density on (1, phi) at k=8 with 50 000 samples and
-  both rho shifts, strips at k=8 and sigma at n=3, k=6; sigma, strips
+  (``--rho-exp 2000``) in both modes; float sigma, bruno, strips and
+  density at alpha = (1e308, 1.6e308), whose products <i, alpha> pass
+  the float range; the ``small-divisors`` benchmark's sizes: density
+  on (1, phi) at k=8 with 50 000 samples and both rho shifts, strips
+  at k=8 and sigma at n=3, k=6; sigma, strips
   and density in the sup norm, a float sigma at n=3 and a density ball
   centred away from alpha; one torus scan and one report; and one
   config per option check that the command must refuse, plus a problem
@@ -53,8 +57,11 @@ Runs the checkout this script lives in (its ``src/``) and writes:
   jets at different truncation degrees (some sums cancel to zero or to
   a real value), ``derivative`` and ``truncate`` of complex jets, and
   ``to_float`` of the complex float jets and of the float complex-Morse
-  images for n = 1..3.  Each result is written in storage order with
-  ``float.hex``.
+  images for n = 1..3; and the three kernels, ``__mul__``, ``compose``
+  and ``bracket`` (n = 2), on seeded jets of each of those kinds and on
+  purely imaginary float jets whose real parts are +0.0 or -0.0, alone
+  and with real float partners.  Each result is written in storage order
+  with ``float.hex``.
 
 Capture two checkouts into two directories; ``diff -r A B`` then lists
 every difference in behaviour.
@@ -79,7 +86,8 @@ from kamtori.birkhoff import (COMPLEX_MORSE, REAL_ELLIPTIC,  # noqa: E402
 from kamtori.jets import ComplexRational, Jet  # noqa: E402
 from kamtori.kamengine import (KamProblem, fiber_normalize,  # noqa: E402
                                hadamard_quasi_inverse, kam_iterate)
-from kamtori.poisson import SymplecticLayout, check_symplectic  # noqa: E402
+from kamtori.poisson import (SymplecticLayout, bracket,  # noqa: E402
+                             check_symplectic)
 from kamtori.torusverify import torus_scan  # noqa: E402
 
 F1 = Fraction(1)
@@ -186,6 +194,15 @@ def cli_commands():
                                               "0.1", "--samples", "10"]),
             (f"strips-rho-overflow-{mode}", ["strips", *m, "--r", r]),
         ]
+    # float products <i, alpha> past the float range from radius 1 on
+    edge = ["--alpha", "1e308,1.6e308", "--mode", "float", "--kmax", "2"]
+    cmds += [
+        ("sigma-float-range", ["sigma", *edge]),
+        ("bruno-float-range", ["bruno", *edge]),
+        ("strips-float-range", ["strips", *edge, "--r", "0.1"]),
+        ("density-float-range", ["density", *edge, "--radii", "0.1",
+                                 "--samples", "10"]),
+    ]
     cmds += [
         ("torus-scan", ["torus", "scan", "--H", "h2.json", "--r", "0.05",
                         "--samples", "4", "--steps", "512", "--seed", "5",
@@ -498,7 +515,8 @@ def capture_algebra(out):
 def random_value(rng, kind):
     """A seeded coefficient: "exact" a Fraction, "gaussian" a
     ComplexRational (a quarter of them real), "float" a float, "complex"
-    a complex (a quarter of them real, a quarter imaginary)."""
+    a complex (a quarter of them real, a quarter imaginary), "imaginary"
+    a complex whose real part is +0.0 or -0.0."""
     def frac():
         return Fraction(rng.choice([v for v in range(-9, 10) if v]),
                         rng.randint(1, 9))
@@ -509,18 +527,22 @@ def random_value(rng, kind):
         return ComplexRational(frac(), 0 if roll == 0 else frac())
     if kind == "float":
         return rng.uniform(-1, 1)
+    if kind == "imaginary":
+        return complex(-0.0 if roll % 2 else 0.0, rng.uniform(-1, 1))
     return complex(0.0 if roll == 1 else rng.uniform(-1, 1),
                    0.0 if roll == 0 else rng.uniform(-1, 1))
 
 
-def random_jet(rng, kind, N, num_vars=3, terms=12):
-    """Up to `terms` seeded monomials of degree <= N with `kind` values."""
+def random_jet(rng, kind, N, num_vars=3, terms=12, low=0, trunc=None,
+               blocks=None):
+    """`terms` seeded monomials of degree low..N with `kind` values, at
+    truncation degree trunc (default N)."""
     coeffs = {}
     while len(coeffs) < terms:
         idx = tuple(rng.randint(0, N) for _ in range(num_vars))
-        if sum(idx) <= N:
+        if low <= sum(idx) <= N:
             coeffs[idx] = random_value(rng, kind)
-    return Jet(num_vars, N, coeffs)
+    return Jet(num_vars, N if trunc is None else trunc, coeffs, blocks=blocks)
 
 
 def cancelling_partner(rng, jet, kind, N):
@@ -538,9 +560,9 @@ def cancelling_partner(rng, jet, kind, N):
                            else ComplexRational(part, -im))
         else:
             coeffs[idx] = -v
-    for idx, v in random_jet(rng, kind, N).coeffs.items():
+    for idx, v in random_jet(rng, kind, N, jet.num_vars).coeffs.items():
         coeffs.setdefault(idx, v)
-    return Jet(jet.num_vars, N, coeffs)
+    return Jet(jet.num_vars, N, coeffs, blocks=jet.blocks)
 
 
 SCALARS = {
@@ -586,6 +608,40 @@ def jet_cases():
         for k, image in enumerate(morse_substitution(n, 4, mode="float")):
             cases.append((f"to-float-morse-n{n}-image{k}",
                           lambda image=image: image.to_float()))
+    return cases + kernel_cases()
+
+
+def kernel_cases():
+    """(name, call) pairs of __mul__, compose and bracket.  An "imaginary"
+    jet also meets "float" partners, whose products have signed-zero real
+    parts; partners share keys with the first operand, so sums cancel."""
+    cases = []
+    for kind in ("exact", "gaussian", "float", "complex", "imaginary"):
+        other = "float" if kind == "imaginary" else kind
+        for seed in (1, 2):
+            rng = random.Random(f"kernel-{kind}-{seed}")
+            f = random_jet(rng, kind, 3, trunc=5)
+            for N in (3, 5):
+                g = cancelling_partner(rng, f, kind, N)
+                h = random_jet(rng, other, 3, trunc=N)
+                for tag, a, b in (("fg", f, g), ("gf", g, f), ("ff", f, f),
+                                  ("fh", f, h), ("hf", h, f)):
+                    cases.append((f"mul-{kind}-seed{seed}-N{N}-{tag}",
+                                  lambda a=a, b=b: a * b))
+            outer = random_jet(rng, kind, 3, terms=8, trunc=4)
+            for m in (1, 2):
+                args = [random_jet(rng, (kind, other)[k % 2], 3, 2, 4, low=m,
+                                   trunc=5) for k in range(3)]
+                cases.append((f"compose-{kind}-seed{seed}-ord{m}",
+                              lambda outer=outer, args=args:
+                              outer.compose(args)))
+            f4, h4 = (random_jet(rng, k, 3, 4, trunc=5, blocks=LAY2.blocks)
+                      for k in (kind, other))
+            g4 = cancelling_partner(rng, f4, kind, 5)
+            for tag, a, b in (("fg", f4, g4), ("gf", g4, f4), ("fh", f4, h4),
+                              ("hf", h4, f4)):
+                cases.append((f"bracket-{kind}-seed{seed}-{tag}",
+                              lambda a=a, b=b: bracket(a, b, LAY2)))
     return cases
 
 
@@ -659,19 +715,25 @@ def capture_torus(out, bits):
         (bits / f"{name}.txt").write_text("\n".join(lines) + "\n")
 
 
+SECTIONS = {
+    "cli": lambda out: capture_cli(out / "cli"),
+    "engine": lambda out: capture_engine(out / "engine"),
+    "algebra": lambda out: capture_algebra(out / "algebra"),
+    "jets": lambda out: capture_jets(out / "jets"),
+    "torus": lambda out: capture_torus(out / "torus", out / "torus-bits"),
+}
+
+
 def main(argv):
-    if len(argv) != 1:
+    if not argv or not set(argv[1:]) <= SECTIONS.keys():
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     out = Path(argv[0])
     if out.exists():
         print(f"{out} exists; pick a new directory", file=sys.stderr)
         return 2
-    capture_cli(out / "cli")
-    capture_engine(out / "engine")
-    capture_algebra(out / "algebra")
-    capture_jets(out / "jets")
-    capture_torus(out / "torus", out / "torus-bits")
+    for name in dict.fromkeys(argv[1:]) or SECTIONS:
+        SECTIONS[name](out)
     return 0
 
 
