@@ -483,15 +483,16 @@ def _rows_near(head, start, top, y, reach, radius):
     zero y keeps every row.  Returns the new (start, top); a row with
     start > top is empty.  The one float bound on `pts @ y`: `sigma`
     cuts at |y_n|, `density_estimate` at the largest screen bound.
-    ValueError when n · radius · sum |y_j|, which bounds every such
-    product and its partial sums, is not finite.
+    ValueError when radius · sum |y_j|, which bounds every such product
+    and its partial sums, is not finite once widened by their rounding
+    (a factor 1 + n · 2^-52).
     """
     with np.errstate(over="ignore"):
         total = float(np.abs(y).sum())
-    if not math.isfinite(len(y) * radius * total):
+    if not math.isfinite(radius * total * (1 + len(y) * 2.0 ** -52)):
         raise ValueError(
             f"float products <i, y> with |i_j| <= {radius} can pass the "
-            "float range: n * radius * sum |y_j| is not finite")
+            "float range: radius * sum |y_j| with its rounding is not finite")
     c = head @ y[:-1]
     a = y[-1]
     error = len(y) * 2.0 ** -52 * radius * total

@@ -516,8 +516,12 @@ class Jet:
         _finish reduces each result coefficient once, as Fraction(n, D_0
         · L).  A zero numerator is a zero value, so the same keys drop at
         the same places.  Float and ComplexRational coefficients run the
-        same loops on their values, each sum and product coerced to the
-        mode as it is made.
+        same loops on their values; each partial product is coerced to
+        the mode as it is made, since a complex with a zero imaginary
+        part multiplies into a different zero sign than a float, and
+        _finish coerces the sums once.  Sums need no earlier coercion:
+        their real parts add the same either way, and their imaginary
+        parts differ only in the sign of a zero that _finish drops.
         """
         args = list(args)
         if len(args) != self.num_vars:
@@ -581,12 +585,12 @@ class Jet:
             if exact:
                 value *= common // den
             for key, v in term.items():
-                v = v * value if exact else _coerce(v * value, mode)
+                v = v * value
                 if v == 0:
                     continue
                 cur = acc.get(key)
                 if cur is not None:
-                    v = cur + v if exact else _coerce(cur + v, mode)
+                    v = cur + v
                     if v == 0:
                         del acc[key]
                         continue

@@ -490,7 +490,7 @@ FLOAT_EDGE = [1e308, 1.6e308]     # |<i, alpha>| passes the float range
 @pytest.mark.filterwarnings("error")
 def test_float_small_divisors_past_the_float_range_are_refused():
     # i = (3, -2) gives 2e307 exactly, but the ball's float products
-    # overflow; n * radius * sum |alpha_j| is not finite at radius 4
+    # overflow; radius * sum |alpha_j| is not finite at radius 4
     with pytest.raises(ValueError, match="float range"):
         sigma(FLOAT_EDGE, 2)
     with pytest.raises(ValueError, match="float range"):
@@ -502,6 +502,18 @@ def test_float_small_divisors_past_the_float_range_are_refused():
     pts = np.array([(a, b) for a in range(-4, 5) for b in range(-4, 5)
                     if (a, b) != (0, 0) and a * a + b * b <= 16])
     assert sigma(alpha, 2)[2] == float(np.abs(pts @ np.array(alpha)).min())
+
+
+@pytest.mark.filterwarnings("error")
+def test_float_small_divisors_near_the_float_range_are_kept():
+    # every product <i, alpha> with |i_j| <= 2 is finite (radius * sum
+    # |alpha_j| = 1.2e308), though n * radius * sum |alpha_j| is not, so
+    # sigma still equals the whole ball's minimum
+    alpha = [4e307, 2e307]
+    pts = np.array([(a, b) for a in range(-2, 3) for b in range(-2, 3)
+                    if (a, b) != (0, 0) and a * a + b * b <= 4])
+    assert sigma(alpha, 1)[1] == float(np.abs(pts @ np.array(alpha)).min())
+    assert list(sigma(alpha, 1)) == [2e307, 2e307]
 
 
 def test_density_sample_arrays_are_bounded_before_sampling(monkeypatch):

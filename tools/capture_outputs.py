@@ -1,10 +1,8 @@
 """Capture what one kamtori checkout computes, for a before/after diff.
 
-    python3 tools/capture_outputs.py DIR [SECTION ...]
+    python3 tools/capture_outputs.py DIR
 
-Runs the checkout this script lives in (its ``src/``) and writes the
-named sections (cli, engine, algebra, jets, torus), all of them by
-default; a before/after comparison runs them all:
+Runs the checkout this script lives in (its ``src/``) and writes:
 
 - ``DIR/cli/``: a fixed list of ``kamtori`` commands (sigma, bruno,
   strips, density, lattice, birkhoff at n=1 and n=2 with each
@@ -715,25 +713,19 @@ def capture_torus(out, bits):
         (bits / f"{name}.txt").write_text("\n".join(lines) + "\n")
 
 
-SECTIONS = {
-    "cli": lambda out: capture_cli(out / "cli"),
-    "engine": lambda out: capture_engine(out / "engine"),
-    "algebra": lambda out: capture_algebra(out / "algebra"),
-    "jets": lambda out: capture_jets(out / "jets"),
-    "torus": lambda out: capture_torus(out / "torus", out / "torus-bits"),
-}
-
-
 def main(argv):
-    if not argv or not set(argv[1:]) <= SECTIONS.keys():
+    if len(argv) != 1:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     out = Path(argv[0])
     if out.exists():
         print(f"{out} exists; pick a new directory", file=sys.stderr)
         return 2
-    for name in dict.fromkeys(argv[1:]) or SECTIONS:
-        SECTIONS[name](out)
+    capture_cli(out / "cli")
+    capture_engine(out / "engine")
+    capture_algebra(out / "algebra")
+    capture_jets(out / "jets")
+    capture_torus(out / "torus", out / "torus-bits")
     return 0
 
 
