@@ -483,9 +483,8 @@ def _rows_near(head, start, top, y, reach, radius):
     zero y keeps every row.  Returns the new (start, top); a row with
     start > top is empty.  The one float bound on `pts @ y`: `sigma`
     cuts at |y_n|, `density_estimate` at the largest screen bound.
-    ValueError when radius · sum |y_j|, which bounds every such product
-    and its partial sums, is not finite once widened by their rounding
-    (a factor 1 + n · 2^-52).
+    ValueError when radius · sum |y_j| · (1 + n · 2^-52), a bound on
+    every such product and its partial sums, is not finite.
     """
     with np.errstate(over="ignore"):
         total = float(np.abs(y).sum())

@@ -516,12 +516,9 @@ class Jet:
         _finish reduces each result coefficient once, as Fraction(n, D_0
         · L).  A zero numerator is a zero value, so the same keys drop at
         the same places.  Float and ComplexRational coefficients run the
-        same loops on their values; each partial product is coerced to
-        the mode as it is made, since a complex with a zero imaginary
-        part multiplies into a different zero sign than a float, and
-        _finish coerces the sums once.  Sums need no earlier coercion:
-        their real parts add the same either way, and their imaginary
-        parts differ only in the sign of a zero that _finish drops.
+        same loops on their values, partial products coerced as they are
+        made (complex(x, -0.0) and x multiply to other zero signs), sums once
+        by _finish (they differ only in the sign of a zero imaginary part).
         """
         args = list(args)
         if len(args) != self.num_vars:
