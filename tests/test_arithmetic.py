@@ -496,24 +496,14 @@ def test_float_small_divisors_past_the_float_range_are_refused():
     with pytest.raises(ValueError, match="float range"):
         density_estimate(None, FLOAT_EDGE, DecaySequence([1.0] * 3),
                          DecaySequence([1.0] * 3), 0.1, 10, 2, seed=1)
-    # a hundredth of it stays within the range at radius 4, and sigma
-    # equals the whole box's minimum
-    alpha = [1e306, 1.6e306]
-    pts = np.array([(a, b) for a in range(-4, 5) for b in range(-4, 5)
-                    if (a, b) != (0, 0) and a * a + b * b <= 16])
-    assert sigma(alpha, 2)[2] == float(np.abs(pts @ np.array(alpha)).min())
-
-
-@pytest.mark.filterwarnings("error")
-def test_float_small_divisors_near_the_float_range_are_kept():
-    # every product <i, alpha> with |i_j| <= 2 is finite (radius * sum
-    # |alpha_j| = 1.2e308), though n * radius * sum |alpha_j| is not, so
-    # sigma still equals the whole ball's minimum
-    alpha = [4e307, 2e307]
-    pts = np.array([(a, b) for a in range(-2, 3) for b in range(-2, 3)
-                    if (a, b) != (0, 0) and a * a + b * b <= 4])
-    assert sigma(alpha, 1)[1] == float(np.abs(pts @ np.array(alpha)).min())
-    assert list(sigma(alpha, 1)) == [2e307, 2e307]
+    # a hundredth of it stays within the range at radius 4, and so do
+    # the products at radius 2 of (4e307, 2e307), though n * radius *
+    # sum |alpha_j| does not: sigma equals the whole ball's minimum
+    for alpha, k, r in (([1e306, 1.6e306], 2, 4), ([4e307, 2e307], 1, 2)):
+        pts = np.array([(a, b) for a in range(-r, r + 1)
+                        for b in range(-r, r + 1)
+                        if (a, b) != (0, 0) and a * a + b * b <= r * r])
+        assert sigma(alpha, k)[k] == float(np.abs(pts @ np.array(alpha)).min())
 
 
 def test_density_sample_arrays_are_bounded_before_sampling(monkeypatch):
