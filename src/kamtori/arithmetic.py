@@ -508,18 +508,24 @@ def _rows_near(head, start, top, y, reach, radius):
 
 
 def _cell_blocks(Y):
-    """Index arrays of at most _BLOCK rows of Y, each from one cell of a
-    grid over Y's bounding box with about _BLOCK rows per cell."""
+    """Y's rows stably sorted by cell of a grid over Y's bounding box with
+    about _BLOCK rows per cell, and the bounds of its blocks: block b is
+    rows bounds[b]:bounds[b + 1], at most _BLOCK rows of one cell.  The
+    cell keys take the narrowest integer type, so numpy radix-sorts them
+    up to 16 bits."""
     d = Y.shape[1]
-    lo, hi = Y.min(axis=0), Y.max(axis=0)
+    lo, hi = np.array([(col.min(), col.max()) for col in Y.T]).T
     side = max(1, math.ceil((len(Y) / _BLOCK) ** (1 / d)))
     span = np.where(hi > lo, hi - lo, 1.0)
-    cell = np.minimum(((Y - lo) / span * side).astype(np.int64), side - 1)
-    key = np.ravel_multi_index(tuple(cell.T), (side,) * d)
-    order = np.argsort(key, kind="stable")
-    for members in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
-        for start in range(0, len(members), _BLOCK):
-            yield members[start:start + _BLOCK]
+    key = np.ravel_multi_index(tuple(np.minimum(
+        ((Y - lo) / span * side).astype(np.int64), side - 1).T), (side,) * d)
+    order = np.argsort(key.astype(np.min_scalar_type(side ** d - 1)),
+                       kind="stable")
+    # a block opens at every _BLOCK-th row of a cell
+    key = key[order]
+    offset = np.arange(len(Y)) - np.searchsorted(key, key)
+    bounds = np.r_[np.flatnonzero(offset % _BLOCK == 0), len(Y)]
+    return Y[order], bounds
 
 
 def _levels(terms):
@@ -546,13 +552,13 @@ def density_estimate(f, x0, a: DecaySequence, rho: DecaySequence, r,
     f(x0), R_img the largest sampled |y - y0|.  The screen never lists
     the ball: `_rows_near` keeps, per `_ball_rows` row, the last
     coordinates that come within the largest such bound, and only those
-    are expanded and screened, in lexicographic order.  The samples are
-    then taken in blocks of at most _BLOCK from one grid cell each; per
-    block the active indices are screened again against the block's own
-    centre and radius (plus the rounding of the two products compared),
-    and the rest are tested by _CHUNK indices at a time, so the
-    temporaries stay within one block by one chunk whatever `samples`
-    is.  The fraction counts samples, so it does not depend on the order.
+    are expanded and screened, in lexicographic order.  `_cell_blocks`
+    sorts the samples into blocks of at most _BLOCK from one grid cell
+    each.  The active indices are screened again against each block's
+    centre and radius (plus the rounding of the two products compared)
+    for a group of blocks at once, and the rest are tested by _CHUNK at a
+    time, so no such temporary passes one block by one chunk.  The
+    fraction counts samples, so it does not depend on the order.
     Sample arrays (about 4 · samples · d floats, d the larger map
     dimension) over _SAMPLE_BYTES_LIMIT raise BudgetExceededError first.
     """
@@ -581,8 +587,8 @@ def density_estimate(f, x0, a: DecaySequence, rho: DecaySequence, r,
     levels = _levels(float(b[k]) for k in range(k_max + 1))
 
     rng = np.random.Generator(np.random.Philox(seed))
-    X = _uniform_ball(rng, x0, float(r), samples)
-    Y = X if f.is_identity else f(X)
+    Y = _uniform_ball(rng, x0, float(r), samples)
+    Y = Y if f.is_identity else f(Y)
     y0 = x0 if f.is_identity else f(x0[None, :])[0]
     y0 = np.asarray(y0, dtype=float)
     r_img = float(np.sqrt(((Y - y0) ** 2).sum(axis=1)).max(initial=0.0))
@@ -605,25 +611,33 @@ def density_estimate(f, x0, a: DecaySequence, rho: DecaySequence, r,
     pts_a, t_a, norms_a = pts[active], t_i[active], norms[active]
     spread = np.abs(pts_a).sum(axis=1) * (n * 2.0 ** -50)
 
-    # a sample drops out at its first failed chunk
+    Y, bounds = _cell_blocks(Y)
+    starts = bounds[:-1]
+    centres = 0.5 * (np.minimum.reduceat(Y, starts)
+                     + np.maximum.reduceat(Y, starts))
+    r_b = np.maximum.reduceat(np.sqrt(((
+        Y - np.repeat(centres, np.diff(bounds), axis=0)) ** 2).sum(axis=1)),
+        starts)
+    # the screen on each block's own ball, plus the rounding of the two
+    # products it compares: coordinates are within max|centre_j| + r_b
+    group = max(1, _BLOCK * _CHUNK // max(1, len(pts_a)))
     alive_total = 0
-    for block in _cell_blocks(Y):
-        Yb = Y[block]
-        centre = 0.5 * (Yb.min(axis=0) + Yb.max(axis=0))
-        r_b = np.sqrt(((Yb - centre) ** 2).sum(axis=1)).max()
-        # the screen on the block's own ball, plus the rounding of the two
-        # products it compares: coordinates are within max|centre_j| + r_b
-        near = np.abs(pts_a @ centre) < (
-            t_a + r_b * norms_a * (1 + 1e-12) + 1e-15
-            + (np.abs(centre).max() + r_b) * spread)
-        P_b, T_b = pts_a[near], t_a[near]
-        for cstart in range(0, len(P_b), _CHUNK):
-            P = P_b[cstart:cstart + _CHUNK]
-            T = T_b[cstart:cstart + _CHUNK]
-            Yb = Yb[(np.abs(Yb @ P.T) >= T).all(axis=1)]
-            if not len(Yb):
-                break
-        alive_total += len(Yb)
+    for g in range(0, len(starts), group):
+        C, R = centres[g:g + group], r_b[g:g + group, None]
+        near = np.abs(C @ pts_a.T) < (
+            t_a + R * norms_a * (1 + 1e-12) + 1e-15
+            + (np.abs(C).max(axis=1, keepdims=True) + R) * spread)
+        for b, keep in enumerate(near, g):
+            Yb = Y[bounds[b]:bounds[b + 1]]
+            P_b, T_b = pts_a[keep], t_a[keep]
+            # a sample drops out at its first failed chunk
+            for cstart in range(0, len(P_b), _CHUNK):
+                P = P_b[cstart:cstart + _CHUNK]
+                T = T_b[cstart:cstart + _CHUNK]
+                Yb = Yb[(np.abs(Yb @ P.T) >= T).all(axis=1)]
+                if not len(Yb):
+                    break
+            alive_total += len(Yb)
 
     return DensityReport(
         radius=float(r),

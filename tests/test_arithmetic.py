@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -261,6 +262,14 @@ def test_sigma_rejects_empty_vector():
         sigma([], 2)
 
 
+@pytest.mark.parametrize("alpha", [[1, PHI_EXACT], [1.0, PHI]])
+def test_sigma_refuses_a_negative_order_and_an_unknown_norm(alpha):
+    with pytest.raises(ValueError, match="k_max must be >= 0"):
+        sigma(alpha, -1)
+    with pytest.raises(ValueError, match="unknown norm 'l1'"):
+        sigma(alpha, 2, norm="l1")
+
+
 # --- bruno ---------------------------------------------------------------------
 
 def test_bruno_all_ones():
@@ -472,6 +481,81 @@ def test_density_rows_match_brute_force_oracle():
                                                  norm="sup")
 
 
+def test_density_in_three_dimensions_matches_brute_force_oracle():
+    # 5000 samples put a 3 x 3 x 3 cell grid over the image, so the cell
+    # keys of all three coordinates and their narrow sort are exercised
+    k_max, samples = 3, 5000
+    alpha = [1, PHI_EXACT, Fraction(1393, 985)]
+    x, y, z = (Jet.variable(i, 3, 3) for i in range(3))
+    fmap = SmoothMap.polynomial([x + (y * z).scale(Fraction(1, 8)),
+                                 y - (x * z).scale(Fraction(1, 16)),
+                                 z + (x * y).scale(Fraction(1, 8))])
+    for norm in ("euclidean", "sup"):
+        s = sigma(alpha, k_max, norm=norm)
+        for f in (None, fmap):
+            for x0, r, rho_0 in ((alpha, 0.05, Fraction(1, 4)),
+                                 ((1.05, 1.5, 1.4), 0.1, Fraction(1, 8)),
+                                 (alpha, 0.2, Fraction(1, 2))):
+                rho = DecaySequence([rho_0] * (k_max + 1))
+                rep = density_estimate(f, x0, s, rho, r, samples, k_max,
+                                       seed=9, norm=norm)
+                got = (rep.fraction_in_class, rep.active_constraints,
+                       rep.center_passes)
+                assert got == density_oracle(f, x0, s, rho, r, samples,
+                                             k_max, seed=9, norm=norm)
+                assert 0 < rep.fraction_in_class < 1
+
+
+def test_density_screen_groups_match_brute_force_oracle(monkeypatch):
+    # with 8-sample blocks and 16-index chunks a group of blocks is
+    # 128 // active blocks: one block at a time when more than 64
+    # indices are active, several otherwise, and always more than one
+    # group in 1000 samples
+    k_max, samples = 6, 1000
+    s = sigma([1, PHI_EXACT], k_max)
+    x, y = Jet.variable(0, 2, 3), Jet.variable(1, 2, 3)
+    fmap = SmoothMap.polynomial([x + (y * y).scale(Fraction(1, 8)),
+                                 y - (x * y).scale(Fraction(1, 16))])
+    cases = [(f, rho_0, r) for f in (None, fmap)
+             for rho_0, r in ((Fraction(1, 4), 0.3), (Fraction(1, 4), 0.02),
+                              (Fraction(1, 64), 0.01))]
+    fractions = {}
+    for block in (1, 7, 256, 8):
+        monkeypatch.setattr(arithmetic, "_BLOCK", block)
+        monkeypatch.setattr(arithmetic, "_CHUNK", 16 if block == 8 else 256)
+        fractions[block] = [density_estimate(
+            f, [1, PHI_EXACT], s, DecaySequence([rho_0] * (k_max + 1)), r,
+            samples, k_max, seed=4).fraction_in_class for f, rho_0, r in cases]
+    assert fractions[1] == fractions[7] == fractions[256] == fractions[8]
+    groups = set()
+    for f, rho_0, r in cases:
+        rho = DecaySequence([rho_0] * (k_max + 1))
+        rep = density_estimate(f, [1, PHI_EXACT], s, rho, r, samples, k_max,
+                               seed=4)
+        assert (rep.fraction_in_class, rep.active_constraints,
+                rep.center_passes) == density_oracle(f, [1, PHI_EXACT], s,
+                                                     rho, r, samples, k_max,
+                                                     seed=4)
+        groups.add(max(1, 8 * 16 // rep.active_constraints))
+    assert 1 in groups and max(groups) > 1 and samples // 8 > max(groups)
+
+
+@pytest.mark.parametrize("alpha", [[1, PHI_EXACT],
+                                   [1, PHI_EXACT, Fraction(1393, 985)]])
+def test_density_peak_memory_is_within_its_estimate(alpha):
+    # the refusal assumes about 4 * samples * d floats at once
+    samples, d = 400_000, len(alpha)
+    s = sigma(alpha, 3)
+    rho = DecaySequence([Fraction(1, 4)] * 4)
+    tracemalloc.start()
+    try:
+        density_estimate(None, alpha, s, rho, 0.05, samples, 3, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 4 * samples * d * 8
+
+
 def test_density_rejects_bad_inputs():
     s = sigma([1, PHI_EXACT], 3)
     rho = DecaySequence([1] * 4)
@@ -553,6 +637,11 @@ def test_flow_and_shortest_refuses_lengths_past_the_float_range(t):
     # length e^360 ||c|| overflows
     with pytest.raises(ValueError, match=f"at t={t}( |$)"):
         flow_and_shortest(lattice_basis([1, 1.6]), t, 64)
+
+
+def test_flow_and_shortest_refuses_an_empty_coefficient_box():
+    with pytest.raises(ValueError, match="coeff_bound must be >= 1"):
+        flow_and_shortest(lattice_basis([1, PHI_EXACT]), 0, 0)
 
 
 def test_flow_and_shortest_keeps_a_finite_shortest_length():

@@ -12,10 +12,10 @@ Runs the checkout this script lives in (its ``src/``) and writes:
   density at alpha = (1e308, 1.6e308), whose products <i, alpha> pass
   the float range; the ``small-divisors`` benchmark's sizes: density
   on (1, phi) at k=8 with 50 000 samples and both rho shifts, strips
-  at k=8 and sigma at n=3, k=6; sigma, strips
-  and density in the sup norm, a float sigma at n=3 and a density ball
-  centred away from alpha; one torus scan and one report; and one
-  config per option check that the command must refuse, plus a problem
+  at k=8 and sigma at n=3, k=6; sigma, strips and density in the sup
+  norm, a float sigma at n=3, a density ball centred away from alpha
+  and a density at n=3; one torus scan and one report; and one config
+  per option check that the command must refuse, plus a problem
   file whose model "a" disagrees with its alpha and one with a zero
   alpha component), run one at a time in that directory.  Per command
   NAME it keeps ``NAME.stdout``, ``NAME.stderr`` and ``NAME.exit``, next
@@ -163,8 +163,9 @@ def cli_commands():
         ("sigma-n3-k6", ["sigma", "--alpha", "1,1.618,-0.7071",
                          "--kmax", "6"]),
     ]
-    # the small-divisor row paths in the sup norm, float sigma at n = 3
-    # and a density ball centred away from alpha
+    # the small-divisor row paths in the sup norm, float sigma at n = 3,
+    # a density ball centred away from alpha and a density on the 3-d
+    # cell grid
     sup = ["--norm", "sup"]
     cmds += [
         ("sigma-sup", ["sigma", *ALPHA, "--kmax", "6", *sup]),
@@ -181,6 +182,9 @@ def cli_commands():
                                 "--radii", "0.2,0.02", "--samples", "5000",
                                 "--seed", "4", "--center", "1.05,1.5",
                                 "--mode", "float"]),
+        ("density-n3", ["density", "--alpha",
+                        "1,1.6180339887,1.4142135624", "--kmax", "4",
+                        "--radii", "0.1,0.01", "--samples", "20000"]),
     ]
     # rho_k = 2^(2000 k) is past the float range from k = 1 on
     big_rho = ["--kmax", "3", "--rho-exp", "2000"]
