@@ -539,284 +539,6 @@ def test_density_screen_groups_match_brute_force_oracle(monkeypatch):
     assert 1 in groups and max(groups) > 1 and samples // 8 > max(groups)
 
 
-@pytest.mark.parametrize("alpha", [[1, PHI_EXACT], [1.0, PHI]])
-def test_sigma_refuses_a_negative_order_and_an_unknown_norm(alpha):
-    with pytest.raises(ValueError, match="k_max must be >= 0"):
-        sigma(alpha, -1)
-    with pytest.raises(ValueError, match="unknown norm 'l1'"):
-        sigma(alpha, 2, norm="l1")
-
-
-# --- bruno ---------------------------------------------------------------------
-
-def test_bruno_all_ones():
-    rep = bruno_diagnostic(DecaySequence([1] * 7), 6)
-    assert rep.partial_sum == 0.0
-    ps, verdict = rep  # tuple protocol
-    assert (ps, verdict) == (0.0, "inconclusive")
-
-
-def test_bruno_geometric_closed_form():
-    # a_k = 2^-k: S_K = log2 * sum k/2^k = log2 * (2 - (K+2)/2^K)
-    K = 20
-    a = DecaySequence([Fraction(1, 2 ** k) for k in range(K + 1)])
-    rep = bruno_diagnostic(a, K)
-    expected = math.log(2) * (2 - Fraction(K + 2, 2 ** K))
-    assert math.isclose(rep.partial_sum, expected, rel_tol=1e-12)
-
-
-def test_bruno_double_exponential_diverges():
-    # a_k = 2^-(4^k): terms 4^k log2 / 2^k = 2^k log2 grow; partial sums
-    # explode
-    a = DecaySequence([Fraction(1, 2 ** 4 ** k) for k in range(4)])
-    rep = bruno_diagnostic(a, 3)
-    assert rep.partial_sum > bruno_diagnostic(a, 2).partial_sum
-
-
-def test_bruno_no_descriptor_inconclusive():
-    a = DecaySequence([Fraction(1, 2), Fraction(1, 4)])
-    assert bruno_diagnostic(a, 1).verdict == "inconclusive"
-
-
-def test_bruno_rejects_nonpositive():
-    a = DecaySequence([1, 0, 0], allow_zero=True)
-    with pytest.raises(NonPositiveTermError):
-        bruno_diagnostic(a, 2)
-
-
-# --- classes --------------------------------------------------------------------
-
-def test_in_class_resonant_false():
-    a = DecaySequence([Fraction(1, 10 ** 6)] * 3)
-    assert not in_class([1, 1], a, 2)
-
-
-def test_decay_sequence_rejects_zero_by_default():
-    with pytest.raises(NonPositiveTermError):
-        DecaySequence([1, 0])
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_decay_sequence_rejects_a_non_finite_term(bad):
-    # NaN passes every sign test, so it used to be stored and skipped by
-    # bruno_diagnostic
-    with pytest.raises(NonPositiveTermError):
-        DecaySequence([1.0, bad, 0.5])
-    with pytest.raises(NonPositiveTermError):
-        DecaySequence([1.0, bad], allow_zero=True)
-
-
-def test_in_class_half_sigma_true():
-    s = sigma([1, PHI_EXACT], 6)
-    half = DecaySequence([v / 2 for v in s])
-    assert in_class([1, PHI_EXACT], half, 6)
-
-
-def test_alpha_in_its_own_sigma_class():
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        alpha = [float(x) + 0.1 for x in np.abs(rng.normal(size=2))]
-        s = sigma(alpha, 5)
-        if any(v == 0 for v in s):
-            continue
-        assert in_class(alpha, DecaySequence(list(s)), 5)
-
-
-# --- density ---------------------------------------------------------------------
-
-def test_density_center_always_passes():
-    s = sigma([1, PHI_EXACT], 4)
-    rho = DecaySequence([1] * 5)
-    rep = density_estimate(None, [1, PHI_EXACT], s, rho, 0.05, 2000, 4, seed=7)
-    assert rep.center_passes
-    assert 0.0 <= rep.fraction_in_class <= 1.0
-
-
-def test_density_huge_thresholds_fraction_zero():
-    a = DecaySequence([Fraction(10 ** 9)] * 4)
-    rho = DecaySequence([1] * 4)
-    rep = density_estimate(None, [1, PHI_EXACT], a, rho, 0.1, 500, 3, seed=11)
-    assert rep.fraction_in_class == 0.0
-    assert not rep.center_passes
-
-
-def test_density_deterministic_per_seed():
-    s = sigma([1, PHI_EXACT], 5)
-    rho = DecaySequence([Fraction(1, 64) ** (k + 1) for k in range(6)])
-    r1 = density_estimate(None, [1, PHI_EXACT], s, rho, 0.01, 3000, 5, seed=99)
-    r2 = density_estimate(None, [1, PHI_EXACT], s, rho, 0.01, 3000, 5, seed=99)
-    assert r1.fraction_in_class == r2.fraction_in_class
-    r3 = density_estimate(None, [1, PHI_EXACT], s, rho, 0.01, 3000, 5, seed=100)
-    assert r1.rng_seed != r3.rng_seed
-
-
-def test_density_polynomial_identity_matches_builtin():
-    s = sigma([1, PHI_EXACT], 4)
-    rho = DecaySequence([Fraction(1, 64) ** (k + 1) for k in range(5)])
-    jets = [Jet.variable(0, 2, 3), Jet.variable(1, 2, 3)]
-    fmap = SmoothMap.polynomial(jets)
-    r1 = density_estimate(None, [1, PHI_EXACT], s, rho, 0.02, 4000, 4, seed=5)
-    r2 = density_estimate(fmap, [1, PHI_EXACT], s, rho, 0.02, 4000, 4, seed=5)
-    assert r1.fraction_in_class == r2.fraction_in_class
-
-
-def test_density_shifted_rho_saturates():
-    # with rho_k = 2^{-6(k+1)} the center is strictly inside the class and
-    # small balls are entirely captured
-    s = sigma([1, PHI_EXACT], 6)
-    rho = DecaySequence([Fraction(1, 64) ** (k + 1) for k in range(7)])
-    rep = density_estimate(None, [1, PHI_EXACT], s, rho, 0.001, 5000, 6, seed=3)
-    assert rep.fraction_in_class == 1.0
-
-
-def density_oracle(f, x0, a, rho, r, samples, k_max, seed,
-                   norm="euclidean"):
-    """(fraction_in_class, active_constraints, center_passes) by brute
-    force: every index of the box-and-mask half ball with t_i > 0 against
-    every sample, with no screen, no rows and no blocks.  The active
-    count is the screen's definition: indices with |<y0,i>| < t_i +
-    R_img ||i||, up to the screen's rounding slack, R_img the largest
-    sampled |y - y0|."""
-    x0 = np.array([float(c) for c in x0])
-    pts, rank = box_half_ball(len(x0), 2 ** k_max, norm)
-    level = [min(k for k in range(k_max + 1) if q <= 4 ** k) for q in rank]
-    t = np.array([float(a[k] * rho[k]) for k in level])
-    pts, t = pts[t > 0], t[t > 0]
-    X = _uniform_ball(np.random.Generator(np.random.Philox(seed)), x0, r,
-                      samples)
-    Y, y0 = (X, x0) if f is None else (f(X), f(x0[None, :])[0])
-    passes = np.abs(Y @ pts.T) >= t
-    norms = np.sqrt((pts ** 2).sum(axis=1))
-    r_img = np.sqrt(((Y - y0) ** 2).sum(axis=1)).max()
-    margin = t + r_img * norms * (1 + 1e-12) + 1e-15
-    active = np.abs(pts @ y0) < margin
-    # the screen is sound: an index that fails anywhere is active
-    assert active[~passes.all(axis=0)].all()
-    center = bool((np.abs(pts @ y0) >= t).all())
-    return int(passes.all(axis=1).sum()) / samples, int(active.sum()), center
-
-
-def test_density_matches_brute_force_oracle():
-    # 1000 samples is not a multiple of the sample block, and at r = 0.3
-    # the active indices fill more than two chunks, so the last block and
-    # the last chunk are both partial
-    k_max, samples = 6, 1000
-    s = sigma([1, PHI_EXACT], k_max)
-    x, y = Jet.variable(0, 2, 3), Jet.variable(1, 2, 3)
-    fmap = SmoothMap.polynomial([x + (y * y).scale(Fraction(1, 8)),
-                                 y - (x * y).scale(Fraction(1, 16))])
-    seen = set()
-    for f in (None, fmap):
-        for rho_0, r in ((Fraction(1, 4), 0.3), (Fraction(1), 0.3),
-                         (Fraction(1, 4), 0.02)):
-            rho = DecaySequence([rho_0] * (k_max + 1))
-            rep = density_estimate(f, [1, PHI_EXACT], s, rho, r, samples,
-                                   k_max, seed=4)
-            got = (rep.fraction_in_class, rep.active_constraints,
-                   rep.center_passes)
-            assert got == density_oracle(f, [1, PHI_EXACT], s, rho, r,
-                                         samples, k_max, seed=4)
-            seen.add((rep.active_constraints > 2 * _CHUNK,
-                      0 < rep.fraction_in_class < 1))
-    assert samples % _BLOCK and (True, True) in seen
-
-
-def test_density_rows_match_brute_force_oracle():
-    # off-alpha centres, both norms, the identity and a polynomial map:
-    # the row cut, the screen and the per-block screen drop no index that
-    # fails anywhere, and the active count is the screen's
-    k_max, samples = 5, 1500
-    alpha = [1, PHI_EXACT]
-    x, y = Jet.variable(0, 2, 3), Jet.variable(1, 2, 3)
-    fmap = SmoothMap.polynomial([x + (y * y).scale(Fraction(1, 8)),
-                                 y - (x * y).scale(Fraction(1, 16))])
-    seen = set()
-    for norm in ("euclidean", "sup"):
-        s = sigma(alpha, k_max, norm=norm)
-        for f in (None, fmap):
-            for x0, r, rho_0 in (((1.05, 1.5), 0.2, Fraction(1, 4)),
-                                 ((0.9, 1.7), 0.02, Fraction(1, 16)),
-                                 (alpha, 0.3, Fraction(1))):
-                rho = DecaySequence([rho_0] * (k_max + 1))
-                rep = density_estimate(f, x0, s, rho, r, samples, k_max,
-                                       seed=9, norm=norm)
-                got = (rep.fraction_in_class, rep.active_constraints,
-                       rep.center_passes)
-                assert got == density_oracle(f, x0, s, rho, r, samples,
-                                             k_max, seed=9, norm=norm)
-                seen.add((0 < rep.fraction_in_class < 1, rep.center_passes))
-    assert {(True, True), (True, False)} <= seen
-    # with one threshold at every level the cut has to reach the corners
-    # of the sup ball, where ||i|| is sqrt(2) 2^k_max
-    a = DecaySequence([Fraction(1, 10)] * (k_max + 1))
-    rho = DecaySequence([1] * (k_max + 1))
-    rep = density_estimate(None, alpha, a, rho, 0.5, samples, k_max, seed=9,
-                           norm="sup")
-    assert (rep.fraction_in_class, rep.active_constraints,
-            rep.center_passes) == density_oracle(None, alpha, a, rho, 0.5,
-                                                 samples, k_max, seed=9,
-                                                 norm="sup")
-
-
-def test_density_in_three_dimensions_matches_brute_force_oracle():
-    # 5000 samples put a 3 x 3 x 3 cell grid over the image, so the cell
-    # keys of all three coordinates and their narrow sort are exercised
-    k_max, samples = 3, 5000
-    alpha = [1, PHI_EXACT, Fraction(1393, 985)]
-    x, y, z = (Jet.variable(i, 3, 3) for i in range(3))
-    fmap = SmoothMap.polynomial([x + (y * z).scale(Fraction(1, 8)),
-                                 y - (x * z).scale(Fraction(1, 16)),
-                                 z + (x * y).scale(Fraction(1, 8))])
-    for norm in ("euclidean", "sup"):
-        s = sigma(alpha, k_max, norm=norm)
-        for f in (None, fmap):
-            for x0, r, rho_0 in ((alpha, 0.05, Fraction(1, 4)),
-                                 ((1.05, 1.5, 1.4), 0.1, Fraction(1, 8)),
-                                 (alpha, 0.2, Fraction(1, 2))):
-                rho = DecaySequence([rho_0] * (k_max + 1))
-                rep = density_estimate(f, x0, s, rho, r, samples, k_max,
-                                       seed=9, norm=norm)
-                got = (rep.fraction_in_class, rep.active_constraints,
-                       rep.center_passes)
-                assert got == density_oracle(f, x0, s, rho, r, samples,
-                                             k_max, seed=9, norm=norm)
-                assert 0 < rep.fraction_in_class < 1
-
-
-def test_density_screen_groups_match_brute_force_oracle(monkeypatch):
-    # with 8-sample blocks and 16-index chunks a group of blocks is
-    # 128 // active blocks: one block at a time when more than 64
-    # indices are active, several otherwise, and always more than one
-    # group in 1000 samples
-    k_max, samples = 6, 1000
-    s = sigma([1, PHI_EXACT], k_max)
-    x, y = Jet.variable(0, 2, 3), Jet.variable(1, 2, 3)
-    fmap = SmoothMap.polynomial([x + (y * y).scale(Fraction(1, 8)),
-                                 y - (x * y).scale(Fraction(1, 16))])
-    cases = [(f, rho_0, r) for f in (None, fmap)
-             for rho_0, r in ((Fraction(1, 4), 0.3), (Fraction(1, 4), 0.02),
-                              (Fraction(1, 64), 0.01))]
-    fractions = {}
-    for block in (1, 7, 256, 8):
-        monkeypatch.setattr(arithmetic, "_BLOCK", block)
-        monkeypatch.setattr(arithmetic, "_CHUNK", 16 if block == 8 else 256)
-        fractions[block] = [density_estimate(
-            f, [1, PHI_EXACT], s, DecaySequence([rho_0] * (k_max + 1)), r,
-            samples, k_max, seed=4).fraction_in_class for f, rho_0, r in cases]
-    assert fractions[1] == fractions[7] == fractions[256] == fractions[8]
-    groups = set()
-    for f, rho_0, r in cases:
-        rho = DecaySequence([rho_0] * (k_max + 1))
-        rep = density_estimate(f, [1, PHI_EXACT], s, rho, r, samples, k_max,
-                               seed=4)
-        assert (rep.fraction_in_class, rep.active_constraints,
-                rep.center_passes) == density_oracle(f, [1, PHI_EXACT], s,
-                                                     rho, r, samples, k_max,
-                                                     seed=4)
-        groups.add(max(1, 8 * 16 // rep.active_constraints))
-    assert 1 in groups and max(groups) > 1 and samples // 8 > max(groups)
-
-
 @pytest.mark.parametrize("alpha", [[1, PHI_EXACT],
                                    [1, PHI_EXACT, Fraction(1393, 985)]])
 def test_density_peak_memory_is_within_its_estimate(alpha):
