@@ -424,14 +424,16 @@ class SmoothMap:
             tables.append((exps, coef))
 
         def evaluate(pts):
+            # by blocks of _ROWS rows, the last taking the rest (a lone row
+            # would take a dot, not gemv), so the (rows, terms, d) powers
+            # stay small; on one BLAS thread the bits are one call's
             pts = np.asarray(pts, dtype=float)
-            out = np.empty((pts.shape[0], len(tables)), dtype=float)
-            for col, (exps, coef) in enumerate(tables):
-                if exps.shape[0] == 0:
-                    out[:, col] = 0.0
-                else:
-                    monos = (pts[:, None, :] ** exps[None, :, :]).prod(axis=2)
-                    out[:, col] = monos @ coef
+            out = np.zeros((pts.shape[0], len(tables)))
+            edges = [*range(0, max(len(pts) - _ROWS, 1), _ROWS), len(pts)]
+            for s, e in zip(edges, edges[1:]):
+                for col, (exps, coef) in enumerate(tables):
+                    out[s:e, col] = (pts[s:e, None, :] ** exps).prod(
+                        axis=2) @ coef
             return out
 
         return cls("polynomial", d, len(jets), evaluate)
@@ -467,8 +469,9 @@ def _uniform_ball(rng, center, radius, samples):
 
 
 # sample block and index chunk of density_estimate: a (block, chunk) float
-# temporary is 512 KB, small enough to stay in cache
-_BLOCK, _CHUNK = 256, 256
+# temporary is 512 KB, small enough to stay in cache; rows per block of a
+# polynomial map's evaluation
+_BLOCK, _CHUNK, _ROWS = 256, 256, 4096
 _SAMPLE_BYTES_LIMIT = 2 ** 30
 
 

@@ -9,15 +9,21 @@ Sign conventions, fixed once:
 
 With these, u_{H2} for H2 = sum alpha_k p_k q_k acts diagonally on monomials:
 u_{H2}(q^i p^j) = <alpha, i-j> q^i p^j, which is what ad_eigenvalue returns.
+
+bracket adds its monomial pairs in one order for every scalar type: in a
+pair loop, or on numpy arrays for two operands of real floats, where a sum
+can differ from the loop's only as a zero of the other sign, then dropped.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
+
+import numpy as np
 
 from .arithmetic import FrequencyVector
 from .errors import (
-    ConvergenceError,
     NonInvertibleLinearPartError,
     OrderTooLowError,
     ShapeMismatchError,
@@ -33,6 +39,8 @@ __all__ = [
     "exp_product",
     "check_symplectic",
 ]
+
+_BLOCK = 1 << 15    # entries of one (f terms, g terms, k) block of c
 
 
 class SymplecticLayout:
@@ -136,23 +144,21 @@ def bracket(f, g, layout, trunc=None):
     k innermost; each pair forms ab = a * b once and adds ab * c at
     i + j - e_{q_k} - e_{p_k} for every k with c = i_{q_k} j_{p_k} -
     i_{p_k} j_{q_k} != 0.  Float sums and the result's key order are
-    therefore those of the plain triple loop, bit for bit; writing the
-    bracket as sums of products of derivatives would add the same terms
-    in another order and move float results at roundoff.
+    therefore those of the plain triple loop, bit for bit; sums of
+    products of derivatives would move float results at roundoff.
 
-    The right terms that fit a left term's degree room come from
-    jets._degree_rows.  Exponent tuples are packed into one int each
-    (a fixed bit field per variable), so each left term shifts its packed
-    exponents by -e_{q_k} - e_{p_k} once, and a pair's output key is one
-    int addition; the keys are unpacked once, in order, at the end.  A
-    term with c != 0 has every exponent of the sum >= 0, and none exceeds
-    the two operands' largest degrees, so the fields never carry.
+    Exponent tuples are packed into one int each (a fixed bit field per
+    variable), so a pair's output key is the packed i - e_{q_k} - e_{p_k}
+    plus the packed j; a term with c != 0 has every exponent >= 0 and
+    none past the operands' largest degrees, so the fields never carry.
 
-    When both operands hold only Fractions, the loop runs on integer
-    numerators over one denominator per operand (jets._numerators), so a
-    pair costs int products and sums; jets._finish reduces each output
-    key once at the end, to Fraction(n, D_f · D_g).  Float and
-    ComplexRational operands run the same loop on their values.
+    Two operands of real floats take this loop on numpy arrays
+    (_real_float_bracket): the same products in the same order, but each
+    key's sum starts from +0.0, not from its first product, which can
+    change only the sign of a zero sum, and zero sums are dropped.  Two
+    of Fractions run it on integer numerators over one denominator each
+    (jets._numerators); jets._finish makes each output Fraction(n, D_f ·
+    D_g).  ComplexRational and complex float operands run it on values.
     """
     layout.check(f)
     layout.check(g)
@@ -161,6 +167,10 @@ def bracket(f, g, layout, trunc=None):
         trunc = _bracket_trunc(f, g)
     n = layout.n
     width = (f.max_degree() + g.max_degree()).bit_length()
+    if f and g and all(type(v) is float for c in (f.coeffs, g.coeffs)
+                       for v in c.values()):
+        return Jet._trusted(f.num_vars, trunc, _real_float_bracket(
+            f.coeffs, g.coeffs, n, trunc, width), blocks, mode)
     shifts = [width * v for v in range(f.num_vars)]
 
     def pack(idx):
@@ -193,6 +203,36 @@ def bracket(f, g, layout, trunc=None):
     out = {tuple(key >> s & mask for s in shifts): v for key, v in acc.items()}
     return Jet._trusted(f.num_vars, trunc, _finish(out, mode, dens), blocks,
                         mode)
+
+
+def _real_float_bracket(fc, gc, n, trunc, width):
+    """bracket's pair loop on numpy arrays for dicts of real floats, by runs
+    of f terms of one degree and blocks of at most _BLOCK entries of c."""
+    kind = np.int64 if width * 2 * n < 63 else object   # else Python ints
+    weight = np.array([1 << width * v for v in range(2 * n)], dtype=kind)
+    I, J = (np.array(list(c), dtype=np.int64) for c in (fc, gc))
+    a, b = (np.fromiter(c.values(), float, len(c)) for c in (fc, gc))
+    left, right, drop = I @ weight, J @ weight, weight[:n] + weight[n:]
+    deg_i, deg_j = I.sum(axis=1), J.sum(axis=1)
+    runs = [0, *np.flatnonzero(np.diff(deg_i)) + 1, len(I)]
+    keys, vals = [], []
+    with np.errstate(all="ignore"):     # as Python floats: no warnings
+        for start, end in zip(runs, runs[1:]):
+            kept = np.flatnonzero(deg_j <= trunc + 2 - deg_i[start])
+            step = max(1, _BLOCK // max(1, len(kept) * n))
+            for s in range(start, end, step):
+                rows = I[s:min(end, s + step), None]
+                c = rows[..., :n] * J[kept, n:] - rows[..., n:] * J[kept, :n]
+                r, t, k = nz = np.nonzero(c)
+                keys.append(left[r + s] - drop[k] + right[kept[t]])
+                vals.append(a[r + s] * b[kept[t]] * c[nz])
+        keys, first, inverse = np.unique(
+            np.concatenate(keys), return_index=True, return_inverse=True)
+        sums = np.bincount(inverse, np.concatenate(vals), len(keys))
+    order = np.argsort(first)
+    order = order[sums[order] != 0]
+    exps = keys[order, None] // weight & (1 << width) - 1
+    return dict(zip(map(tuple, exps.tolist()), sums[order].tolist()))
 
 
 def ad_eigenvalue(alpha, i, j):
@@ -261,16 +301,13 @@ def lie_exp(u: HamiltonianDerivation, f: Jet) -> Jet:
             "does not terminate"
         )
     u.layout.check(f)
-    total = f
-    term = f
-    cap = (f.trunc_degree + 2) * (f.trunc_degree + 2) + 2
-    for j in range(1, cap):
+    total = term = f
+    for j in count(1):      # at most f.trunc_degree + 1 brackets
         term = u(term)
         if not term:
             return total
         term = term / j
         total = total + term
-    raise ConvergenceError("Lie series failed to terminate within the cap")
 
 
 def exp_product(us, f: Jet) -> Jet:

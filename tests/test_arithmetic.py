@@ -555,6 +555,64 @@ def test_density_peak_memory_is_within_its_estimate(alpha):
     assert peak <= 1.1 * 4 * samples * d * 8
 
 
+def polynomial_maps():
+    """The two-term map x + y^2/8, y - xy/16 and a cubic map of five and
+    four terms."""
+    x, y = Jet.variable(0, 2, 3), Jet.variable(1, 2, 3)
+    two = [x + (y * y).scale(Fraction(1, 8)),
+           y - (x * y).scale(Fraction(1, 16))]
+    cubic = [two[0] + (x ** 3).scale(Fraction(1, 16))
+             - (x * y * y).scale(Fraction(1, 32))
+             + (y ** 3).scale(Fraction(1, 64)),
+             two[1] + (x * x * y).scale(Fraction(1, 32))
+             - (y ** 3).scale(Fraction(1, 48))]
+    return two, cubic
+
+
+def one_call_values(jets, pts):
+    """A polynomial map's values from one (samples, terms, d) array of
+    powers and one matrix-vector product per component."""
+    out = np.empty((len(pts), len(jets)))
+    for col, jet in enumerate(jets):
+        idx = sorted(jet.coeffs)
+        exps = np.array(idx, dtype=np.int64)
+        coef = np.array([float(jet.coeffs[i]) for i in idx])
+        out[:, col] = (pts[:, None, :] ** exps[None, :, :]).prod(axis=2) \
+            @ coef
+    return out
+
+
+@pytest.mark.parametrize("rows", [4, 8, 64])
+def test_polynomial_map_by_row_blocks_equals_one_call(monkeypatch, rows):
+    # every product here is under 9216 entries, so OpenBLAS runs gemv on
+    # one thread, where a row's bits depend only on its place in its
+    # group of four; blocks of 4k rows, the last taking the rest, keep
+    # those places
+    monkeypatch.setattr(arithmetic, "_ROWS", rows)
+    rng = np.random.default_rng(8)
+    for jets in polynomial_maps():
+        fmap = SmoothMap.polynomial(jets)
+        for samples in (1, 2, rows - 1, rows, rows + 1, 2 * rows + 3, 1001):
+            pts = rng.normal(size=(samples, 2)) * 4
+            assert fmap(pts).tobytes() == one_call_values(jets, pts).tobytes()
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_density_peak_memory_with_a_polynomial_map_is_within_its_estimate(
+        which):
+    samples, alpha = 400_000, [1, PHI_EXACT]
+    fmap = SmoothMap.polynomial(polynomial_maps()[which])
+    s = sigma(alpha, 3)
+    rho = DecaySequence([Fraction(1, 4)] * 4)
+    tracemalloc.start()
+    try:
+        density_estimate(fmap, alpha, s, rho, 0.05, samples, 3, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 4 * samples * 2 * 8
+
+
 def test_density_rejects_bad_inputs():
     s = sigma([1, PHI_EXACT], 3)
     rho = DecaySequence([1] * 4)

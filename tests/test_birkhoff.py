@@ -265,6 +265,12 @@ def test_normalize_requires_truncation_headroom():
         birkhoff_normalize(ell, 0)
 
 
+def test_normalize_refuses_an_unknown_strategy():
+    ell = EllipticHamiltonian(oscillator(1, 4, [1]), REAL_ELLIPTIC)
+    with pytest.raises(ValueError, match="unknown strategy 'per-term'"):
+        birkhoff_normalize(ell, 2, strategy="per-term")
+
+
 def test_result_json_shape():
     H = oscillator(1, 6, [Fraction(1, 2)])
     res = birkhoff_normalize(EllipticHamiltonian(H, REAL_ELLIPTIC), 2)

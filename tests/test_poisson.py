@@ -2,19 +2,22 @@
 
 from __future__ import annotations
 
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
 
+from kamtori import poisson
 from kamtori.birkhoff import morse_substitution
 from kamtori.errors import (
     NonInvertibleLinearPartError,
     OrderTooLowError,
     ShapeMismatchError,
 )
-from kamtori.jets import ComplexRational, Jet
+from kamtori.jets import ComplexRational, Jet, _all_indices
 from kamtori.poisson import (
     HamiltonianDerivation,
     SymplecticLayout,
@@ -208,6 +211,98 @@ def test_float_bracket_running_sum_through_zero_keeps_its_place():
     assert list(out.coeffs.items()) == [
         ((2, 0), 3.0), ((0, 2), 0.5), ((0, 1), 1.0), ((1, 1), 1.0),
         ((1, 0), 2.0), ((3, 0), 3.0), ((2, 1), 1.5)]
+    assert float_bits(out) == float_bits(reference_bracket(f, g, lay))
+
+
+# Two jets of real floats take bracket's array kernel; the triple loop of
+# reference_bracket stays the oracle for its bits, key order and degree.
+
+def test_float_bracket_past_63_packed_bits_equals_the_triple_loop():
+    # 16 variables with degrees up to 18: 6-bit fields, 96-bit keys
+    rng = np.random.default_rng(2100)
+    lay = SymplecticLayout(8)
+    for case in range(6):
+        f, g = (random_float_layout_jet(rng, lay, 18, 30, case % 2 == 1,
+                                        0.0, 18) for _ in range(2))
+        width = (f.max_degree() + g.max_degree()).bit_length()
+        assert width * lay.num_vars > 63
+        out = bracket(f, g, lay)
+        assert out and float_bits(out) == float_bits(
+            reference_bracket(f, g, lay))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", range(12))
+def test_float_bracket_of_inf_nan_and_underflow_equals_the_triple_loop(case):
+    # products that overflow, underflow to +-0.0, or meet inf and nan, with
+    # no numpy warning: Python floats give none
+    rng = np.random.default_rng(2200 + case)
+    lay = SymplecticLayout(BRACKET_PAIRS[case % len(BRACKET_PAIRS)])
+    values = [math.inf, -math.inf, math.nan, 1e300, -1e300, 1e-300,
+              -1e-300, 5e-324, 1.0, -2.0]
+    f, g = (Jet(lay.num_vars, 5,
+                {i: float(rng.choice(values)) for i in jet.coeffs},
+                blocks=lay.blocks, mode="float")
+            for jet in (random_float_layout_jet(rng, lay, 5, 20, True, 0.0, 5)
+                        for _ in range(2)))
+    for a, b in ((f, g), (g, f), (f, f)):
+        assert float_bits(bracket(a, b, lay)) == \
+            float_bits(reference_bracket(a, b, lay))
+
+
+@pytest.mark.parametrize("case", range(10))
+def test_float_bracket_with_every_term_its_own_degree_run(case):
+    # terms in an order where no two neighbours share a degree: the kernel
+    # meets one f term per run and g's terms out of degree order
+    rng = np.random.default_rng(2300 + case)
+    lay = SymplecticLayout(BRACKET_PAIRS[case % len(BRACKET_PAIRS)])
+    N = 6
+
+    def alternating_jet():
+        coeffs = {}
+        for deg in rng.permutation(np.tile(np.arange(N + 1), 4)):
+            idx = tuple(int(e) for e in rng.multinomial(
+                deg, [1 / lay.num_vars] * lay.num_vars))
+            if not coeffs or sum(list(coeffs)[-1]) != deg:
+                coeffs.setdefault(idx, float(rng.normal()))
+        return Jet(lay.num_vars, N, coeffs, blocks=lay.blocks, mode="float")
+
+    f, g = alternating_jet(), alternating_jet()
+    degrees = [sum(i) for i in f.coeffs]
+    assert all(a != b for a, b in zip(degrees, degrees[1:]))
+    trunc = N - 1 if case % 2 else None
+    for a, b in ((f, g), (g, f)):
+        assert float_bits(bracket(a, b, lay, trunc=trunc)) == \
+            float_bits(reference_bracket(a, b, lay, trunc=trunc))
+
+
+def test_float_bracket_kernel_temporaries_stay_per_contribution():
+    # dense jets of all 1820 monomials of degree <= 12 in four variables,
+    # bracketed to degree 10: the (f term, g term, k) block the kernel
+    # never forms would hold 53 MB; its temporaries are a few blocks of c
+    # plus about 70 bytes per contribution (packed key, value, their
+    # copies and np.unique's)
+    lay = SymplecticLayout(2)
+    N = 12
+    rng = np.random.default_rng(2400)
+    f, g = (Jet(lay.num_vars, N, {i: float(rng.normal())
+                                  for i in _all_indices(lay.num_vars, N)},
+                blocks=lay.blocks, mode="float") for _ in range(2))
+    I, J = (np.array(list(jet.coeffs)) for jet in (f, g))
+    room = N - I.sum(axis=1)        # trunc + 2 - deg i, trunc = N - 2
+    fits = J.sum(axis=1)[None, :] <= room[:, None]
+    c = I[:, None, :2] * J[None, :, 2:] - I[:, None, 2:] * J[None, :, :2]
+    contributions = int(np.count_nonzero(c * fits[..., None]))
+    del c, fits
+    tracemalloc.start()
+    try:
+        out = bracket(f, g, lay)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 80 * contributions + 16 * 8 * poisson._BLOCK
+    assert peak <= bound < len(I) * len(J) * lay.n * 8 / 3
+    assert out.trunc_degree == N - 2
     assert float_bits(out) == float_bits(reference_bracket(f, g, lay))
 
 
@@ -473,6 +568,36 @@ def test_lie_exp_order_gate():
     u = HamiltonianDerivation(lay.q(0, 4) * lay.p(0, 4), lay)
     with pytest.raises(OrderTooLowError):
         lie_exp(u, lay.q(0, 4))
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_lie_exp_ends_within_trunc_degree_plus_one_brackets(monkeypatch,
+                                                            mode):
+    # a generator of order >= 3 raises each term's order by at least 1 at
+    # the fixed truncation degree N, so the series ends within N + 1
+    # brackets; u = {., q^2 p} takes q^k to k q^(k+1) and takes N
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return bracket(*args, **kwargs)
+
+    monkeypatch.setattr(poisson, "bracket", counted)
+    cast = (lambda jet: jet) if mode == "exact" else Jet.to_float
+    rng = np.random.default_rng(36)
+    lay = SymplecticLayout(2)
+    for N in (3, 5, 8, 11):
+        q, p = lay.q(0, N), lay.p(0, N)
+        calls.clear()
+        out = lie_exp(HamiltonianDerivation(cast(q * q * p), lay), cast(q))
+        assert len(calls) == N
+        assert out == cast(sum((q ** k for k in range(2, N + 1)), q))
+        for _ in range(4):
+            h = random_layout_jet(rng, lay, N, n_terms=8, min_ord=3)
+            f = random_layout_jet(rng, lay, N, n_terms=8)
+            calls.clear()
+            lie_exp(HamiltonianDerivation(cast(h), lay), cast(f))
+            assert len(calls) <= N + 1
 
 
 def test_lie_exp_is_ring_morphism():
