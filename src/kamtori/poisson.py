@@ -153,9 +153,9 @@ def bracket(f, g, layout, trunc=None):
     none past the operands' largest degrees, so the fields never carry.
 
     Two operands of real floats take this loop on numpy arrays
-    (_real_float_bracket): the same products in the same order, but each
-    key's sum starts from +0.0, not from its first product, which can
-    change only the sign of a zero sum, and zero sums are dropped.  Two
+    (_real_float_bracket): the same products in the same order, but a
+    key's sum starts from +0.0, not from its first product, which changes
+    at most the sign of a zero sum, and zero sums are dropped.  Operands
     of Fractions run it on integer numerators over one denominator each
     (jets._numerators); jets._finish makes each output Fraction(n, D_f ·
     D_g).  ComplexRational and complex float operands run it on values.

@@ -289,11 +289,11 @@ def test_float_bracket_kernel_temporaries_stay_per_contribution():
                                   for i in _all_indices(lay.num_vars, N)},
                 blocks=lay.blocks, mode="float") for _ in range(2))
     I, J = (np.array(list(jet.coeffs)) for jet in (f, g))
-    room = N - I.sum(axis=1)        # trunc + 2 - deg i, trunc = N - 2
-    fits = J.sum(axis=1)[None, :] <= room[:, None]
-    c = I[:, None, :2] * J[None, :, 2:] - I[:, None, 2:] * J[None, :, :2]
-    contributions = int(np.count_nonzero(c * fits[..., None]))
-    del c, fits
+    # the pairs with c != 0 among the g terms of degree <= trunc + 2 - deg
+    # i, at trunc = N - 2
+    contributions = sum(int(np.count_nonzero(
+        (i[:2] * J[:, 2:] - i[2:] * J[:, :2])[J.sum(axis=1) <= N - sum(i)]))
+        for i in I)
     tracemalloc.start()
     try:
         out = bracket(f, g, lay)
