@@ -78,24 +78,8 @@ class FrequencyVector:
     def as_floats(self):
         return np.array([float(c) for c in self.components], dtype=float)
 
-    def as_fractions(self):
-        if not self.is_exact:
-            raise ValueError("vector has float components; no exact form")
-        return self.components
-
-    def __len__(self):
-        return len(self.components)
-
     def __iter__(self):
         return iter(self.components)
-
-    def __getitem__(self, k):
-        return self.components[k]
-
-    def __eq__(self, other):
-        if isinstance(other, FrequencyVector):
-            return self.components == other.components
-        return NotImplemented
 
     def __repr__(self):
         return f"FrequencyVector({list(self.components)!r})"
@@ -152,11 +136,6 @@ class DecaySequence:
             return self.values[k]
         raise IndexError(f"index {k} beyond stored range 0..{self.k_max}")
 
-    def __eq__(self, other):
-        if isinstance(other, DecaySequence):
-            return self.values == other.values
-        return NotImplemented
-
     def require_positive(self):
         for k, v in enumerate(self.values):
             if v <= 0:
@@ -176,11 +155,6 @@ class DecaySequence:
             # a finite sequence has no tail; the key keeps artifacts unchanged
             "descriptor": None,
         })
-
-    def __repr__(self):
-        shown = ", ".join(str(v) for v in self.values[:4])
-        more = "..." if len(self.values) > 4 else ""
-        return f"DecaySequence([{shown}{more}], k_max={self.k_max})"
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +296,7 @@ def sigma(alpha, k_max, norm="euclidean", budget=DEFAULT_ENUM_BUDGET):
         raise ValueError("k_max must be >= 0")
     exact = alpha.is_exact
     if exact:
-        scaled, den = _exact_scale(alpha.as_fractions(), 2 ** k_max)
+        scaled, den = _exact_scale(alpha.components, 2 ** k_max)
     else:
         af = alpha.as_floats()
     minima = []
@@ -666,9 +640,6 @@ class LatticeBasis:
     @property
     def dim(self):
         return len(self.vectors)
-
-    def to_json_dict(self):
-        return to_jsonable(vars(self))
 
 
 def lattice_basis(alpha) -> LatticeBasis:

@@ -172,10 +172,6 @@ class EllipticHamiltonian:
         self.n = lay.n
         self.layout = lay
 
-    def __repr__(self):
-        return (f"EllipticHamiltonian(n={self.n}, mode={self.coordinate_mode!r}, "
-                f"alpha={self.alpha!r})")
-
 
 @dataclass(frozen=True)
 class BirkhoffResult:
@@ -353,9 +349,6 @@ class ActionIdealCertificate:
     ok: bool
     offending: tuple = None
     message: str = ""
-
-    def to_json_dict(self):
-        return to_jsonable(vars(self))
 
 
 def action_ideal_certificate(H, layout=None):

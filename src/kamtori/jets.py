@@ -43,28 +43,20 @@ class ComplexRational:
 
     def __add__(self, other):
         other = _as_cr(other)
-        if other is NotImplemented:
-            return NotImplemented
         return ComplexRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = _as_cr(other)
-        if other is NotImplemented:
-            return NotImplemented
         return ComplexRational(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         other = _as_cr(other)
-        if other is NotImplemented:
-            return NotImplemented
         return ComplexRational(other.re - self.re, other.im - self.im)
 
     def __mul__(self, other):
         other = _as_cr(other)
-        if other is NotImplemented:
-            return NotImplemented
         return ComplexRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -74,8 +66,6 @@ class ComplexRational:
 
     def __truediv__(self, other):
         other = _as_cr(other)
-        if other is NotImplemented:
-            return NotImplemented
         d = other.abs2()
         if d == 0:
             raise ZeroDivisionError("division by zero ComplexRational")
@@ -86,8 +76,6 @@ class ComplexRational:
 
     def __rtruediv__(self, other):
         other = _as_cr(other)
-        if other is NotImplemented:
-            return NotImplemented
         return other / self
 
     def __neg__(self):
@@ -120,16 +108,7 @@ class ComplexRational:
             return self.re == other.re and self.im == other.im
         if isinstance(other, (int, Fraction)):
             return self.im == 0 and self.re == other
-        if isinstance(other, complex):
-            return complex(self) == other
-        if isinstance(other, float):
-            return self.im == 0 and self.re == other
         return NotImplemented
-
-    def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
 
     def __bool__(self):
         return self.re != 0 or self.im != 0
@@ -162,9 +141,7 @@ def _as_fraction(x):
 def _as_cr(x):
     if isinstance(x, ComplexRational):
         return x
-    if isinstance(x, (int, Fraction)):
-        return ComplexRational(x)
-    return NotImplemented
+    return ComplexRational(x)
 
 
 # ---------------------------------------------------------------------------

@@ -188,7 +188,10 @@ def _norm_ledger(stage, jets, exact):
 # ---------------------------------------------------------------------------
 
 def _stage_solution(target, layout, freqs, floor, exact, alpha_acc, window):
-    """Build the stage generator's terms and the smallest divisor."""
+    """Build the stage generator's terms and the smallest divisor.
+
+    A correction that cancels a term leaves a zero there, which the
+    generator's Jet drops."""
     solvable, _ = _split(target, layout)
     quotients, min_div = _solve_terms(solvable.terms(), layout, freqs, floor,
                                       exact)
@@ -207,12 +210,8 @@ def _stage_solution(target, layout, freqs, floor, exact, alpha_acc, window):
         corr, corr_div = _solve_terms(corr_src.terms(), layout, freqs, floor,
                                       exact)
         for idx, c in corr.items():
-            w = terms.get(idx, 0) + c        # solve the negated error
-            if w:
-                terms[idx] = w
-            elif idx in terms:
-                del terms[idx]
-        if corr_div is not None and (min_div is None or corr_div < min_div):
+            terms[idx] = terms.get(idx, 0) + c     # solve the negated error
+        if corr_div is not None and corr_div < min_div:
             min_div = corr_div
     return terms, min_div
 
@@ -392,15 +391,6 @@ class FiberResult:
     final: KamState
     trace: tuple
     layout: SymplecticLayout
-
-    def to_json_dict(self):
-        return to_jsonable({
-            "stages": len(self.trace),
-            "ord_trace": [st.ord_b for st in self.trace],
-            "certificate": self.certificate,
-            "bruno": self.bruno,
-            "success": self.final.success,
-        })
 
 
 def fiber_normalize(H, *, verify=True):

@@ -68,14 +68,6 @@ class SymplecticLayout:
     def p_index(self, k):
         return self.n + k
 
-    def __eq__(self, other):
-        if isinstance(other, SymplecticLayout):
-            return self.n == other.n
-        return NotImplemented
-
-    def __repr__(self):
-        return f"SymplecticLayout(n={self.n})"
-
     def check(self, jet):
         if jet.num_vars != self.num_vars:
             raise ShapeMismatchError(
@@ -283,9 +275,6 @@ class HamiltonianDerivation:
     def __neg__(self):
         return HamiltonianDerivation(-self.generator, self.layout)
 
-    def __repr__(self):
-        return f"HamiltonianDerivation({self.generator!r})"
-
 
 def lie_exp(u: HamiltonianDerivation, f: Jet) -> Jet:
     """e^u f = sum_j u^j(f)/j!, exact and finite on jets.
@@ -338,8 +327,6 @@ def _rref(rows):
     """Reduced row echelon form of Fraction, ComplexRational, float or
     complex rows; returns the nonzero rows, as many as the rank."""
     rows = [list(r) for r in rows]
-    if not rows:
-        return []
     ncols = len(rows[0])
     pivot_row = 0
     for col in range(ncols):

@@ -134,12 +134,6 @@ class ModerateGrowthReport:
     def partial_sum(self):
         return self.partial_sums[-1] if self.partial_sums else 0.0
 
-    def to_json_dict(self):
-        return to_jsonable({
-            "values": [float(v) for v in self.values],
-            "partial_sum": self.partial_sum,
-        })
-
 
 def moderate_growth(values):
     """Report on sum_n log(max(1, N_n))/2^n for a stage sequence N_n.

@@ -33,6 +33,7 @@ from kamtori.errors import (
     BudgetExceededError,
     ClassMembershipError,
     NonPositiveTermError,
+    ShapeMismatchError,
 )
 from kamtori.jets import Jet
 
@@ -879,3 +880,43 @@ def test_strip_widths_and_levels():
     for rec in records:
         lead = next(c for c in rec.index if c != 0)
         assert lead > 0
+
+
+# --- refusals, each with the type a caller catches ----------------------------
+
+SEQ = DecaySequence([1, Fraction(1, 2), Fraction(1, 4)])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: DecaySequence([]), NonPositiveTermError, "at least one term"),
+    (lambda: DecaySequence([1, -1]), NonPositiveTermError, "< 0"),
+    (lambda: SEQ[3], IndexError, "beyond stored range"),
+    (lambda: DecaySequence([1, 0], allow_zero=True).require_positive(),
+     NonPositiveTermError, "must be positive"),
+    (lambda: arithmetic._ball_rows(0, 2, "euclidean", 100),
+     ShapeMismatchError, "dimension must be >= 1"),
+    (lambda: SmoothMap.polynomial([]), ValueError, "at least one component"),
+    (lambda: SmoothMap.polynomial([Jet.variable(0, 1, 2),
+                                   Jet.variable(0, 2, 2)]),
+     ShapeMismatchError, "disagree on num_vars"),
+    (lambda: density_estimate(SmoothMap.identity(3), [1, PHI], SEQ, SEQ,
+                              0.1, 10, 2, seed=0),
+     ShapeMismatchError, "x0 has dimension 2"),
+    (lambda: density_estimate(None, [1, PHI], SEQ, SEQ, 0.1, 10, 3, seed=0),
+     ValueError, "shorter than k_max"),
+], ids=[
+    "empty-sequence", "negative-term", "index-past-k-max",
+    "require-positive", "ball-rows-n-0", "polynomial-no-component",
+    "polynomial-num-vars", "density-x0-dimension",
+    "density-short-sequences"])
+def test_arithmetic_refusals(call, error, message):
+    with pytest.raises(error, match=message) as info:
+        call()
+    assert type(info.value) is error
+
+
+def test_frequency_vector_repr_lists_its_components():
+    assert repr(arithmetic.FrequencyVector([1, Fraction(3, 2)])) == \
+        "FrequencyVector([Fraction(1, 1), Fraction(3, 2)])"
+    assert repr(arithmetic.FrequencyVector([1.0, 0.5])) == \
+        "FrequencyVector([1.0, 0.5])"

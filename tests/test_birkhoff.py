@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from kamtori import birkhoff
 from kamtori.birkhoff import (
     COMPLEX_MORSE,
     REAL_ELLIPTIC,
@@ -19,6 +20,7 @@ from kamtori.birkhoff import (
     to_complex_morse,
 )
 from kamtori.errors import (
+    CertificateError,
     NotEllipticError,
     OrderTooLowError,
     ResonanceError,
@@ -312,3 +314,56 @@ def test_action_ideal_certificate_names_offender():
     assert not cert.ok
     assert cert.offending == (3, 0)
     assert "q^3" in cert.message
+
+
+# --- refusals and certificates ---------------------------------------------------
+
+LAY2 = SymplecticLayout(2)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: EllipticHamiltonian(LAY2.q(0, 4) * LAY2.p(0, 4), COMPLEX_MORSE),
+     NotEllipticError, "missing action monomial p_1q_1"),
+    (lambda: to_complex_morse(Jet.zero(3, 4)), ShapeMismatchError,
+     "even number"),
+    (lambda: EllipticHamiltonian(
+        Jet(4, 4, {(1, 0, 1, 0): 1, (0, 1, 0, 1): 1}, blocks=(("z", 4),)),
+        COMPLEX_MORSE), ShapeMismatchError, "pure"),
+    (lambda: birkhoff_normalize(oscillator(1, 4, [1]), 2), TypeError,
+     "needs an EllipticHamiltonian"),
+], ids=[
+    "missing-action-monomial", "odd-variable-count", "foreign-blocks",
+    "not-elliptic-hamiltonian"])
+def test_birkhoff_refusals(call, error, message):
+    with pytest.raises(error, match=message) as info:
+        call()
+    assert type(info.value) is error
+
+
+def test_normalize_certifies_that_each_degree_was_cleared(monkeypatch):
+    # Lie series that change nothing leave the cubic's non-resonant
+    # monomials in place
+    lay = SymplecticLayout(1)
+    ell = EllipticHamiltonian(oscillator(1, 4, [1], lay.q(0, 4) ** 3),
+                              REAL_ELLIPTIC)
+    monkeypatch.setattr(birkhoff, "lie_exp", lambda u, f: f)
+    with pytest.raises(CertificateError, match="non-resonant exponent"):
+        birkhoff_normalize(ell, 2)
+
+
+@pytest.mark.parametrize("extra, message", [
+    ((2, 0), "residual has order 2"),      # q^2: not resonant
+    ((1, 1), "not real"),                  # qp: resonant, real coefficient
+])
+def test_normalize_certifies_its_residual_and_a_real_A(monkeypatch, extra,
+                                                       message):
+    # a Morse form off by one quadratic monomial: l = 1 solves nothing, so
+    # the certificates alone see it
+    lay = SymplecticLayout(1)
+    ell = EllipticHamiltonian(oscillator(1, 4, [1], lay.q(0, 4) ** 3),
+                              REAL_ELLIPTIC)
+    real = birkhoff.to_complex_morse
+    monkeypatch.setattr(birkhoff, "to_complex_morse", lambda H, mode: real(
+        H, mode) + Jet(2, 4, {extra: 1}, blocks=lay.blocks))
+    with pytest.raises(CertificateError, match=message):
+        birkhoff_normalize(ell, 1)

@@ -642,3 +642,58 @@ def test_out_dir_environment_variable(capsys, tmp_path, monkeypatch):
     assert code == 0
     written = (tmp_path / "artifact.json").read_text()
     assert written.strip() == out.strip()
+
+
+@pytest.mark.parametrize("files, argv, message", [
+    ({"H.json": {"n": 1, "trunc_degree": 4,
+                 "coeffs": {"2,0": {"re": "1", "im": "0", "x": "0"}}}},
+     ["birkhoff", "--H", "H.json", "--l", "1"], "needs only re/im"),
+    ({}, ["sigma", "--alpha", ",", "--kmax", "3"], "empty number list"),
+    ({"problem.json": "{"}, ["kam", "run", "--problem", "problem.json"],
+     "is not valid JSON"),
+    ({}, ["report", "--inputs", "missing.json"], "cannot read"),
+    ({}, ["lattice", "--alpha", "1,987/610", "--t-grid", "0:1"],
+     "needs start:stop:count"),
+    ({"problem.json": {"n": 1, "trunc_degree": 4, "alpha": ["1"]}},
+     ["kam", "run", "--problem", "problem.json"], "perturbation jet 'b'"),
+], ids=["complex-entry-extra-key", "empty-number-list", "invalid-json",
+        "unreadable-input", "t-grid-without-count", "problem-without-b"])
+def test_malformed_input_exits_two(capsys, tmp_path, monkeypatch, files,
+                                   argv, message):
+    monkeypatch.chdir(tmp_path)
+    for name, content in files.items():
+        (tmp_path / name).write_text(
+            content if isinstance(content, str) else json.dumps(content))
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "schema" and message in error["message"]
+
+
+def test_density_at_a_given_center_matches_library(capsys):
+    code, out, _ = run_cli(
+        capsys, ["density", "--alpha", "1,1.6180339887", "--kmax", "4",
+                 "--radii", "0.1", "--samples", "200", "--seed", "3",
+                 "--center", "1.01,1.6"])
+    assert code == 0
+    artifact = json.loads(out)
+    assert artifact["center"] == [1.01, 1.6]
+    a = arithmetic.sigma([Fraction("1"), Fraction("1.6180339887")], 4)
+    rho = arithmetic.DecaySequence(
+        [Fraction(2) ** (-6 * k) for k in range(5)])
+    direct = arithmetic.density_estimate(
+        None, (1.01, 1.6), a, rho, 0.1, 200, 4, seed=3)
+    assert artifact["sweep"][0]["fraction_in_class"] == \
+        direct.fraction_in_class
+
+
+def test_kam_run_outside_its_filtration_exits_one(capsys, tmp_path):
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(
+        {"n": 2, "trunc_degree": 8, "alpha": ["1", "987/610"],
+         "b": {"2,1,0,0": "1", "0,0,3,0": "1"}, "k_offset": -10}))
+    code, out, err = run_cli(capsys, ["kam", "run", "--problem", str(problem)])
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ConvergenceError"
+    assert "left the allowed filtration" in error["message"]

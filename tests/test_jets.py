@@ -870,3 +870,112 @@ def test_to_float_of_a_complex_jet_keeps_its_values(case):
         assert again == f and again.mode == "float"
         assert again.trunc_degree == f.trunc_degree
         assert hex_terms(again) == hex_terms(f)
+
+
+# --- refusals, each with the type a caller catches ----------------------------
+
+X = Jet.variable(0, 1, 3)
+
+
+def set_mode(jet):
+    jet.mode = "float"
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: Jet(1, 3, {(1,): 0.5}, mode="exact"), ModeMixError,
+     "is not exact"),
+    (lambda: Jet(1, 3, {(1,): Fraction(1, 2)}, mode="float"), ModeMixError,
+     "is exact; float-mode"),
+    (lambda: Jet(1, 3, {(1,): "1"}, mode="float"), ModeMixError,
+     "unsupported coefficient type str"),
+    (lambda: Jet(1, 3, {(1,): True}), ModeMixError, "bool"),
+    (lambda: Jet(1, 3, {(1,): Fraction(1), (2,): 0.5}), ModeMixError,
+     "cannot mix"),
+    (lambda: Jet(1, 3, {(1,): "1"}), ModeMixError, "unsupported scalar"),
+    (lambda: Jet(-1, 3), ShapeMismatchError, "must be >= 0"),
+    (lambda: Jet(2, 3, blocks=(("q", 1),)), ShapeMismatchError,
+     "do not sum"),
+    (lambda: Jet(1, 3, mode="double"), ValueError, "mode must be"),
+    (lambda: Jet(1, 3, {(-1,): 1}), ShapeMismatchError, "negative exponent"),
+    (lambda: X.truncate(-1), ShapeMismatchError, "must be >= 0"),
+    (lambda: set_mode(X), AttributeError, "immutable"),
+    (lambda: Jet.variable(2, 2, 3), ShapeMismatchError, "index 2"),
+    (lambda: X.derivative(1), ShapeMismatchError, "index 1"),
+    (lambda: X / X, TypeError, "jet division"),
+    (lambda: X ** -1, ValueError, "nonnegative integer"),
+    (lambda: X + 0.5, ModeMixError, "cannot add"),
+    (lambda: X.compose([X, X]), ShapeMismatchError, "needs 1 jets, got 2"),
+    (lambda: Jet.variable(0, 2, 3).compose([X, Jet.variable(0, 2, 3)]),
+     ShapeMismatchError, "disagree on num_vars"),
+    (lambda: X.compose([X.to_float()]), ModeMixError, "cannot mix"),
+    (lambda: X.evaluate([1, 2]), ShapeMismatchError, "point length"),
+    (lambda: ComplexRational(1, 1) / 0, ZeroDivisionError, "ComplexRational"),
+    (lambda: ComplexRational(1, 1) + 0.5, ModeMixError, "got float"),
+    (lambda: 0.5 * ComplexRational(1, 1), ModeMixError, "got float"),
+    (lambda: ComplexRational(0, 1) * X, ModeMixError, "got Jet"),
+    (lambda: ComplexRational(1, 1) ** -1, TypeError, "unsupported operand"),
+], ids=[
+    "float-in-exact-jet", "fraction-in-float-jet", "text-in-float-jet",
+    "bool-coefficient", "mixed-modes", "text-coefficient", "negative-size",
+    "blocks-off-size", "unknown-mode", "negative-exponent",
+    "truncate-below-0", "set-attribute", "variable-out-of-range",
+    "derivative-out-of-range", "jet-over-jet", "negative-power",
+    "float-plus-exact-jet", "compose-arity", "compose-num-vars",
+    "compose-mixed-modes", "evaluate-length", "gaussian-over-zero",
+    "gaussian-plus-float", "float-times-gaussian", "gaussian-times-jet",
+    "gaussian-negative-power"])
+def test_jet_and_scalar_refusals(make, error, message):
+    with pytest.raises(error, match=message) as info:
+        make()
+    assert type(info.value) is error
+
+
+def test_equality_with_a_non_number_is_false():
+    assert (ComplexRational(1, 1) == "1+1j") is False
+    assert (X == 1) is False
+
+
+# --- the branches each input kind takes -------------------------------------
+
+def test_evaluate_an_exact_jet_at_a_float_point_and_the_zero_jet():
+    f = Jet(1, 3, {(1,): Fraction(1, 2), (2,): ComplexRational(0, 1)})
+    value = f.evaluate([0.5])
+    assert value == 0.25 + 0.25j and isinstance(value, complex)
+    assert Jet.zero(1, 3).evaluate([Fraction(1, 3)]) == 0
+    assert isinstance(Jet.zero(1, 3).evaluate([Fraction(1, 3)]), Fraction)
+    assert Jet.zero(1, 3).evaluate([0.5]) == 0.0
+    assert isinstance(Jet.zero(1, 3).evaluate([0.5]), float)
+
+
+def test_str_without_blocks_of_zero_and_of_a_constant_term():
+    f = Jet(2, 3, {(0, 0): Fraction(-3, 2), (1, 0): 1, (0, 2): 2})
+    assert str(f) == "-3/2 + z0 + 2*z1^2"
+    assert str(Jet.zero(2, 3)) == "0"
+
+
+def test_repr_names_shape_mode_and_terms():
+    f = Jet(2, 3, {(1, 0): 1, (0, 2): Fraction(1, 2)})
+    assert repr(f) == "Jet(2 vars, N=3, exact, 2 terms: z0 + 1/2*z1^2)"
+    assert repr(ComplexRational(Fraction(1, 2), -3)) == \
+        "ComplexRational(Fraction(1, 2), Fraction(-3, 1))"
+
+
+def test_scalar_times_jet_scales_it():
+    assert 2 * X == X.scale(2) == X * 2
+    assert X * ComplexRational(0, 1) == X.scale(ComplexRational(0, 1))
+
+
+def test_compose_of_a_jet_in_no_variables_is_that_jet():
+    c = Jet.constant(Fraction(5, 3), 0, 3)
+    assert c.compose([]) is c
+
+
+def test_compose_gives_no_key_to_a_product_that_underflows():
+    # the first outer term's product with g's z^3 term underflows to
+    # zero, so z^3 takes its place where a nonzero product first reaches
+    # it, after z^2 and z^4
+    f = Jet(1, 4, {(1,): 1e-200, (2,): 1.0, (3,): 1.0})
+    g = Jet(1, 4, {(1,): 1.0, (3,): 1e-200})
+    h = f.compose([g])
+    assert list(h.coeffs) == [(1,), (2,), (4,), (3,)]
+    assert h.coeffs[(3,)] == 1.0 and h.coeffs[(1,)] == 1e-200

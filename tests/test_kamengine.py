@@ -13,9 +13,9 @@ from kamtori.birkhoff import (COMPLEX_MORSE, REAL_ELLIPTIC,
                               EllipticHamiltonian, _in_action_square,
                               action_ideal_certificate, birkhoff_normalize)
 from kamtori import kamengine
-from kamtori.errors import (CertificateError, NotEllipticError,
-                            OrderTooLowError, ResonanceError,
-                            SmallDivisorError)
+from kamtori.errors import (CertificateError, ConvergenceError,
+                            NotEllipticError, OrderTooLowError,
+                            ResonanceError, SmallDivisorError)
 from kamtori.jets import ComplexRational, Jet
 from kamtori.kamengine import (KamProblem, fiber_normalize,
                                hadamard_quasi_inverse, kam_iterate,
@@ -533,3 +533,88 @@ def test_reste_validates_radii():
     u = HamiltonianDerivation(LAY1.zero(8), LAY1)
     with pytest.raises(ValueError):
         reste_inequalities_check(u, LAY1.p(0, 8), 1, Fraction(1, 2))
+
+
+# ------------------------------------------------ divisors and refusals
+
+def test_problem_refuses_a_base_degree_below_two():
+    with pytest.raises(ValueError, match="base_degree"):
+        dataclasses.replace(flagship_problem(), base_degree=1)
+
+
+def test_a_real_gaussian_divisor_enters_the_ledger_as_a_fraction():
+    # (1+i) + (1-i) = 2: the divisor of q1^2 q2 p1 is ComplexRational(2, 0)
+    N = 6
+    a = Jet(4, N, {(1, 0, 1, 0): ComplexRational(1, 1),
+                   (0, 1, 0, 1): ComplexRational(1, -1)}, blocks=LAY2.blocks)
+    b = mono(LAY2, Fraction(1, 3), qexp=(2, 1), pexp=(1, 0), N=N)
+    final, trace = kam_iterate(KamProblem(layout=LAY2, a=a, b=b))
+    assert final.success
+    assert type(trace[1].min_divisor) is Fraction
+    assert trace[1].min_divisor == 2
+
+
+def test_stage_divisor_includes_the_correction_divisors():
+    # alpha_acc's q1^2 p1^2 p2 is in F but not resonant: it moves the
+    # correction q1^4 p1 p2 off the generator's divisor 3 to 3 - 5/2
+    freqs = [F1, Fraction(5, 2)]
+    target = mono(LAY2, F1, qexp=(3, 0))
+    alpha_acc = mono(LAY2, F1, qexp=(2, 0), pexp=(2, 1))
+    terms, min_div = kamengine._stage_solution(
+        target, LAY2, freqs, None, True, alpha_acc, math.inf)
+    assert terms == {(3, 0, 0, 0): Fraction(-1, 3), (4, 0, 1, 1): 4}
+    assert min_div == Fraction(1, 2)
+
+
+def test_quasi_inverse_drops_a_term_its_correction_cancels():
+    # the target's q1^4 p1 p2 term solves to -2 * 2 = -4 and the
+    # correction from q1^3 adds +4: the generator has no such monomial
+    freqs = [F1, Fraction(5, 2)]
+    target = mono(LAY2, F1, qexp=(3, 0)) \
+        + mono(LAY2, Fraction(2), qexp=(4, 0), pexp=(1, 1))
+    alpha_acc = mono(LAY2, F1, qexp=(2, 0), pexp=(2, 1))
+    u = hadamard_quasi_inverse(freqs, target, LAY2, alpha_acc=alpha_acc)
+    assert (4, 0, 1, 1) not in u.generator.coeffs
+    assert u.generator.coeffs[(3, 0, 0, 0)] == Fraction(-1, 3)
+
+
+def test_fiber_without_an_affordable_bruno_box_reports_none():
+    # sigma(alpha, 4) at 6 dof needs a 33^6 box, over the budget
+    lay = SymplecticLayout(6)
+    H = lay.q(0, 4) ** 3
+    for k in range(6):
+        H = H + lay.q(k, 4) * lay.p(k, 4).scale(k + 1)
+    fib = fiber_normalize(H)
+    assert fib.bruno is None and fib.final.success
+
+
+# ------------------------------------ certificates under injected faults
+
+def test_iterate_refuses_a_stage_that_does_not_raise_the_order(monkeypatch):
+    monkeypatch.setattr(kamengine, "lie_exp", lambda u, f: f)
+    with pytest.raises(ConvergenceError, match="did not increase"):
+        kam_iterate(flagship_problem())
+
+
+def test_iterate_certifies_the_residual_lies_in_f(monkeypatch):
+    real = kamengine._normal_form_of
+    monkeypatch.setattr(kamengine, "_normal_form_of", lambda final: real(
+        final) + mono(LAY1, F1, qexp=(3,)))
+    with pytest.raises(CertificateError, match="escapes the absorbable"):
+        kam_iterate(flagship_problem())
+
+
+def test_fiber_refuses_a_run_that_exhausts_its_stages(monkeypatch):
+    real = kamengine.kam_iterate
+    monkeypatch.setattr(kamengine, "kam_iterate", lambda problem: real(
+        dataclasses.replace(problem, max_stage=0)))
+    H = mono(LAY1, F1, qexp=(1,), pexp=(1,)) + mono(LAY1, F1, qexp=(3,))
+    with pytest.raises(ConvergenceError, match="stage budget exhausted"):
+        fiber_normalize(H)
+
+
+def test_reste_with_float_radii_reports_floats():
+    u = HamiltonianDerivation(LAY1.zero(8), LAY1)
+    rep = reste_inequalities_check(u, LAY1.p(0, 8), 0.5, 1)
+    assert type(rep.s) is float and type(rep.tau) is float
+    assert rep.items[4]["lhs"] == 0.5 and rep.items[4]["rhs"] == 2.0

@@ -706,3 +706,26 @@ def test_layout_mismatch_raises():
     lay2 = SymplecticLayout(2)
     with pytest.raises(ShapeMismatchError):
         bracket(lay1.q(0, 3), lay2.q(0, 3), lay1)
+
+
+# --- refusals, each with the type a caller catches ----------------------------
+
+LAY2 = SymplecticLayout(2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SymplecticLayout(0), "at least one"),
+    (lambda: LAY2.check(Jet.variable(0, 4, 3, blocks=(("a", 4),))),
+     "differ from layout blocks"),
+    (lambda: LAY2.monomial(1, qexp=(1, 0, 0)), "do not fill the layout"),
+    (lambda: LAY2.quadratic_model([1, 2, 3], 4), "alpha dimension"),
+    (lambda: ad_eigenvalue([1, 2], (1,), (0, 1)), "match alpha's dimension"),
+    (lambda: check_symplectic([LAY2.q(0, 3), LAY2.p(0, 3)], LAY2),
+     "need 2n = 4"),
+], ids=[
+    "layout-n-0", "check-blocks", "monomial-shape", "quadratic-model-shape",
+    "ad-eigenvalue-lengths", "symplectic-image-count"])
+def test_poisson_shape_refusals(call, message):
+    with pytest.raises(ShapeMismatchError, match=message) as info:
+        call()
+    assert type(info.value) is ShapeMismatchError

@@ -10,6 +10,7 @@ import sympy
 
 from kamtori import torusverify
 from kamtori.errors import BudgetExceededError, NotEllipticError
+from kamtori.jets import Jet
 from kamtori.poisson import SymplecticLayout
 from kamtori.torusverify import (_FIXED_POINT_CAP, _FIXED_POINT_TOL, _W0,
                                  _W1, FREQ_CONVENTION, SCHEME, OrbitRecord,
@@ -813,3 +814,12 @@ def test_report_serialization():
     assert len(rows) == 3 and rows[0][-1] == "torus-like"
     assert rep.records[0].to_json_dict()["escape_reason"] is None
     json.dumps(rep.records[0].to_json_dict())
+
+
+@pytest.mark.parametrize("H, steps, message", [
+    (Jet(3, 4, {(2, 0, 0): 1.0}), 10, "even number of variables"),
+    (harmonic(), 0, "steps >= 1"),
+])
+def test_integrate_refusals(H, steps, message):
+    with pytest.raises(ValueError, match=message):
+        integrate(H, (1.0,) + (0.0,) * (H.num_vars - 1), 0.01, steps)
