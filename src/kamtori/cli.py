@@ -31,6 +31,7 @@ part is sum alpha_k p_k q_k, the model whose divisors the run uses.
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -516,6 +517,7 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
     parser = _Parser(prog="kamtori",
                      description="small divisors, normal forms, torus scans")

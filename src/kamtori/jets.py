@@ -752,11 +752,12 @@ def _product(left, within, cap):
 
 
 def _clean(acc, mode):
-    """The coefficients a jet keeps: each coerced to its mode, zeros
-    dropped, the order kept."""
+    """The coefficients a jet keeps: each coerced to its mode (a float in
+    float mode already is), zeros dropped, the order kept."""
     out = {}
     for k, v in acc.items():
-        v = _coerce(v, mode)
+        if type(v) is not float or mode != FLOAT:
+            v = _coerce(v, mode)
         if v != 0:
             out[k] = v
     return out

@@ -93,14 +93,15 @@ def hadamard_quasi_inverse(freqs, target, layout, *, alpha_acc=None,
 def _split(jet, layout):
     """Split a jet into what a stage solves and what F absorbs.
 
-    Returns (overflow, absorbable), two projections that partition
-    ``jet``'s terms: ``absorbable`` the monomials in F (two action
-    factors p_kq_k), ``overflow`` the rest.  The whole overflow is
-    solvable; a resonant monomial in it raises when solved.
+    Returns (overflow, absorbable), built in one pass in ``jet``'s order:
+    ``absorbable`` the monomials in F (two action factors p_kq_k),
+    ``overflow`` the rest.  The whole overflow is solvable; a resonant
+    monomial in it raises when solved.
     """
-    def in_f(idx):
-        return _in_action_square(*layout.split(idx))
-    return jet.project(lambda idx: not in_f(idx)), jet.project(in_f)
+    parts = {}, {}
+    for idx, v in jet.coeffs.items():
+        parts[_in_action_square(*layout.split(idx))][idx] = v
+    return jet._like(parts[False]), jet._like(parts[True])
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +206,8 @@ def _stage_solution(target, layout, freqs, floor, exact, alpha_acc, window):
         def in_window(idx):
             qe, pe = layout.split(idx)
             return qe != pe and sum(idx) <= window
-        err = HamiltonianDerivation(gen, layout)(alpha_acc).project(in_window)
+        err = HamiltonianDerivation(gen, layout)(alpha_acc, window).project(
+            in_window)
         corr_src, _ = _split(err, layout)
         corr, corr_div = _solve_terms(corr_src.terms(), layout, freqs, floor,
                                       exact)

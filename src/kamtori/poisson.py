@@ -17,8 +17,9 @@ can differ from the loop's only as a zero of the other sign, then dropped.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from itertools import count
+from itertools import chain, count
 
 import numpy as np
 
@@ -199,10 +200,15 @@ def bracket(f, g, layout, trunc=None):
 
 def _real_float_bracket(fc, gc, n, trunc, width):
     """bracket's pair loop on numpy arrays for dicts of real floats, by runs
-    of f terms of one degree and blocks of at most _BLOCK entries of c."""
+    of f terms of one degree and blocks of at most _BLOCK entries of c.
+
+    A quicksort of the packed keys groups each key's contributions; its
+    smallest contribution index fixes its place in the output, and
+    np.bincount adds its products in contribution order."""
     kind = np.int64 if width * 2 * n < 63 else object   # else Python ints
     weight = np.array([1 << width * v for v in range(2 * n)], dtype=kind)
-    I, J = (np.array(list(c), dtype=np.int64) for c in (fc, gc))
+    I, J = (np.fromiter(chain.from_iterable(c), np.int64, 2 * n * len(c))
+            .reshape(-1, 2 * n) for c in (fc, gc))
     a, b = (np.fromiter(c.values(), float, len(c)) for c in (fc, gc))
     left, right, drop = I @ weight, J @ weight, weight[:n] + weight[n:]
     deg_i, deg_j = I.sum(axis=1), J.sum(axis=1)
@@ -218,8 +224,15 @@ def _real_float_bracket(fc, gc, n, trunc, width):
                 r, t, k = nz = np.nonzero(c)
                 keys.append(left[r + s] - drop[k] + right[kept[t]])
                 vals.append(a[r + s] * b[kept[t]] * c[nz])
-        keys, first, inverse = np.unique(
-            np.concatenate(keys), return_index=True, return_inverse=True)
+        keys = np.concatenate(keys)
+        perm = np.argsort(keys)     # quicksort: equal keys in any order
+        keys = keys[perm]
+        new = np.ones(len(keys), bool)      # where a run of equal keys starts
+        new[1:] = keys[1:] != keys[:-1]
+        starts = np.flatnonzero(new)
+        inverse = np.empty_like(perm)
+        inverse[perm] = np.cumsum(new) - 1
+        first, keys = np.minimum.reduceat(perm, starts), keys[starts]
         sums = np.bincount(inverse, np.concatenate(vals), len(keys))
     order = np.argsort(first)
     order = order[sums[order] != 0]
@@ -251,7 +264,8 @@ class HamiltonianDerivation:
     """u(f) = {f, h} for the generator h, an exact polynomial.
 
     u(f) keeps f's truncation degree N when ord h >= 2; it is known to
-    N - 1 at order 1 and N - 2 at order 0 (never below 0).
+    N - 1 at order 1 and N - 2 at order 0 (never below 0).  u(f, cap)
+    stops at degree cap: no pair past it is formed.
     """
 
     __slots__ = ("generator", "layout")
@@ -261,7 +275,7 @@ class HamiltonianDerivation:
         self.generator = generator
         self.layout = layout
 
-    def __call__(self, f):
+    def __call__(self, f, cap=math.inf):
         self.layout.check(f)
         h = self.generator
         if not h:
@@ -269,8 +283,8 @@ class HamiltonianDerivation:
                             mode=f.mode)
         # an explicit degree: bracket's default would read h's
         # truncation degree as the start of an unknown tail
-        return bracket(f, h, self.layout,
-                       trunc=max(0, f.trunc_degree - max(0, 2 - h.ord())))
+        return bracket(f, h, self.layout, trunc=max(
+            0, min(f.trunc_degree - max(0, 2 - h.ord()), cap)))
 
     def __neg__(self):
         return HamiltonianDerivation(-self.generator, self.layout)

@@ -77,6 +77,20 @@ def test_rerun_is_byte_identical(command, capsys, tmp_path, monkeypatch):
     assert out1 == out2
 
 
+def test_parser_reused_after_a_refused_command(capsys):
+    # main builds its parser once per process; a command that argparse
+    # refuses midway leaves nothing behind for the next one
+    argv = RERUN_ARGV["sigma"]
+    code1, out1, _ = run_cli(capsys, argv)
+    code2, out2, err2 = run_cli(capsys, ["sigma", "--alpha", "1,2",
+                                         "--kmax"])
+    code3, out3, _ = run_cli(capsys, argv)
+    assert (code1, code2, code3) == (0, 2, 0)
+    assert out2 == "" and json.loads(err2)["error"]["type"] == "schema"
+    assert out1 and out3 == out1
+    assert cli.build_parser() is cli.build_parser()
+
+
 # SHA-256 of stdout for rational-mode runs, recorded from the code as it
 # was before every artifact shared one serializer.  Unlike the rerun test
 # above, these catch a change in how a scalar becomes JSON.

@@ -930,6 +930,21 @@ def test_jet_and_scalar_refusals(make, error, message):
     assert type(info.value) is error
 
 
+def test_clean_coerces_all_but_plain_floats_in_float_mode():
+    # a float in float mode is kept as it is; every other value is still
+    # coerced, and zeros of either sign are dropped
+    acc = {(0,): complex(1.5, 0.0), (1,): 3, (2,): -0.0, (3,): 2.5,
+           (4,): complex(0.0, -0.0), (5,): np.float64(0.25), (6,): 0,
+           (7,): complex(0.0, 2.0)}
+    out = jets._clean(acc, jets.FLOAT)
+    assert [(k, type(v), v) for k, v in out.items()] == [
+        ((0,), float, 1.5), ((1,), float, 3.0), ((3,), float, 2.5),
+        ((5,), float, 0.25), ((7,), complex, 2j)]
+    assert out[(3,)] is acc[(3,)]
+    with pytest.raises(ModeMixError, match="not exact"):
+        jets._clean({(0,): 2.5}, jets.EXACT)
+
+
 def test_equality_with_a_non_number_is_false():
     assert (ComplexRational(1, 1) == "1+1j") is False
     assert (X == 1) is False

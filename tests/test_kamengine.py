@@ -12,7 +12,7 @@ import pytest
 from kamtori.birkhoff import (COMPLEX_MORSE, REAL_ELLIPTIC,
                               EllipticHamiltonian, _in_action_square,
                               action_ideal_certificate, birkhoff_normalize)
-from kamtori import kamengine
+from kamtori import kamengine, poisson
 from kamtori.errors import (CertificateError, ConvergenceError,
                             NotEllipticError, OrderTooLowError,
                             ResonanceError, SmallDivisorError)
@@ -576,6 +576,64 @@ def test_quasi_inverse_drops_a_term_its_correction_cancels():
     u = hadamard_quasi_inverse(freqs, target, LAY2, alpha_acc=alpha_acc)
     assert (4, 0, 1, 1) not in u.generator.coeffs
     assert u.generator.coeffs[(3, 0, 0, 0)] == Fraction(-1, 3)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_stage_corrections_stop_at_the_window(mode, monkeypatch):
+    # the correction bracket of alpha_acc against a stage's generator
+    # forms no pair past the stage window w; with that cap lifted the
+    # generators, divisors and normalized jet are the same, bit for bit
+    H = dense_fiber_jet(1, 5)
+    H = H.to_float() if mode == "float" else H
+    real_bracket, real_stage = poisson.bracket, kamengine._stage_solution
+    calls, windows = [], {}
+
+    def recording_bracket(f, g, layout, trunc=None):
+        calls.append((f, trunc))
+        return real_bracket(f, g, layout, trunc)
+
+    def recording_stage(*args):
+        alpha_acc, window = args[-2:]
+        windows[id(alpha_acc)] = alpha_acc, window
+        return real_stage(*args)
+
+    monkeypatch.setattr(poisson, "bracket", recording_bracket)
+    monkeypatch.setattr(kamengine, "_stage_solution", recording_stage)
+    capped = fiber_normalize(H, verify=False)
+    cuts = [(trunc, windows[id(f)][1], f.trunc_degree)
+            for f, trunc in calls if id(f) in windows]
+    assert cuts and all(trunc <= w for trunc, w, _ in cuts)
+    assert any(trunc < N for trunc, _, N in cuts)
+
+    real_call = HamiltonianDerivation.__call__
+    monkeypatch.setattr(HamiltonianDerivation, "__call__",
+                        lambda u, f, cap=math.inf: real_call(u, f))
+    full = fiber_normalize(H, verify=False)
+    assert described(capped.normalized) == described(full.normalized)
+    assert [described(u.generator) for u in capped.transform] == \
+        [described(u.generator) for u in full.transform]
+    assert [st.min_divisor for st in capped.trace] == \
+        [st.min_divisor for st in full.trace]
+
+
+def test_quasi_inverse_correction_keeps_the_derivation_degree(monkeypatch):
+    # hadamard_quasi_inverse has no window: its correction bracket runs to
+    # the derivation's own degree, N - 1 for a generator of order 1
+    real_bracket = poisson.bracket
+    truncs = []
+
+    def recording_bracket(f, g, layout, trunc=None):
+        truncs.append(trunc)
+        return real_bracket(f, g, layout, trunc)
+
+    monkeypatch.setattr(poisson, "bracket", recording_bracket)
+    drift = mono(LAY1, F1, qexp=(2,), pexp=(2,))
+    target = mono(LAY1, F1, qexp=(1,)) + mono(LAY1, F1, qexp=(3,))
+    u = hadamard_quasi_inverse([F1], target, LAY1, alpha_acc=drift)
+    assert truncs == [7]
+    assert dict(u.generator.coeffs) == {
+        (1, 0): Fraction(-1), (3, 0): Fraction(-1, 3), (2, 1): Fraction(2),
+        (4, 1): Fraction(2, 3)}
 
 
 def test_fiber_without_an_affordable_bruno_box_reports_none():

@@ -306,6 +306,79 @@ def test_float_bracket_kernel_temporaries_stay_per_contribution():
     assert float_bits(out) == float_bits(reference_bracket(f, g, lay))
 
 
+# The kernel groups equal packed keys with a sort that need not be
+# stable; the key order and sums must still be those of the loop.
+
+@pytest.mark.parametrize("pairs", [1, 8])
+def test_float_bracket_key_after_later_sorting_duplicates(pairs):
+    # contributions in the order p^2, q p^2, p^2, q^2, q: the keys q^2 and
+    # q pack below p^2, which has two contributions before them, yet they
+    # keep the places of their first contributions.  At 8 pairs, q_8^8
+    # meets no f term but makes 16 fields of 4 bits, past int64: object
+    # keys.
+    lay = SymplecticLayout(pairs)
+    n = lay.n
+
+    def term(qe, pe):
+        return (qe,) + (0,) * (n - 1) + (pe,) + (0,) * (n - 1)
+
+    f = Jet(lay.num_vars, 4, {term(0, 2): 1.5, term(1, 2): 0.25,
+                              term(2, 0): -1.0}, blocks=lay.blocks)
+    g_coeffs = {term(1, 1): 1.0, term(0, 1): 3.0}
+    if pairs > 1:
+        g_coeffs[(0,) * (n - 1) + (8,) + (0,) * n] = 1.0
+    g = Jet(lay.num_vars, 8, g_coeffs, blocks=lay.blocks)
+    width = (f.max_degree() + g.max_degree()).bit_length()
+    assert (width * lay.num_vars > 63) is (pairs > 1)
+    out = bracket(f, g, lay)
+    assert list(out.coeffs.items()) == [
+        (term(0, 2), -2.25), (term(1, 2), -0.25), (term(2, 0), -2.0),
+        (term(1, 0), -6.0)]
+    assert float_bits(out) == float_bits(reference_bracket(f, g, lay))
+
+
+def test_float_bracket_with_one_output_key_and_with_all_keys_distinct():
+    lay = SymplecticLayout(1)
+    # {q, p} = 1 and {p, q} = -1: two contributions, one key
+    f = Jet(2, 3, {(1, 0): 1.0, (0, 1): 2.0})
+    g = Jet(2, 3, {(0, 1): 3.0, (1, 0): 0.5})
+    out = bracket(f, g, lay)
+    assert list(out.coeffs.items()) == [((0, 0), 2.0)]
+    assert float_bits(out) == float_bits(reference_bracket(f, g, lay))
+    # {q, p^k} = k p^(k-1): one contribution per key, out of packed order
+    f = Jet(2, 5, {(1, 0): 0.5})
+    g = Jet(2, 5, {(0, 4): 1.0, (0, 2): 1.0, (0, 3): 1.0, (0, 1): 1.0})
+    out = bracket(f, g, lay)
+    assert list(out.coeffs.items()) == [
+        ((0, 3), 2.0), ((0, 1), 1.0), ((0, 2), 1.5), ((0, 0), 0.5)]
+    assert float_bits(out) == float_bits(reference_bracket(f, g, lay))
+
+
+@pytest.mark.parametrize("block", [None, 8])
+def test_float_bracket_over_many_blocks_equals_the_triple_loop(block,
+                                                              monkeypatch):
+    # all 495 monomials of degree <= 8 in four variables, in random order
+    # with coarse coefficients, so keys repeat across blocks and sums
+    # cancel; more contributions than one _BLOCK holds
+    if block:
+        monkeypatch.setattr(poisson, "_BLOCK", block)
+    rng = np.random.default_rng(2500)
+    lay = SymplecticLayout(2)
+    N = 8
+    monomials = list(_all_indices(lay.num_vars, N))
+    f, g = (Jet(lay.num_vars, N, {
+        monomials[m]: float(rng.choice([-2, -1, -0.5, 0.5, 1, 2]))
+        for m in rng.permutation(len(monomials))}, blocks=lay.blocks)
+        for _ in range(2))
+    I, J = (np.array(list(jet.coeffs)) for jet in (f, g))
+    contributions = sum(int(np.count_nonzero(
+        (i[:2] * J[:, 2:] - i[2:] * J[:, :2])[J.sum(axis=1) <= N + 2 - sum(i)]))
+        for i in I)
+    assert contributions > poisson._BLOCK
+    assert float_bits(bracket(f, g, lay, trunc=N)) == \
+        float_bits(reference_bracket(f, g, lay, trunc=N))
+
+
 # bracket runs exact jets on integer numerators over one denominator per
 # jet and reduces each output once; the Fraction loop of reference_bracket
 # is the oracle, in value, type and key order.

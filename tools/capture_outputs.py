@@ -30,7 +30,10 @@ Runs the checkout this script lives in (its ``src/``) and writes:
   normalized jet and 606 bits in the generators) runs in exact mode
   only.  The ``normal-form-float`` benchmark's shapes run in float
   mode only: the dense fiber jets of seeds 1-3 at N=9, and Birkhoff at
-  l=4 of the seed-0 one.  Float coefficients of every jet are written
+  l=4 of the seed-0 one.  The ``normal-form-exact`` benchmark's Birkhoff
+  shapes run in exact mode only: complex-Morse at l=2 of the dense jets
+  of seeds 1-3 at N=5, and the real-elliptic quartic oscillator at l=4.
+  Float coefficients of every jet are written
   with ``float.hex``.  A case that raises records the error.
 - ``DIR/algebra/``: one text file per ``check_symplectic`` call: of the
   complex-Morse substitutions and their inverses for n = 1..3, of a
@@ -415,6 +418,22 @@ def float_engine_cases():
     return cases
 
 
+def exact_birkhoff_cases():
+    """The normal-form-exact benchmark's Birkhoff shapes, in exact mode
+    only: complex-Morse birkhoff_normalize at l=2 of the dense jets of
+    seeds 1-3 at N=5, and real-elliptic at l=4 of (p^2 + q^2)/2 + q^4 at
+    N=8."""
+    cases = [(f"birkhoff-dense-seed{s}-N5-l2",
+              lambda fl, s=s: birkhoff_normalize(EllipticHamiltonian(
+                  dense_fiber_jet(s, 5), coordinate_mode=COMPLEX_MORSE), 2))
+             for s in (1, 2, 3)]
+    quartic = (mono(LAY1, Fraction(1, 2), (2,)) + mono(LAY1, Fraction(1, 2),
+               (), (2,)) + mono(LAY1, F1, (4,)))
+    cases.append(("birkhoff-quartic-l4", lambda fl: birkhoff_normalize(
+        EllipticHamiltonian(quartic, coordinate_mode=REAL_ELLIPTIC), 4)))
+    return cases
+
+
 def capture_engine(out):
     out.mkdir(parents=True)
     runs = [(name, run, mode) for name, run in engine_cases()
@@ -422,6 +441,7 @@ def capture_engine(out):
     runs.append(("fiber-dense-seed1-N7", fiber(dense_fiber_jet(1, 7)),
                  "exact"))
     runs += [(name, run, "float") for name, run in float_engine_cases()]
+    runs += [(name, run, "exact") for name, run in exact_birkhoff_cases()]
     for name, run, mode in runs:
         try:
             lines = show_result(run(mode == "float"))
