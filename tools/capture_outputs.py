@@ -33,8 +33,8 @@ Runs the checkout this script lives in (its ``src/``) and writes:
   l=4 of the seed-0 one.  The ``normal-form-exact`` benchmark's Birkhoff
   shapes run in exact mode only: complex-Morse at l=2 of the dense jets
   of seeds 1-3 at N=5, and the real-elliptic quartic oscillator at l=4.
-  Float coefficients of every jet are written
-  with ``float.hex``.  A case that raises records the error.
+  Float coefficients of every jet are written with ``float.hex``.  A
+  case that raises records the error.
 - ``DIR/algebra/``: one text file per ``check_symplectic`` call: of the
   complex-Morse substitutions and their inverses for n = 1..3, of a
   rank-3 and a row-swapped n = 2 linear map, and of Birkhoff
